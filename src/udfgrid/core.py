@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ContractError, OutOfBoundsError
 
 TRUNCATION_VOXELS = 3.0
+# Largest node count whose lexicographic codes fit ``linearize``'s int64.
+MAX_NODES = 2**63 - 1
 
 
 def _as_float_array(a, name: str, shape_tail: tuple[int, ...]) -> np.ndarray:
@@ -160,6 +162,8 @@ class GridSpec:
             raise ContractError("voxel_size must be positive")
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ContractError("dims must be three integers >= 1")
+        if self.dims[0] * self.dims[1] * self.dims[2] > MAX_NODES:
+            raise ContractError(f"dims {self.dims} exceed {MAX_NODES} nodes")
 
 
 def voxel_position(spec: GridSpec, idx) -> np.ndarray:

@@ -8,8 +8,8 @@ with unsquared Euclidean distances.  ``chamfer`` (kd-tree accelerated) and
 ``chamfer_bruteforce`` (exhaustive scan) agree bit-for-bit, not just within
 tolerance: both compute every distance with the same canonical formula and
 accumulate per-point minima in point-id order, and the accelerated path
-takes its minimum over a candidate set guaranteed to contain the true
-argmin.
+takes each minimum from the exact nearest-neighbour selection in
+``spatial``.
 
 ``roundtrip`` drives cloud -> grid -> extracted cloud -> CD against the
 original cloud, the fidelity protocol all synthetic-scene acceptance
@@ -28,27 +28,6 @@ from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _BRUTE_CHUNK = 512
-
-
-def _exact_min_distances(a: np.ndarray, b_index: spatial.SpatialIndex) -> np.ndarray:
-    """Canonical distance from each row of ``a`` to its nearest point in b.
-
-    Entries match a brute-force scan bitwise: the kd-tree only proposes
-    candidates (its nearest-distance estimate inflated by 1e-9 relative),
-    and the reported minimum is taken over canonical distances.
-    """
-    d_hat, _ = b_index.tree.query(a, k=1, workers=spatial.get_num_threads())
-    lists = b_index.tree.query_ball_point(
-        a, d_hat * (1.0 + 1e-9), workers=spatial.get_num_threads()
-    )
-    lens = np.fromiter((len(r) for r in lists), dtype=np.int64, count=len(lists))
-    if (lens == 0).any():
-        raise ContractError("nearest-candidate search returned an empty set")
-    flat = np.concatenate([np.asarray(r, dtype=np.int64) for r in lists])
-    rows = np.repeat(np.arange(len(a), dtype=np.int64), lens)
-    dists = spatial.canonical_distance(a[rows], b_index.positions[flat])
-    starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    return np.minimum.reduceat(dists, starts)
 
 
 def _min_distances_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,8 +51,8 @@ def chamfer(p1: PointCloud, p2: PointCloud) -> float:
     """Symmetric mean nearest-neighbor distance between two clouds (meters)."""
     _check_nonempty(p1, p2)
     a, b = p1.positions, p2.positions
-    mins_ab = _exact_min_distances(a, spatial.build_index(b))
-    mins_ba = _exact_min_distances(b, spatial.build_index(a))
+    mins_ab = spatial._exact_neighbours(spatial.build_index(b), a, 1)[1][:, 0]
+    mins_ba = spatial._exact_neighbours(spatial.build_index(a), b, 1)[1][:, 0]
     return float(mins_ab.sum() / (2.0 * len(a)) + mins_ba.sum() / (2.0 * len(b)))
 
 

@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from .core import DFKind, GridSpec, PointCloud, SparseDFGrid, linearize
+from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, linearize
 from .errors import ParseError
 
 _MAGIC = b"UDFG"
@@ -138,9 +138,9 @@ def read_ply(path) -> PointCloud:
                 try:
                     count = int(parts[2])
                 except ValueError:
-                    raise ParseError(
-                        f"{path}: bad vertex count {parts[2]!r}", offset=off
-                    ) from None
+                    count = -1
+                if count < 0:
+                    raise ParseError(f"{path}: bad vertex count {parts[2]!r}", offset=off)
                 in_vertex = True
             else:
                 if count is None:
@@ -301,6 +301,8 @@ def read_grid(path) -> SparseDFGrid:
         raise ParseError(f"{path}: flipped flag must be 0 or 1, got {flipped}", offset=9)
     if min(dx, dy, dz) < 1:
         raise ParseError(f"{path}: dims must be >= 1, got {(dx, dy, dz)}", offset=10)
+    if dx * dy * dz > MAX_NODES:
+        raise ParseError(f"{path}: dims {(dx, dy, dz)} exceed {MAX_NODES} nodes", offset=10)
     if not (np.isfinite(voxel_size) and voxel_size > 0):
         raise ParseError(f"{path}: invalid voxel_size {voxel_size}", offset=46)
     body = _HEADER_STRUCT.size

@@ -8,9 +8,14 @@ are reproducible and match a brute-force scan exactly:
 - exact distance ties break toward the lowest point id;
 - radius queries are boundary-inclusive (distance == r is returned).
 
-The kd-tree only proposes candidate sets (inflated by a 1e-9 relative
-radius margin so no boundary point is lost to rounding); selection among
-candidates always uses the canonical distances.
+Nearest, k-nearest and capped-ball selection share one mechanism.  The
+kd-tree is asked for k+1 neighbours (capped balls bound that query by r
+plus a 1e-9 relative margin), their canonical distances are recomputed
+and each row is ordered by (distance, id).  A point the kd-tree left out
+is at least as far as the (k+1)-th, so a row is already exact unless the
+(k+1)-th distance lies within the margin of the k-th.  Only such rows are
+redone: a ball query of the k-th distance plus the margin collects every
+candidate, and the k smallest by (distance, id) are kept.
 """
 
 from __future__ import annotations
@@ -88,43 +93,53 @@ def _flatten_ball(result_lists) -> tuple[np.ndarray, np.ndarray]:
     return flat, lens
 
 
-def _segment_take_smallest(
-    rows_len: np.ndarray, ids: np.ndarray, dists: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per segment, keep the k entries smallest by (distance, id).
+def _exact_neighbours(
+    index: SpatialIndex, q: np.ndarray, k: int, r: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest points by (canonical distance, id) for each row of ``q``.
 
-    ``ids``/``dists`` are flat arrays whose segments have lengths
-    ``rows_len`` in row order.  Returns (ids, dists, taken_len) with
-    segments still in row order, each sorted by (distance, id).
+    Returns (ids, dists), both of shape (len(q), min(k, len(index))), each
+    row ordered by (distance, id).  With ``r``, only points whose kd
+    distance is within r (plus the margin) are candidates; a row with fewer
+    than k of them is padded with id ``len(index)`` and distance inf, and
+    callers drop whatever lies beyond r themselves.
     """
-    n_rows = len(rows_len)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), rows_len)
-    order = np.lexsort((ids, dists, rows))
-    ids, dists = ids[order], dists[order]
-    take = np.minimum(rows_len, k)
-    seg_starts = np.concatenate(([0], np.cumsum(rows_len)[:-1]))
-    total = int(take.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0), take
-    sel_start = np.repeat(seg_starts, take)
-    within = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(take)[:-1])), take)
-    sel = sel_start + within
-    return ids[sel], dists[sel], take
+    n = len(index)
+    kq = min(k + 1, n)
+    bound = np.inf if r is None else r * (1.0 + _RADIUS_MARGIN)
+    _, ids = index.tree.query(q, k=kq, distance_upper_bound=bound, workers=get_num_threads())
+    ids = ids.reshape(len(q), kq)
+    found = index.positions[np.minimum(ids, n - 1)]
+    dists = np.where(ids < n, canonical_distance(q[:, None, :], found), np.inf)
+    order = np.lexsort((ids, dists), axis=-1)
+    ids = np.take_along_axis(ids, order, axis=-1)
+    dists = np.take_along_axis(dists, order, axis=-1)
+    if kq > k:
+        # A point the kd query left out is at least as far as the (k+1)-th
+        # one, so only a (k+1)-th within the margin of the k-th can hide a
+        # tie or a closer point: those rows are redone over the full ball.
+        kth, nxt = dists[:, k - 1], dists[:, k]
+        redo = np.flatnonzero(np.isfinite(nxt) & (nxt <= kth * (1.0 + _RADIUS_MARGIN)))
+        if len(redo):
+            lists = index.tree.query_ball_point(
+                q[redo], kth[redo] * (1.0 + _RADIUS_MARGIN), workers=get_num_threads()
+            )
+            flat_ids, lens = _flatten_ball(lists)
+            rows = np.repeat(np.arange(len(redo), dtype=np.int64), lens)
+            flat_d = canonical_distance(q[redo][rows], index.positions[flat_ids])
+            sel = np.lexsort((flat_ids, flat_d, rows))
+            # Every ball holds the k returned points, so each segment has >= k.
+            starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+            sel = sel[starts[:, None] + np.arange(k)]
+            ids[redo, :k], dists[redo, :k] = flat_ids[sel], flat_d[sel]
+    return ids[:, :k], dists[:, :k]
 
 
 def nearest_batch(index: SpatialIndex, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point id and canonical distance for each query row."""
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    d_hat, _ = index.tree.query(q, k=1, workers=get_num_threads())
-    radii = d_hat * (1.0 + _RADIUS_MARGIN)
-    lists = index.tree.query_ball_point(q, radii, workers=get_num_threads())
-    flat_ids, lens = _flatten_ball(lists)
-    rows = np.repeat(np.arange(len(q), dtype=np.int64), lens)
-    flat_d = canonical_distance(q[rows], index.positions[flat_ids])
-    ids, dists, take = _segment_take_smallest(lens, flat_ids, flat_d, 1)
-    if (take != 1).any():
-        raise ContractError("nearest query found no candidate (corrupt index)")
-    return ids, dists
+    ids, dists = _exact_neighbours(index, q, 1)
+    return ids[:, 0], dists[:, 0]
 
 
 def nearest(index: SpatialIndex, q) -> tuple[int, float]:
@@ -144,15 +159,8 @@ def knn_batch(
     if k < 1:
         raise ContractError("k must be >= 1")
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    kk = min(k, len(index))
-    d_hat, _ = index.tree.query(q, k=kk, workers=get_num_threads())
-    d_kth = d_hat if kk == 1 else d_hat[:, -1]
-    radii = np.atleast_1d(d_kth) * (1.0 + _RADIUS_MARGIN)
-    lists = index.tree.query_ball_point(q, radii, workers=get_num_threads())
-    flat_ids, lens = _flatten_ball(lists)
-    rows = np.repeat(np.arange(len(q), dtype=np.int64), lens)
-    flat_d = canonical_distance(q[rows], index.positions[flat_ids])
-    return _segment_take_smallest(lens, flat_ids, flat_d, kk)
+    ids, dists = _exact_neighbours(index, q, k)
+    return ids.ravel(), dists.ravel(), np.full(len(q), ids.shape[1], dtype=np.int64)
 
 
 def knn(index: SpatialIndex, q, k: int) -> list[tuple[int, float]]:
@@ -212,52 +220,10 @@ def capped_ball_batch(
     if cap < 1:
         raise ContractError("cap must be >= 1")
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    kk = min(cap, len(index))
-    d_hat, i_hat = index.tree.query(
-        q, k=kk, distance_upper_bound=r * (1.0 + _RADIUS_MARGIN), workers=get_num_threads()
-    )
-    d_hat = np.atleast_2d(d_hat.reshape(len(q), kk))
-    hit = np.isfinite(d_hat)
-    n_hit = hit.sum(axis=1)
-    # Rows where the cap binds (or the last slot is near the ball edge)
-    # need the careful candidate treatment; unambiguous rows keep the
-    # kd-tree's own k results.
-    full = n_hit == kk
-    if kk < len(index):
-        ambiguous = full.copy()
-    else:
-        ambiguous = np.zeros(len(q), dtype=bool)
-    ids_out = np.where(hit, i_hat.reshape(len(q), kk), -1)
-    flat_ids_parts = np.full((len(q), kk), -1, dtype=np.int64)
-    easy = ~ambiguous
-    if easy.any():
-        flat_ids_parts[easy] = ids_out[easy]
-    if ambiguous.any():
-        qa = q[ambiguous]
-        da = d_hat[ambiguous][:, -1]
-        radii = np.minimum(da * (1.0 + _RADIUS_MARGIN), r * (1.0 + _RADIUS_MARGIN))
-        lists = index.tree.query_ball_point(qa, radii, workers=get_num_threads())
-        flat_ids, alens = _flatten_ball(lists)
-        rows = np.repeat(np.arange(len(qa), dtype=np.int64), alens)
-        flat_d = canonical_distance(qa[rows], index.positions[flat_ids])
-        keep = flat_d <= r
-        starts = np.concatenate(([0], np.cumsum(alens)[:-1]))
-        kept = np.where(alens > 0, np.add.reduceat(keep, starts), 0).astype(np.int64)
-        sel_ids, _, take = _segment_take_smallest(kept, flat_ids[keep], flat_d[keep], kk)
-        amb_rows = np.flatnonzero(ambiguous)
-        total = int(take.sum())
-        rows_rep = np.repeat(amb_rows, take)
-        cols = np.arange(total) - np.repeat(np.concatenate(([0], np.cumsum(take)[:-1])), take)
-        flat_ids_parts[rows_rep, cols] = sel_ids
-    # Filter inflated-margin strays and canonicalize distances + id order.
-    valid = flat_ids_parts >= 0
-    rows_grid = np.broadcast_to(np.arange(len(q))[:, None], flat_ids_parts.shape)
-    fi = flat_ids_parts[valid]
-    fr = rows_grid[valid]
-    fd = canonical_distance(q[fr], index.positions[fi])
-    inside = fd <= r
-    fi, fr, fd = fi[inside], fr[inside], fd[inside]
-    order = np.lexsort((fi, fr))
-    fi, fr, fd = fi[order], fr[order], fd[order]
-    lens = np.bincount(fr, minlength=len(q)).astype(np.int64)
-    return fi, fd, lens
+    ids, dists = _exact_neighbours(index, q, cap, r)
+    ids = np.where(dists <= r, ids, len(index))
+    order = np.argsort(ids, axis=-1)
+    ids = np.take_along_axis(ids, order, axis=-1)
+    dists = np.take_along_axis(dists, order, axis=-1)
+    inside = ids < len(index)
+    return ids[inside], dists[inside], inside.sum(axis=1)

@@ -111,6 +111,18 @@ class TestDataErrors:
         code = main(["chamfer", str(bad), str(bad)])
         assert code == 2
 
+    def test_negative_vertex_count(self, tmp_path, capsys):
+        bad = tmp_path / "neg.ply"
+        bad.write_bytes(
+            b"ply\nformat binary_little_endian 1.0\nelement vertex -1\n"
+            b"property double x\nproperty double y\nproperty double z\nend_header\n"
+            + np.arange(6, dtype="<f8").tobytes()
+        )
+        code = main(["chamfer", str(bad), str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad vertex count" in err and "Traceback" not in err
+
     def test_normals_need_sensors_for_orientation(self, tmp_path, capsys):
         cloud = PointCloud(np.random.default_rng(42).random((30, 3)))
         src = tmp_path / "plain.ply"

@@ -164,6 +164,14 @@ class TestGridSpec:
         with pytest.raises(ContractError):
             GridSpec(origin=(0, np.nan, 0), voxel_size=0.1, dims=(2, 2, 2))
 
+    def test_node_count_must_fit_int64(self):
+        """Linear codes are int64; larger grids would wrap and mis-sort."""
+        with pytest.raises(ContractError):
+            GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**32 - 1,) * 3)
+        with pytest.raises(ContractError):
+            GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**21, 2**21, 2**21))
+        GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**21, 2**21, 2**21 - 1))
+
 
 class TestVoxelPosition:
     def test_node_positions(self):

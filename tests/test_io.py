@@ -268,6 +268,26 @@ class TestPlyReadErrors:
         assert "bad number 'five'" in str(err)
         assert err.offset == len(head) + len("1 2 3\n")
 
+    def test_negative_vertex_count_binary(self, tmp_path):
+        """``-1`` must not read every remaining byte as vertex data."""
+        head = (
+            "ply\nformat binary_little_endian 1.0\nelement vertex -1\n"
+            "property double x\nproperty double y\nproperty double z\nend_header\n"
+        )
+        payload = head.encode() + np.arange(6, dtype="<f8").tobytes()
+        err = self._err(tmp_path, payload)
+        assert "bad vertex count '-1'" in str(err)
+        assert err.offset == head.index("element vertex")
+
+    def test_negative_vertex_count_ascii(self, tmp_path):
+        head = (
+            "ply\nformat ascii 1.0\nelement vertex -2\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n"
+        )
+        err = self._err(tmp_path, head + "1 2 3\n4 5 6\n")
+        assert "bad vertex count '-2'" in str(err)
+        assert err.offset == head.index("element vertex")
+
 
 class TestUdfgRoundtrip:
     def test_bitwise_roundtrip(self, tmp_path):
@@ -390,6 +410,22 @@ class TestUdfgReadErrors:
             return d
         err = self._write_and_corrupt(tmp_path, mutate)
         assert "dims" in str(err) and err.offset == 10
+
+    def test_dims_overflowing_int64_codes(self, tmp_path):
+        """(2^32-1)^3 nodes wrap int64 linear codes, so these unsorted
+        records would pass the sortedness check."""
+        path = tmp_path / "g.udfg"
+        header = struct.pack(
+            "<4sIBB3I3ddQ", b"UDFG", 1, DFKind.UED.code, 0,
+            *([2**32 - 1] * 3), 0.0, 0.0, 0.0, 0.05, 3,
+        )
+        records = np.zeros(3, dtype=[("i", "<u4"), ("j", "<u4"), ("k", "<u4"), ("v", "<f4")])
+        records["i"] = [3, 1, 0]
+        records["j"] = [0, 0, 5]
+        path.write_bytes(header + records.tobytes())
+        with pytest.raises(ParseError) as err:
+            read_grid(path)
+        assert "dims" in str(err.value) and err.value.offset == 10
 
     def test_bad_voxel_size(self, tmp_path):
         def mutate(d):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import brute_knn, brute_nearest, brute_radius
 from udfgrid import (
@@ -10,6 +13,8 @@ from udfgrid import (
     PointCloud,
     SpatialIndex,
     build_index,
+    chamfer,
+    chamfer_bruteforce,
     get_num_threads,
     knn,
     nearest,
@@ -258,3 +263,51 @@ class TestThreadControl:
             set_num_threads(None)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+# -- properties on grid-snapped clouds ----------------------------------------
+#
+# Integer lattice coordinates times 0.1, duplicates allowed: many points sit
+# at exactly the same canonical distance from a query, so ties land on the
+# k-th slot and, with r taken from an actual point-query distance, on the
+# ball boundary.
+
+lattice = arrays(
+    np.int64, st.tuples(st.integers(1, 120), st.just(3)), elements=st.integers(-2, 2)
+).map(lambda a: a * 0.1)
+
+
+def _segments(ids, dists, lens):
+    ends = np.cumsum(lens)
+    return [
+        list(zip(ids[e - n:e].tolist(), dists[e - n:e].tolist()))
+        for e, n in zip(ends, lens)
+    ]
+
+
+class TestLatticeProperties:
+    @given(lattice, lattice)
+    def test_nearest_matches_brute(self, pts, q):
+        ids, dists = nearest_batch(build_index(pts), q)
+        assert list(zip(ids.tolist(), dists.tolist())) == [brute_nearest(pts, x) for x in q]
+
+    @given(lattice, lattice, st.integers(1, 130))
+    def test_knn_matches_brute(self, pts, q, k):
+        got = _segments(*knn_batch(build_index(pts), q, k))
+        assert got == [brute_knn(pts, x, k) for x in q]
+
+    @given(lattice, lattice, st.integers(1, 130), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_capped_ball_matches_brute(self, pts, q, cap, i, j):
+        r = float(canonical_distance(pts[i % len(pts)], q[j % len(q)])) or 0.1
+        got = _segments(*capped_ball_batch(build_index(pts), q, r, cap))
+        want = [
+            sorted(sorted(brute_radius(pts, x, r), key=lambda t: (t[1], t[0]))[:cap])
+            for x in q
+        ]
+        assert got == want
+
+    @given(lattice, lattice)
+    def test_chamfer_matches_bruteforce(self, a, b):
+        assert chamfer(PointCloud(a), PointCloud(b)) == chamfer_bruteforce(
+            PointCloud(a), PointCloud(b)
+        )
