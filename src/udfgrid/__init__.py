@@ -19,14 +19,7 @@ from .core import (
 from .dfield import (
     build_pyramid,
     compute_grid,
-    eval_hoppe,
-    eval_imls,
-    eval_sed,
-    eval_swed,
-    eval_ued,
-    eval_uhoppe,
-    eval_uimls,
-    eval_uwed,
+    evaluate,
     flip,
     gaussian_weight,
     make_evaluator,
@@ -89,14 +82,7 @@ __all__ = [
     "world_to_voxel",
     "build_pyramid",
     "compute_grid",
-    "eval_hoppe",
-    "eval_imls",
-    "eval_sed",
-    "eval_swed",
-    "eval_ued",
-    "eval_uhoppe",
-    "eval_uimls",
-    "eval_uwed",
+    "evaluate",
     "flip",
     "gaussian_weight",
     "make_evaluator",

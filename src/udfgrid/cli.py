@@ -63,21 +63,10 @@ def _dims_arg(text: str) -> tuple[int, int, int]:
     return dims
 
 
-def auto_bounds(positions: np.ndarray, voxel_size: float) -> tuple[np.ndarray, tuple]:
-    """Grid origin and dims covering the cloud AABB padded by 3 voxels."""
-    pad = 3.0 * voxel_size
-    origin = positions.min(axis=0) - pad
-    top = positions.max(axis=0) + pad
-    dims = (np.floor((top - origin) / voxel_size + 1e-9) + 1).astype(int)
-    return origin, tuple(int(d) for d in dims)
-
-
 def _resolve_spec(args, positions: np.ndarray) -> GridSpec:
     if args.auto_bounds:
-        origin, dims = auto_bounds(positions, args.voxel_size)
-    else:
-        origin, dims = args.origin, args.dims
-    return GridSpec(origin=origin, voxel_size=args.voxel_size, dims=dims)
+        return GridSpec.covering(positions, args.voxel_size)
+    return GridSpec(origin=args.origin, voxel_size=args.voxel_size, dims=args.dims)
 
 
 def _add_grid_geometry(p: argparse.ArgumentParser) -> None:
@@ -178,7 +167,7 @@ def _cmd_compute(args) -> int:
         grid = dfield.flip(grid)
     io.write_grid(grid, args.output)
     print(
-        f"wrote {grid.occupied_count} occupied voxels "
+        f"wrote {len(grid)} occupied voxels "
         f"(kind={args.kind.value}, flipped={args.flip}, dims={spec.dims}) to {args.output}"
     )
     return 0
@@ -251,7 +240,7 @@ def _cmd_pyramid(args) -> int:
     for level, grid in enumerate(grids):
         path = f"{args.out_prefix}.L{level}.udfg"
         io.write_grid(grid, path)
-        print(f"level {level}: dims={grid.spec.dims} occupied={grid.occupied_count} -> {path}")
+        print(f"level {level}: dims={grid.spec.dims} occupied={len(grid)} -> {path}")
     return 0
 
 

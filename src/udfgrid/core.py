@@ -9,11 +9,11 @@ voxel index absent from a grid means "empty space / undefined".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, OutOfBoundsError
+from .errors import ContractError, EmptyCloudError, OutOfBoundsError
 
 TRUNCATION_VOXELS = 3.0
 # Largest node count whose lexicographic codes fit ``linearize``'s int64.
@@ -165,6 +165,18 @@ class GridSpec:
         if self.dims[0] * self.dims[1] * self.dims[2] > MAX_NODES:
             raise ContractError(f"dims {self.dims} exceed {MAX_NODES} nodes")
 
+    @classmethod
+    def covering(cls, positions, voxel_size: float) -> "GridSpec":
+        """Grid over the bounding box of ``positions`` padded by 3 voxels."""
+        positions = np.asarray(positions, dtype=np.float64)
+        if len(positions) == 0:
+            raise EmptyCloudError("cannot cover an empty point set")
+        pad = TRUNCATION_VOXELS * voxel_size
+        origin = positions.min(axis=0) - pad
+        top = positions.max(axis=0) + pad
+        dims = np.floor((top - origin) / voxel_size + 1e-9) + 1
+        return cls(origin=origin, voxel_size=voxel_size, dims=tuple(int(d) for d in dims))
+
 
 def voxel_position(spec: GridSpec, idx) -> np.ndarray:
     """World position of lattice node(s) ``idx``: origin + idx * voxel_size.
@@ -210,12 +222,6 @@ class DFParams:
     sigma
         Gaussian weight scale in meters; the usual choice is twice the
         voxel size.
-    truncation_voxels
-        Always 3.0; stored values satisfy |v| < 3 voxel units.
-    neighbor_radius
-        Neighborhood ball radius in meters, fixed at 3 * sigma (weights
-        beyond it are below e**-9).  Derived; passing any other value is
-        an error.
     normal_k
         Neighborhood size for PCA normal estimation.
     max_neighbors
@@ -224,11 +230,12 @@ class DFParams:
         inside the 3-sigma ball.  Keeps the effective support of the
         average local on densely sampled surfaces, which the roundtrip
         fidelity targets require (see the repository decision log).
+
+    ``neighbor_radius`` is derived: the 3-sigma ball radius in meters
+    (weights beyond it are below e**-9).
     """
 
     sigma: float
-    truncation_voxels: float = TRUNCATION_VOXELS
-    neighbor_radius: float | None = None
     normal_k: int = 30
     max_neighbors: int = 36
 
@@ -236,19 +243,16 @@ class DFParams:
         object.__setattr__(self, "sigma", float(self.sigma))
         if not self.sigma > 0:
             raise ContractError("sigma must be positive")
-        if self.truncation_voxels != TRUNCATION_VOXELS:
-            raise ContractError("truncation_voxels is fixed at 3.0")
-        radius = 3.0 * self.sigma
-        if self.neighbor_radius is None:
-            object.__setattr__(self, "neighbor_radius", radius)
-        elif self.neighbor_radius != radius:
-            raise ContractError("neighbor_radius must equal 3 * sigma")
         if int(self.normal_k) < 3:
             raise ContractError("normal_k must be >= 3")
         if int(self.max_neighbors) < 1:
             raise ContractError("max_neighbors must be >= 1")
         object.__setattr__(self, "normal_k", int(self.normal_k))
         object.__setattr__(self, "max_neighbors", int(self.max_neighbors))
+
+    @property
+    def neighbor_radius(self) -> float:
+        return 3.0 * self.sigma
 
     @classmethod
     def for_voxel_size(cls, voxel_size: float, **kwargs) -> "DFParams":
@@ -284,15 +288,12 @@ class SparseDFGrid:
     flipped: bool
     indices: np.ndarray
     values: np.ndarray
-    truncation: float = field(default=TRUNCATION_VOXELS)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64).reshape(-1, 3)
         val = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if len(idx) != len(val):
             raise ContractError("indices and values must have equal length")
-        if self.truncation != TRUNCATION_VOXELS:
-            raise ContractError("truncation is fixed at 3.0")
         if len(idx):
             if idx.min() < 0 or (idx >= np.asarray(self.spec.dims)).any():
                 raise ContractError("voxel indices outside grid dims")
@@ -319,10 +320,6 @@ class SparseDFGrid:
         object.__setattr__(self, "values", val)
 
     def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def occupied_count(self) -> int:
         return len(self.values)
 
     def codes(self) -> np.ndarray:

@@ -11,6 +11,8 @@ nearest cloud points within the 3-sigma ball around x (weights beyond 3
 sigma are below e**-9).  Points with invalid (NaN) normals are excluded
 from N_x for every normal-dependent kind.
 
+``evaluate`` gives one kind's value at one point; ``make_evaluator``
+builds the spatial indices once for many queries against one cloud.
 ``compute_grid`` evaluates a kind at candidate lattice nodes, converts to
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
@@ -63,8 +65,10 @@ def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class _Evaluator:
     """Pointwise/batch evaluation of one DF kind over a fixed cloud.
 
-    Builds the (possibly normal-filtered) spatial structures once so a
-    grid's worth of queries reuses them.
+    Builds the spatial structures once so a grid's worth of queries reuses
+    them.  The support is the set of points the kind reads: the points
+    with valid normals for normal kinds, the whole cloud otherwise.
+    ``full_index`` covers the whole cloud for the candidate prefilter.
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
@@ -74,19 +78,12 @@ class _Evaluator:
             raise MissingDataError(f"{kind.value} requires a cloud with oriented normals")
         self.kind = kind
         self.params = params
-        self.full_positions = cloud.positions
         self.full_index = spatial.build_index(cloud.positions)
+        self.positions, self.normals, self.index = cloud.positions, None, self.full_index
         if kind.requires_normals:
             valid = ~np.isnan(cloud.normals).any(axis=1)
-            self.valid_positions = cloud.positions[valid]
-            self.valid_normals = cloud.normals[valid]
-            self.valid_index = (
-                spatial.build_index(self.valid_positions) if valid.any() else None
-            )
-        else:
-            self.valid_positions = self.full_positions
-            self.valid_normals = None
-            self.valid_index = self.full_index
+            self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
+            self.index = spatial.build_index(self.positions) if valid.any() else None
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
@@ -100,35 +97,31 @@ class _Evaluator:
 
     def _chunk(self, q: np.ndarray) -> np.ndarray:
         kind = self.kind
+        if self.index is None:
+            return np.full(len(q), np.nan)
         if kind is DFKind.UED:
-            _, d = spatial.nearest_batch(self.full_index, q)
+            _, d = spatial.nearest_batch(self.index, q)
             return d
         if kind in (DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED):
-            if self.valid_index is None:
-                return np.full(len(q), np.nan)
-            ids, d = spatial.nearest_batch(self.valid_index, q)
-            n = self.valid_normals[ids]
-            p = self.valid_positions[ids]
-            dot = np.einsum("ij,ij->i", n, q - p)
+            ids, d = spatial.nearest_batch(self.index, q)
+            dot = np.einsum("ij,ij->i", self.normals[ids], q - self.positions[ids])
             if kind is DFKind.HOPPE:
                 return dot
             if kind is DFKind.UHOPPE:
                 return np.abs(dot)
             return np.where(dot >= 0, 1.0, -1.0) * d
         if kind is DFKind.UWED:
-            val, _ = self._weighted(self.full_index, q, want_plane=False)
+            val, _ = self._weighted(q, want_plane=False)
             return val
-        if self.valid_index is None:
-            return np.full(len(q), np.nan)
         if kind in (DFKind.IMLS, DFKind.UIMLS):
-            _, val = self._weighted(self.valid_index, q, want_plane=True)
+            _, val = self._weighted(q, want_plane=True)
             return np.abs(val) if kind is DFKind.UIMLS else val
         if kind is DFKind.SWED:
-            uwed, imls = self._weighted(self.valid_index, q, want_plane=True)
+            uwed, imls = self._weighted(q, want_plane=True)
             return np.where(imls >= 0, 1.0, -1.0) * uwed
         raise ContractError(f"unhandled kind {kind}")
 
-    def _weighted(self, index, q: np.ndarray, want_plane: bool):
+    def _weighted(self, q: np.ndarray, want_plane: bool):
         """Gaussian-weighted averages over N_x.
 
         Returns (uwed, imls): the weighted mean Euclidean distance and,
@@ -138,7 +131,7 @@ class _Evaluator:
         """
         p = self.params
         ids, dists, lens = spatial.capped_ball_batch(
-            index, q, p.neighbor_radius, p.max_neighbors
+            self.index, q, p.neighbor_radius, p.max_neighbors
         )
         w = gaussian_weight(dists * dists, p.sigma)
         den = _segment_sums(w, lens)
@@ -149,13 +142,7 @@ class _Evaluator:
         imls = np.full(len(q), np.nan)
         if want_plane:
             rows = np.repeat(np.arange(len(q), dtype=np.int64), lens)
-            if index is self.valid_index:
-                pts, nrm = self.valid_positions, self.valid_normals
-            else:
-                pts, nrm = self.full_positions, None
-            if nrm is None:
-                raise ContractError("plane distances need normals")
-            dot = np.einsum("ij,ij->i", nrm[ids], q[rows] - pts[ids])
+            dot = np.einsum("ij,ij->i", self.normals[ids], q[rows] - self.positions[ids])
             imls = _segment_sums(w * dot, lens) / den_safe
             imls[bad] = np.nan
         return uwed, imls
@@ -166,56 +153,20 @@ def make_evaluator(cloud: PointCloud, kind: DFKind, params: DFParams) -> _Evalua
     return _Evaluator(cloud, kind, params)
 
 
-def _eval_single(x, cloud: PointCloud, kind: DFKind, params: DFParams | None) -> float:
-    if params is None:
-        params = DFParams(sigma=1.0)  # nearest-point kinds ignore sigma
-    ev = _Evaluator(cloud, kind, params)
+def evaluate(x, cloud: PointCloud, kind: DFKind, params: DFParams | None = None) -> float:
+    """Value of ``kind`` at one point ``x``, in meters; NaN where undefined.
+
+    ``params`` defaults to ``DFParams(sigma=1.0)``; the nearest-point
+    kinds (Hoppe, SED, UED, UHoppe) do not read it.
+    """
+    ev = make_evaluator(cloud, kind, params or DFParams(sigma=1.0))
     return float(ev.batch(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])
 
 
-def eval_hoppe(x, cloud: PointCloud, index=None) -> float:
-    """Signed point-to-plane distance to the nearest point: n_i . (x - p_i)."""
-    return _eval_single(x, cloud, DFKind.HOPPE, None)
-
-
-def eval_sed(x, cloud: PointCloud, index=None) -> float:
-    """Nearest-point distance signed by the nearest normal; sign(0) = +1."""
-    return _eval_single(x, cloud, DFKind.SED, None)
-
-
-def eval_ued(x, cloud: PointCloud, index=None) -> float:
-    """Unsigned distance to the nearest point."""
-    return _eval_single(x, cloud, DFKind.UED, None)
-
-
-def eval_uhoppe(x, cloud: PointCloud, index=None) -> float:
-    """|eval_hoppe(x)|."""
-    return _eval_single(x, cloud, DFKind.UHOPPE, None)
-
-
-def eval_imls(x, cloud: PointCloud, index=None, params: DFParams | None = None) -> float:
-    """Gaussian-weighted average of point-to-plane distances over N_x."""
-    return _eval_single(x, cloud, DFKind.IMLS, params)
-
-
-def eval_uimls(x, cloud: PointCloud, index=None, params: DFParams | None = None) -> float:
-    """|eval_imls(x)|."""
-    return _eval_single(x, cloud, DFKind.UIMLS, params)
-
-
-def eval_uwed(x, cloud: PointCloud, index=None, params: DFParams | None = None) -> float:
-    """Gaussian-weighted average of Euclidean distances over N_x."""
-    return _eval_single(x, cloud, DFKind.UWED, params)
-
-
-def eval_swed(x, cloud: PointCloud, index=None, params: DFParams | None = None) -> float:
-    """UWED magnitude carrying the sign of IMLS; sign(0) = +1."""
-    return _eval_single(x, cloud, DFKind.SWED, params)
-
-
-def _candidate_ranges(cloud: PointCloud, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive node index ranges that can lie within 3 voxels of the cloud."""
-    reach = 3.0 * spec.voxel_size + 1e-9
+def _candidate_ranges(
+    cloud: PointCloud, spec: GridSpec, reach: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive node index ranges that can lie within ``reach`` of the cloud."""
     lo_w = cloud.positions.min(axis=0) - reach
     hi_w = cloud.positions.max(axis=0) + reach
     lo = np.ceil((lo_w - spec.origin) / spec.voxel_size).astype(np.int64)
@@ -252,8 +203,8 @@ def compute_grid(
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
     evaluator = _Evaluator(cloud, kind, params)
-    lo, hi = _candidate_ranges(cloud, spec)
     reach = 3.0 * spec.voxel_size + 1e-9
+    lo, hi = _candidate_ranges(cloud, spec, reach)
     kept_idx: list[np.ndarray] = []
     kept_val: list[np.ndarray] = []
     if (lo <= hi).all():

@@ -124,7 +124,7 @@ def roundtrip(
         voxel_size=spec.voxel_size,
         cd=cd,
         extracted_count=len(extracted),
-        occupied_voxels=grid.occupied_count,
+        occupied_voxels=len(grid),
         wall_time=time.perf_counter() - t0,
     )
 

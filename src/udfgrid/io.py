@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, linearize
-from .errors import ParseError
+from .errors import ContractError, ParseError
 
 _MAGIC = b"UDFG"
 _HEADER_STRUCT = struct.Struct("<4sIBB3I3ddQ")
@@ -152,7 +152,7 @@ def read_ply(path) -> PointCloud:
         elif parts[0] == "property":
             if not in_vertex:
                 continue
-            if parts[1] == "list":
+            if parts[1:2] == ["list"]:
                 raise ParseError(
                     f"{path}: list property unsupported in vertex element", offset=off
                 )
@@ -193,8 +193,10 @@ def read_ply(path) -> PointCloud:
             return np.stack([table[k] for k in keys], axis=1)
         return None
 
-    positions = triple("")
-    return PointCloud(positions, triple("n"), triple("s"))
+    try:
+        return PointCloud(triple(""), triple("n"), triple("s"))
+    except ContractError as exc:
+        raise ParseError(f"{path}: invalid vertex data: {exc}") from exc
 
 
 def _read_binary_vertices(data, body_start, count, props, path):
@@ -303,6 +305,8 @@ def read_grid(path) -> SparseDFGrid:
         raise ParseError(f"{path}: dims must be >= 1, got {(dx, dy, dz)}", offset=10)
     if dx * dy * dz > MAX_NODES:
         raise ParseError(f"{path}: dims {(dx, dy, dz)} exceed {MAX_NODES} nodes", offset=10)
+    if not np.isfinite([ox, oy, oz]).all():
+        raise ParseError(f"{path}: non-finite origin {(ox, oy, oz)}", offset=22)
     if not (np.isfinite(voxel_size) and voxel_size > 0):
         raise ParseError(f"{path}: invalid voxel_size {voxel_size}", offset=46)
     body = _HEADER_STRUCT.size

@@ -20,7 +20,6 @@ from udfgrid import (
     sample_scene,
     simulate_scans,
 )
-from udfgrid.cli import auto_bounds
 
 VOXEL_SIZE = 0.05
 # 16 points per voxel face: 16 / (0.05 m)^2.
@@ -55,8 +54,7 @@ def noisy_desk_cloud(seed: int) -> PointCloud:
 
 def grid_spec_for(cloud: PointCloud, voxel_size: float = VOXEL_SIZE) -> GridSpec:
     """Grid covering the cloud plus the full truncation margin."""
-    origin, dims = auto_bounds(cloud.positions, voxel_size)
-    return GridSpec(origin=origin, voxel_size=voxel_size, dims=dims)
+    return GridSpec.covering(cloud.positions, voxel_size)
 
 
 def plane_cloud(

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from udfgrid import DFKind, PointCloud, read_grid, read_ply, write_ply
-from udfgrid.cli import auto_bounds, main
+from udfgrid import DFKind, EmptyCloudError, GridSpec, PointCloud, read_grid, read_ply, write_ply
+from udfgrid.cli import main
 
 SCENE_CFG = """
 [plane.floor]
@@ -123,6 +123,27 @@ class TestDataErrors:
         assert code == 2
         assert "bad vertex count" in err and "Traceback" not in err
 
+    def test_auto_bounds_on_empty_cloud(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ply"
+        write_ply(PointCloud(np.empty((0, 3))), empty)
+        code = main(["compute", str(empty), str(tmp_path / "g.udfg"),
+                     "--kind", "ued", *GEOMETRY])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "empty" in err and "Traceback" not in err
+
+    def test_non_unit_normal(self, tmp_path, capsys):
+        bad = tmp_path / "normal.ply"
+        bad.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nproperty double nx\n"
+            "property double ny\nproperty double nz\nend_header\n0 0 0 0 0 2\n"
+        )
+        code = main(["chamfer", str(bad), str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invalid vertex data" in err and "Traceback" not in err
+
     def test_normals_need_sensors_for_orientation(self, tmp_path, capsys):
         cloud = PointCloud(np.random.default_rng(42).random((30, 3)))
         src = tmp_path / "plain.ply"
@@ -193,7 +214,7 @@ class TestComputeExtract:
                      *GEOMETRY]) == 0
         grid = read_grid(out)
         assert grid.kind is DFKind.UWED and not grid.flipped
-        assert grid.occupied_count > 0
+        assert len(grid) > 0
         assert "occupied voxels" in capsys.readouterr().out
 
     def test_compute_flip(self, tmp_path, clean_ply):
@@ -267,17 +288,21 @@ class TestPyramidCommand:
 class TestAutoBounds:
     def test_three_voxel_pad(self):
         pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
-        origin, dims = auto_bounds(pos, 0.25)
-        np.testing.assert_allclose(origin, [-0.75, -0.75, -0.75])
+        spec = GridSpec.covering(pos, 0.25)
+        np.testing.assert_allclose(spec.origin, [-0.75, -0.75, -0.75])
         # Nodes must reach max + 3 voxels: (top - origin) / vs + 1 nodes.
-        assert dims == (11, 9, 8)
+        assert spec.dims == (11, 9, 8)
 
     def test_covers_cloud_with_margin(self):
         rng = np.random.default_rng(42)
         pos = rng.random((50, 3))
-        origin, dims = auto_bounds(pos, 0.05)
-        top = origin + (np.array(dims) - 1) * 0.05
-        assert (origin <= pos.min(axis=0) - 3 * 0.05 + 1e-12).all()
+        spec = GridSpec.covering(pos, 0.05)
+        top = spec.origin + (np.array(spec.dims) - 1) * 0.05
+        assert (spec.origin <= pos.min(axis=0) - 3 * 0.05 + 1e-12).all()
         # The node lattice snaps to whole voxels, so the guaranteed
         # padding above the cloud maximum is one voxel less.
         assert (top >= pos.max(axis=0) + 2 * 0.05 - 1e-12).all()
+
+    def test_empty_positions_rejected(self):
+        with pytest.raises(EmptyCloudError):
+            GridSpec.covering(np.empty((0, 3)), 0.05)

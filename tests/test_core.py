@@ -13,6 +13,7 @@ from udfgrid import (
     OutOfBoundsError,
     PointCloud,
     SparseDFGrid,
+    TRUNCATION_VOXELS,
     round_half_away_from_zero,
     voxel_position,
     world_to_voxel,
@@ -241,16 +242,16 @@ class TestDFParams:
     def test_radius_is_three_sigma(self):
         p = DFParams(sigma=0.1)
         assert p.neighbor_radius == 3.0 * 0.1
-        p2 = DFParams(sigma=0.1, neighbor_radius=3.0 * 0.1)
-        assert p2.neighbor_radius == p.neighbor_radius
+        with pytest.raises(AttributeError):
+            p.neighbor_radius = 0.5
 
     def test_radius_override_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(TypeError):
             DFParams(sigma=0.1, neighbor_radius=0.5)
 
     def test_truncation_fixed(self):
-        assert DFParams(sigma=1.0).truncation_voxels == 3.0
-        with pytest.raises(ContractError):
+        assert TRUNCATION_VOXELS == 3.0
+        with pytest.raises(TypeError):
             DFParams(sigma=1.0, truncation_voxels=2.0)
 
     def test_defaults(self):
@@ -350,14 +351,13 @@ class TestSparseDFGrid:
             SparseDFGrid(self.spec, DFKind.UED, False, [[0, 0, 0]], [np.nan])
 
     def test_truncation_fixed(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(TypeError):
             SparseDFGrid(self.spec, DFKind.UED, False, [[0, 0, 0]], [0.1], truncation=2.0)
 
     def test_empty_grid(self):
         grid = SparseDFGrid(self.spec, DFKind.UWED, False,
                             np.empty((0, 3), np.int64), np.empty(0))
         assert len(grid) == 0
-        assert grid.occupied_count == 0
         assert grid.value_at((0, 0, 0)) is None
 
     def test_value_lookup(self):

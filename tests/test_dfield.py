@@ -15,14 +15,7 @@ from udfgrid import (
     SparseDFGrid,
     build_pyramid,
     compute_grid,
-    eval_hoppe,
-    eval_imls,
-    eval_sed,
-    eval_swed,
-    eval_ued,
-    eval_uhoppe,
-    eval_uimls,
-    eval_uwed,
+    evaluate,
     flip,
     gaussian_weight,
     make_evaluator,
@@ -67,24 +60,24 @@ class TestGaussianWeight:
 class TestHoppe:
     def test_signed_plane_distance(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]], normals=[UP])
-        np.testing.assert_allclose(eval_hoppe((0.0, 0.0, 0.5), cloud), 0.5)
-        np.testing.assert_allclose(eval_hoppe((0.0, 0.0, -0.5), cloud), -0.5)
-        np.testing.assert_allclose(eval_hoppe((1.0, 0.0, 0.0), cloud), 0.0)
+        np.testing.assert_allclose(evaluate((0.0, 0.0, 0.5), cloud, DFKind.HOPPE), 0.5)
+        np.testing.assert_allclose(evaluate((0.0, 0.0, -0.5), cloud, DFKind.HOPPE), -0.5)
+        np.testing.assert_allclose(evaluate((1.0, 0.0, 0.0), cloud, DFKind.HOPPE), 0.0)
 
     def test_uses_nearest_point(self):
         cloud = PointCloud(
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
             normals=[UP, [0.0, 0.0, -1.0]],
         )
-        np.testing.assert_allclose(eval_hoppe((0.9, 0.0, 0.2), cloud), -0.2)
+        np.testing.assert_allclose(evaluate((0.9, 0.0, 0.2), cloud, DFKind.HOPPE), -0.2)
 
     def test_requires_normals(self):
         with pytest.raises(MissingDataError):
-            eval_hoppe((0.0, 0.0, 0.0), PointCloud([[0.0, 0.0, 0.0]]))
+            evaluate((0.0, 0.0, 0.0), PointCloud([[0.0, 0.0, 0.0]]), DFKind.HOPPE)
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloudError):
-            eval_hoppe((0.0, 0.0, 0.0), PointCloud(np.empty((0, 3))))
+            evaluate((0.0, 0.0, 0.0), PointCloud(np.empty((0, 3))), DFKind.HOPPE)
 
 
 class TestSed:
@@ -93,8 +86,8 @@ class TestSed:
             [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
             normals=[UP, [0.0, 0.0, -1.0]],
         )
-        np.testing.assert_allclose(eval_sed((0.0, 0.0, 0.2), cloud), 0.2)
-        np.testing.assert_allclose(eval_sed((1.0, 0.0, 0.2), cloud), -0.2)
+        np.testing.assert_allclose(evaluate((0.0, 0.0, 0.2), cloud, DFKind.SED), 0.2)
+        np.testing.assert_allclose(evaluate((1.0, 0.0, 0.2), cloud, DFKind.SED), -0.2)
 
     def test_zero_dot_counts_as_positive(self):
         cloud = PointCloud(
@@ -102,32 +95,32 @@ class TestSed:
             normals=[UP, UP],
         )
         # Tie in distance resolves to id 0; the in-plane offset has zero dot.
-        np.testing.assert_allclose(eval_sed((0.5, 0.0, 0.0), cloud), 0.5)
+        np.testing.assert_allclose(evaluate((0.5, 0.0, 0.0), cloud, DFKind.SED), 0.5)
 
 
 class TestUed:
     def test_euclidean_distance(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         np.testing.assert_allclose(
-            eval_ued((0.03, 0.04, 0.0), cloud), 0.05, rtol=1e-12
+            evaluate((0.03, 0.04, 0.0), cloud, DFKind.UED), 0.05, rtol=1e-12
         )
 
     def test_works_without_normals(self):
-        assert eval_ued((1.0, 0.0, 0.0), PointCloud([[0.0, 0.0, 0.0]])) == 1.0
+        assert evaluate((1.0, 0.0, 0.0), PointCloud([[0.0, 0.0, 0.0]]), DFKind.UED) == 1.0
 
 
 class TestUnsignedWrappers:
     def test_uhoppe_is_absolute_hoppe(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]], normals=[UP])
-        np.testing.assert_allclose(eval_uhoppe((0.0, 0.0, -0.5), cloud), 0.5)
+        np.testing.assert_allclose(evaluate((0.0, 0.0, -0.5), cloud, DFKind.UHOPPE), 0.5)
 
     def test_uimls_is_absolute_imls(self):
         cloud = _coplanar_cloud()
         params = DFParams(sigma=0.2)
         q = (0.5, 0.5, -0.07)
         np.testing.assert_allclose(
-            eval_uimls(q, cloud, params=params),
-            abs(eval_imls(q, cloud, params=params)),
+            evaluate(q, cloud, DFKind.UIMLS, params),
+            abs(evaluate(q, cloud, DFKind.IMLS, params)),
             rtol=0.0, atol=0.0,
         )
 
@@ -141,7 +134,7 @@ class TestWeighted:
         (0.02 e^{-1/4} + 0.04 e^{-1}) / (e^{-1/4} + e^{-1}).
         """
         cloud = PointCloud([[0.02, 0.0, 0.0], [-0.04, 0.0, 0.0]])
-        got = eval_uwed((0.0, 0.0, 0.0), cloud, params=DFParams(sigma=0.04))
+        got = evaluate((0.0, 0.0, 0.0), cloud, DFKind.UWED, DFParams(sigma=0.04))
         w1, w2 = np.exp(-0.25), np.exp(-1.0)
         expect = (0.02 * w1 + 0.04 * w2) / (w1 + w2)
         np.testing.assert_allclose(got, expect, rtol=1e-14)
@@ -153,36 +146,36 @@ class TestWeighted:
         cloud = _coplanar_cloud()
         params = DFParams(sigma=0.2)
         np.testing.assert_allclose(
-            eval_imls((0.5, 0.5, 0.07), cloud, params=params), 0.07, rtol=1e-9
+            evaluate((0.5, 0.5, 0.07), cloud, DFKind.IMLS, params), 0.07, rtol=1e-9
         )
         np.testing.assert_allclose(
-            eval_imls((0.5, 0.5, -0.07), cloud, params=params), -0.07, rtol=1e-9
+            evaluate((0.5, 0.5, -0.07), cloud, DFKind.IMLS, params), -0.07, rtol=1e-9
         )
 
     def test_swed_sign_from_imls(self):
         cloud = _coplanar_cloud()
         params = DFParams(sigma=0.2)
-        above = eval_swed((0.5, 0.5, 0.06), cloud, params=params)
-        below = eval_swed((0.5, 0.5, -0.06), cloud, params=params)
+        above = evaluate((0.5, 0.5, 0.06), cloud, DFKind.SWED, params)
+        below = evaluate((0.5, 0.5, -0.06), cloud, DFKind.SWED, params)
         assert above > 0 > below
         np.testing.assert_allclose(
-            abs(below), eval_uwed((0.5, 0.5, -0.06), cloud, params=params),
+            abs(below), evaluate((0.5, 0.5, -0.06), cloud, DFKind.UWED, params),
             rtol=0.0, atol=0.0,
         )
 
     def test_undefined_outside_support(self):
         cloud = PointCloud([[0.0, 0.0, 0.0]])
         params = DFParams(sigma=0.04)  # support radius 0.12
-        assert np.isnan(eval_uwed((1.0, 0.0, 0.0), cloud, params=params))
+        assert np.isnan(evaluate((1.0, 0.0, 0.0), cloud, DFKind.UWED, params))
         # The nearest-point kinds stay defined everywhere.
-        assert eval_ued((1.0, 0.0, 0.0), cloud) == 1.0
+        assert evaluate((1.0, 0.0, 0.0), cloud, DFKind.UED) == 1.0
 
     def test_max_neighbors_caps_support(self):
         """With a cap of 1 the weighted mean collapses to the nearest point."""
         cloud = PointCloud([[0.01, 0.0, 0.0], [-0.02, 0.0, 0.0]])
         params = DFParams(sigma=0.04, max_neighbors=1)
         np.testing.assert_allclose(
-            eval_uwed((0.0, 0.0, 0.0), cloud, params=params), 0.01, rtol=1e-12
+            evaluate((0.0, 0.0, 0.0), cloud, DFKind.UWED, params), 0.01, rtol=1e-12
         )
 
     def test_normal_validity_filter(self):
@@ -193,10 +186,10 @@ class TestWeighted:
         params = DFParams(sigma=0.04)
         q = (0.01, 0.0, 0.005)
         # IMLS sees only the first point: dot(UP, q - p0) = 0.005.
-        np.testing.assert_allclose(eval_imls(q, cloud, params=params), 0.005)
+        np.testing.assert_allclose(evaluate(q, cloud, DFKind.IMLS, params), 0.005)
         # UED sees both; the second is nearer.
         np.testing.assert_allclose(
-            eval_ued(q, cloud), np.sqrt(0.01**2 + 0.005**2), rtol=1e-12
+            evaluate(q, cloud, DFKind.UED), np.sqrt(0.01**2 + 0.005**2), rtol=1e-12
         )
 
 
@@ -208,7 +201,7 @@ class TestEvaluatorBatch:
         rng = np.random.default_rng(42)
         q = rng.random((50, 3)) * [1.0, 1.0, 0.2]
         batch = ev.batch(q)
-        singles = [eval_swed(qi, cloud, params=params) for qi in q]
+        singles = [evaluate(qi, cloud, DFKind.SWED, params) for qi in q]
         np.testing.assert_array_equal(batch, singles)
 
     def test_large_batch_chunking(self):
@@ -221,7 +214,7 @@ class TestEvaluatorBatch:
         assert out.shape == (10000,)
         sample = rng.integers(0, 10000, size=20)
         for i in sample:
-            expect = eval_uwed(q[i], cloud, params=params)
+            expect = evaluate(q[i], cloud, DFKind.UWED, params)
             if np.isnan(expect):
                 assert np.isnan(out[i])
             else:
@@ -265,7 +258,7 @@ class TestComputeGrid:
         spec = grid_spec_for(cloud)
         params = DFParams.for_voxel_size(VOXEL_SIZE)
         grid = compute_grid(cloud, spec, DFKind.UWED, params)
-        assert grid.occupied_count > 0
+        assert len(grid) > 0
         ev = make_evaluator(cloud, DFKind.UWED, params)
         raw = ev.batch(voxel_position(spec, grid.indices)) / VOXEL_SIZE
         np.testing.assert_array_equal(grid.values, quantize_values(raw))
@@ -277,7 +270,7 @@ class TestComputeGrid:
         for kind in DFKind:
             grid = compute_grid(cloud, spec, kind, params)
             assert grid.kind is kind and not grid.flipped
-            assert grid.occupied_count > 0
+            assert len(grid) > 0
             if kind.signed:
                 assert (np.abs(grid.values) < 3.0).all()
             else:
@@ -288,7 +281,7 @@ class TestComputeGrid:
         spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(4, 4, 4))
         with pytest.warns(UserWarning):
             grid = compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(0.05))
-        assert grid.occupied_count == 0
+        assert len(grid) == 0
 
     def test_empty_cloud_rejected(self):
         spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(4, 4, 4))
@@ -396,7 +389,7 @@ class TestPyramid:
         for level, g in enumerate(grids):
             assert g.spec.voxel_size == 0.05 * 2**level
             np.testing.assert_array_equal(g.spec.origin, spec.origin)
-            assert g.occupied_count > 0
+            assert len(g) > 0
 
     def test_levels_below_one_rejected(self):
         cloud = plane_cloud(seed=5, density=200.0, side=0.4)

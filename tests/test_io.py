@@ -1,9 +1,14 @@
 """Tests for the PLY reader/writer and the UDFG binary grid format."""
 
+import functools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udfgrid import (
     DFKind,
@@ -17,6 +22,7 @@ from udfgrid import (
     write_grid,
     write_ply,
 )
+from udfgrid.core import MAX_NODES
 
 
 def _full_cloud(n=25, seed=42):
@@ -188,6 +194,11 @@ class TestPlyReadErrors:
         )
         assert "list property" in str(self._err(tmp_path, text))
 
+    def test_bare_property_line(self, tmp_path):
+        head = "ply\nformat ascii 1.0\nelement vertex 0\n"
+        err = self._err(tmp_path, head + "property\ndouble x\nend_header\n")
+        assert "malformed property line" in str(err) and err.offset == len(head)
+
     def test_unknown_property_type(self, tmp_path):
         text = (
             "ply\nformat ascii 1.0\nelement vertex 1\n"
@@ -287,6 +298,33 @@ class TestPlyReadErrors:
         err = self._err(tmp_path, head + "1 2 3\n4 5 6\n")
         assert "bad vertex count '-2'" in str(err)
         assert err.offset == head.index("element vertex")
+
+    def test_nan_position_binary(self, tmp_path):
+        cloud = PointCloud(np.random.default_rng(42).random((3, 3)))
+        path = tmp_path / "t.ply"
+        write_ply(cloud, path, binary=True)
+        data = bytearray(path.read_bytes())
+        body = data.index(b"end_header\n") + len(b"end_header\n")
+        data[body:body + 8] = struct.pack("<d", np.nan)  # vertex 0, x
+        err = self._err(tmp_path, bytes(data))
+        assert "positions must be finite" in str(err)
+
+    def test_infinite_position_ascii(self, tmp_path):
+        head = (
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n"
+        )
+        err = self._err(tmp_path, head + "inf 0 0\n")
+        assert "positions must be finite" in str(err)
+
+    def test_non_unit_normal_ascii(self, tmp_path):
+        head = (
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nproperty double nx\n"
+            "property double ny\nproperty double nz\nend_header\n"
+        )
+        err = self._err(tmp_path, head + "0 0 0 0 0 2\n")
+        assert "unit length" in str(err)
 
 
 class TestUdfgRoundtrip:
@@ -434,6 +472,14 @@ class TestUdfgReadErrors:
         err = self._write_and_corrupt(tmp_path, mutate)
         assert "voxel_size" in str(err) and err.offset == 46
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_origin(self, tmp_path, bad):
+        def mutate(d):
+            d[30:38] = struct.pack("<d", bad)  # origin y
+            return d
+        err = self._write_and_corrupt(tmp_path, mutate)
+        assert "origin" in str(err) and err.offset == 22
+
     def test_records_truncated(self, tmp_path):
         err = self._write_and_corrupt(tmp_path, lambda d: d[:-10])
         assert "record data truncated" in str(err)
@@ -474,3 +520,109 @@ class TestUdfgReadErrors:
             return d
         err = self._write_and_corrupt(tmp_path, mutate)
         assert "invalid grid data" in str(err)
+
+
+
+# -- properties: damaged files and random grids -------------------------------
+#
+# A damaged file is a small library-written file cut to a shorter length or
+# with one byte XOR-ed by a non-zero mask.  Reading it must either succeed or
+# raise ParseError; any other exception is a hole in the parser.
+
+_FUZZ = settings(max_examples=150)
+
+damage = st.tuples(
+    st.sampled_from(["cut", "xor"]), st.integers(0, 2**16), st.integers(1, 255)
+)
+
+
+@functools.cache
+def _fuzz_seed(name: str) -> bytes:
+    """Library-written bytes of ``binary.ply``, ``ascii.ply`` or ``grid.udfg``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        if name == "grid.udfg":
+            write_grid(_grid(n=3), path)
+        else:
+            write_ply(_full_cloud(n=4), path, binary=name == "binary.ply")
+        return path.read_bytes()
+
+
+def _read_damaged(name: str, reader, how: str, at: int, mask: int) -> None:
+    data = _fuzz_seed(name)
+    at %= len(data)
+    if how == "cut":
+        data = data[:at]
+    else:
+        data = data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        try:
+            reader(path)
+        except ParseError:
+            pass
+
+
+class TestDamagedFiles:
+    @_FUZZ
+    @given(damage)
+    def test_binary_ply(self, d):
+        _read_damaged("binary.ply", read_ply, *d)
+
+    @_FUZZ
+    @given(damage)
+    def test_ascii_ply(self, d):
+        _read_damaged("ascii.ply", read_ply, *d)
+
+    @_FUZZ
+    @given(damage)
+    # Origin y is -1.5 (top byte 0xbf); 0xbf ^ 0x40 turns it into a NaN.
+    # Few single-byte changes make a header double non-finite, so random
+    # draws alone seldom reach the origin check.
+    @example(("xor", 37, 0x40))
+    def test_udfg(self, d):
+        _read_damaged("grid.udfg", read_grid, *d)
+
+
+_VALUE_RANGES = {  # (signed, flipped) -> st.floats bounds of a valid value
+    (False, False): dict(min_value=0.0, max_value=3.0, exclude_max=True),
+    (False, True): dict(min_value=0.0, max_value=3.0, exclude_min=True),
+    (True, False): dict(min_value=-3.0, max_value=3.0, exclude_min=True, exclude_max=True),
+    (True, True): dict(min_value=-3.0, max_value=3.0),
+}
+
+
+@st.composite
+def grids(draw):
+    """Valid grids with float32 values; dims span the full u32 range."""
+    u32 = st.integers(1, 2**32 - 1)
+    dims = draw(st.tuples(u32, u32, u32).filter(lambda d: d[0] * d[1] * d[2] <= MAX_NODES))
+    spec = GridSpec(
+        origin=draw(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)),
+        voxel_size=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        dims=dims,
+    )
+    kind = draw(st.sampled_from(DFKind))
+    flipped = draw(st.booleans())
+    node = st.tuples(*[st.integers(0, d - 1) for d in dims])
+    ijk = draw(st.lists(node, unique=True, max_size=20))
+    bounds = _VALUE_RANGES[kind.signed, flipped]
+    values = draw(st.lists(st.floats(width=32, **bounds), min_size=len(ijk), max_size=len(ijk)))
+    return SparseDFGrid(spec, kind, flipped, np.array(ijk, dtype=np.int64).reshape(-1, 3), values)
+
+
+class TestGridProperties:
+    @_FUZZ
+    @given(grids())
+    def test_write_read_write_is_byte_identical(self, grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.udfg", Path(tmp) / "b.udfg"
+            write_grid(grid, first)
+            back = read_grid(first)
+            write_grid(back, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert back.kind is grid.kind and back.flipped == grid.flipped
+        assert back.spec.dims == grid.spec.dims
+        np.testing.assert_array_equal(back.indices, grid.indices)
+        np.testing.assert_array_equal(back.values, grid.values)
