@@ -112,8 +112,12 @@ class PointCloud:
             if len(nrm) != len(pos):
                 raise ContractError("normals count must equal position count")
             invalid = np.isnan(nrm).all(axis=1)
-            norms = np.linalg.norm(nrm[~invalid], axis=1)
-            if norms.size and not np.allclose(norms, 1.0, atol=1e-6, rtol=0.0):
+            rows = nrm[~invalid]
+            # A component beyond 1 + 1e-6 already fails the norm test;
+            # rejecting it first keeps huge values from overflowing the squares.
+            if (np.abs(rows) - 1.0 > 1e-6).any() or not np.allclose(
+                np.linalg.norm(rows, axis=1), 1.0, atol=1e-6, rtol=0.0
+            ):
                 raise ContractError("normals must be unit length within 1e-6")
             object.__setattr__(self, "normals", nrm)
         if self.sensor_origins is not None:

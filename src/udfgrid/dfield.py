@@ -68,7 +68,8 @@ class _Evaluator:
     Builds the spatial structures once so a grid's worth of queries reuses
     them.  The support is the set of points the kind reads: the points
     with valid normals for normal kinds, the whole cloud otherwise.
-    ``full_index`` covers the whole cloud for the candidate prefilter.
+    ``full_index`` covers the whole cloud for the candidate prefilter; it
+    is also the support's index when every normal is valid.
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
@@ -83,7 +84,8 @@ class _Evaluator:
         if kind.requires_normals:
             valid = ~np.isnan(cloud.normals).any(axis=1)
             self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
-            self.index = spatial.build_index(self.positions) if valid.any() else None
+            if not valid.all():
+                self.index = spatial.build_index(self.positions) if valid.any() else None
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
@@ -197,13 +199,18 @@ def compute_grid(
     Candidate nodes are those within 3 * voxel_size (+1e-9 guard) of some
     cloud point; each is evaluated pointwise, divided by voxel_size, and
     kept only where defined and strictly inside the truncation band.  The
-    result is never flipped.  A cloud entirely outside the grid yields an
-    empty grid and a warning.
+    candidate scan over the cloud's padded bounding box is one kd nearest
+    query per node, bounded by that reach (plus the spatial module's 1e-9
+    relative margin), so a node far from every point costs a short search
+    instead of one all the way to the nearest surface.  The result is
+    never flipped.  A cloud entirely outside the grid yields an empty grid
+    and a warning.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
     evaluator = _Evaluator(cloud, kind, params)
     reach = 3.0 * spec.voxel_size + 1e-9
+    bound = reach * (1.0 + spatial._RADIUS_MARGIN)
     lo, hi = _candidate_ranges(cloud, spec, reach)
     kept_idx: list[np.ndarray] = []
     kept_val: list[np.ndarray] = []
@@ -221,7 +228,10 @@ def compute_grid(
             nodes_idx = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
             nodes_pos = spec.origin + nodes_idx * spec.voxel_size
             d_near, _ = evaluator.full_index.tree.query(
-                nodes_pos, k=1, workers=spatial.get_num_threads()
+                nodes_pos,
+                k=1,
+                distance_upper_bound=bound,
+                workers=spatial.get_num_threads(),
             )
             near = d_near <= reach
             if not near.any():

@@ -23,6 +23,7 @@ UDFG layout (all little-endian)::
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -135,12 +136,9 @@ def read_ply(path) -> PointCloud:
             if parts[1] == "vertex":
                 if count is not None:
                     raise ParseError(f"{path}: duplicate vertex element", offset=off)
-                try:
-                    count = int(parts[2])
-                except ValueError:
-                    count = -1
-                if count < 0:
+                if not re.fullmatch(r"[0-9]+", parts[2]):
                     raise ParseError(f"{path}: bad vertex count {parts[2]!r}", offset=off)
+                count = int(parts[2])
                 in_vertex = True
             else:
                 if count is None:
@@ -260,8 +258,18 @@ def _read_ascii_vertices(data, body_start, count, props, path):
 
 
 def write_grid(grid: SparseDFGrid, path) -> None:
-    """Write a sparse grid as canonical UDFG bytes (records index-sorted)."""
+    """Write a sparse grid as canonical UDFG bytes (records index-sorted).
+
+    Values are stored as float32.  A value that leaves the kind's range
+    in float32 (3 - 1e-9 rounds to 3, 1e-50 to 0) raises ContractError
+    before any byte is written, since ``read_grid`` would reject the file.
+    """
     spec = grid.spec
+    v32 = grid.values.astype(np.float32)
+    try:
+        SparseDFGrid(spec, grid.kind, grid.flipped, grid.indices, v32.astype(np.float64))
+    except ContractError as exc:
+        raise ContractError(f"{path}: float32 values would not read back: {exc}") from None
     header = _HEADER_STRUCT.pack(
         _MAGIC,
         1,
@@ -276,7 +284,7 @@ def write_grid(grid: SparseDFGrid, path) -> None:
     records["i"] = grid.indices[:, 0]
     records["j"] = grid.indices[:, 1]
     records["k"] = grid.indices[:, 2]
-    records["v"] = grid.values.astype(np.float32)
+    records["v"] = v32
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(records.tobytes())

@@ -1,9 +1,12 @@
 """Tests for the fundamental types: kinds, clouds, lattices, sparse grids."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from udfgrid import (
     ContractError,
@@ -110,6 +113,27 @@ class TestPointCloud:
     def test_non_unit_normals_rejected(self):
         with pytest.raises(ContractError):
             PointCloud([[0.0, 0.0, 0.0]], normals=[[0.0, 0.0, 2.0]])
+
+    def test_huge_normal_rejected_without_overflow(self):
+        """Squaring 1e200 overflows; the check must reject it before the norm."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="unit length"):
+                PointCloud([[0.0, 0.0, 0.0]], normals=[[1e200, 0.0, 0.0]])
+
+    @given(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+           st.integers(0, 2), st.floats(-1e-5, 1e-5))
+    def test_unit_check_matches_norm(self, row, axis, eps):
+        """Acceptance is exactly |norm - 1| <= 1e-6, also near the bound."""
+        row = np.array(row)
+        row[axis] = np.copysign(1.0, row[axis]) + eps  # one component near +-1
+        norm = np.linalg.norm(row)
+        try:
+            PointCloud([[0.0, 0.0, 0.0]], normals=[row])
+            accepted = True
+        except ContractError:
+            accepted = False
+        assert accepted == bool(abs(norm - 1.0) <= 1e-6)
 
     def test_all_nan_normal_rows_allowed(self):
         nrm = np.array([[0.0, 0.0, 1.0], [np.nan, np.nan, np.nan]])

@@ -1,7 +1,11 @@
 """Tests for the eight distance-function evaluators and grid computation."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import VOXEL_SIZE, grid_spec_for, plane_cloud
 from udfgrid import (
@@ -22,6 +26,7 @@ from udfgrid import (
     voxel_position,
 )
 from udfgrid.dfield import quantize_values
+from udfgrid.spatial import canonical_distance
 
 UP = [0.0, 0.0, 1.0]
 
@@ -288,6 +293,66 @@ class TestComputeGrid:
         with pytest.raises(EmptyCloudError):
             compute_grid(PointCloud(np.empty((0, 3))), spec, DFKind.UED,
                          DFParams.for_voxel_size(0.05))
+
+
+@st.composite
+def snapped_patches(draw):
+    """A small grid plus axis-aligned planar patches on a dyadic lattice.
+
+    The voxel size is a power of two and every point coordinate a multiple
+    of a quarter voxel, so all distances are exact.  A node just past a
+    patch edge, in the patch's plane, then lies exactly 3 voxels from the
+    nearest point, where its Hoppe value is 0 and must be stored.
+    """
+    voxel = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    dims = draw(st.tuples(*[st.integers(3, 10)] * 3))
+    origin = voxel * np.array(draw(st.tuples(*[st.integers(-3, 3)] * 3)), dtype=float)
+    quarter = voxel / 4
+    positions, normals = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        axis = draw(st.integers(0, 2))
+        u, w = [a for a in range(3) if a != axis]
+        step = draw(st.sampled_from([1, 2, 4]))  # point spacing in quarter voxels
+        lo_u, lo_w = draw(st.integers(-8, 4 * dims[u])), draw(st.integers(-8, 4 * dims[w]))
+        n_u, n_w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        level = draw(st.integers(-8, 4 * dims[axis] + 8))
+        uu, ww = np.meshgrid(lo_u + step * np.arange(n_u), lo_w + step * np.arange(n_w))
+        pts = np.empty((uu.size, 3))
+        pts[:, u], pts[:, w], pts[:, axis] = uu.ravel(), ww.ravel(), level
+        positions.append(origin + quarter * pts)
+        nrm = np.zeros((uu.size, 3))
+        nrm[:, axis] = draw(st.sampled_from([-1.0, 1.0]))
+        normals.append(nrm)
+    cloud = PointCloud(np.concatenate(positions), normals=np.concatenate(normals))
+    return cloud, GridSpec(origin=origin, voxel_size=voxel, dims=dims)
+
+
+class TestCandidateSet:
+    """``compute_grid`` stores exactly what a dense brute-force scan stores."""
+
+    @staticmethod
+    def _oracle(cloud, spec, kind, params):
+        idx = np.stack(np.meshgrid(*[np.arange(d) for d in spec.dims], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        pos = voxel_position(spec, idx)
+        dist = canonical_distance(pos[:, None, :], cloud.positions[None, :, :]).min(axis=1)
+        near = dist <= 3.0 * spec.voxel_size + 1e-9
+        vals = make_evaluator(cloud, kind, params).batch(pos[near]) / spec.voxel_size
+        vals = quantize_values(vals)
+        keep = np.isfinite(vals) & (np.abs(vals) < 3.0)
+        return idx[near][keep], vals[keep]
+
+    @settings(max_examples=60)
+    @given(snapped_patches(), st.sampled_from([DFKind.UED, DFKind.HOPPE]))
+    def test_matches_dense_oracle(self, scene, kind):
+        cloud, spec = scene
+        params = DFParams.for_voxel_size(spec.voxel_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty grids warn
+            grid = compute_grid(cloud, spec, kind, params)
+        idx, vals = self._oracle(cloud, spec, kind, params)
+        np.testing.assert_array_equal(grid.indices, idx)
+        np.testing.assert_array_equal(grid.values, vals)
 
 
 class TestPlaneAccuracy:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udfgrid import (
+    ContractError,
     DFKind,
     GridSpec,
     ParseError,
@@ -299,6 +300,25 @@ class TestPlyReadErrors:
         assert "bad vertex count '-2'" in str(err)
         assert err.offset == head.index("element vertex")
 
+    def test_digit_separator_in_vertex_count(self, tmp_path):
+        """``int()`` reads ``1_0`` as 10; the count must be ASCII digits."""
+        head = (
+            "ply\nformat ascii 1.0\nelement vertex 1_0\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n"
+        )
+        err = self._err(tmp_path, head + "1 2 3\n" * 10)
+        assert "bad vertex count '1_0'" in str(err)
+        assert err.offset == head.index("element vertex")
+
+    def test_non_ascii_digit_in_vertex_count(self, tmp_path):
+        head = (
+            "ply\nformat ascii 1.0\nelement vertex \u0661\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n"
+        )
+        payload = (head + "1 2 3\n").encode("utf-8")
+        err = self._err(tmp_path, payload)
+        assert err.offset == head.index("element vertex")
+
     def test_nan_position_binary(self, tmp_path):
         cloud = PointCloud(np.random.default_rng(42).random((3, 3)))
         path = tmp_path / "t.ply"
@@ -396,6 +416,38 @@ class TestUdfgRoundtrip:
         ijk = np.stack([rec["i"], rec["j"], rec["k"]], axis=1).astype(np.int64)
         codes = (ijk[:, 0] * 9 + ijk[:, 1]) * 9 + ijk[:, 2]
         assert (np.diff(codes) > 0).all()
+
+
+class TestUdfgWriteErrors:
+    """A valid in-memory grid whose values leave the kind's range in float32."""
+
+    def _spec(self):
+        return GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.125, dims=(4, 4, 4))
+
+    def _refused(self, tmp_path, grid):
+        path = tmp_path / "g.udfg"
+        with pytest.raises(ContractError):
+            write_grid(grid, path)
+        assert not path.exists()
+
+    def test_unsigned_value_rounding_up_to_truncation(self, tmp_path):
+        grid = SparseDFGrid(self._spec(), DFKind.UED, False, [[1, 2, 3]], [3.0 - 1e-9])
+        assert np.float32(grid.values[0]) == 3.0
+        self._refused(tmp_path, grid)
+
+    def test_flipped_value_rounding_down_to_zero(self, tmp_path):
+        grid = SparseDFGrid(self._spec(), DFKind.UED, True, [[1, 2, 3]], [1e-50])
+        assert np.float32(grid.values[0]) == 0.0
+        self._refused(tmp_path, grid)
+
+    def test_existing_file_left_untouched(self, tmp_path):
+        path = tmp_path / "g.udfg"
+        write_grid(_grid(n=4), path)
+        before = path.read_bytes()
+        grid = SparseDFGrid(self._spec(), DFKind.UED, False, [[1, 2, 3]], [3.0 - 1e-9])
+        with pytest.raises(ContractError):
+            write_grid(grid, path)
+        assert path.read_bytes() == before
 
 
 class TestUdfgReadErrors:
