@@ -9,13 +9,14 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import dfield, evaluation, extract, io, normals, scenegen, spatial
 from .core import DFKind, DFParams, GridSpec
-from .errors import UdfGridError
+from .errors import ContractError, UdfGridError
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -40,24 +41,23 @@ def _kinds_arg(text: str) -> list[DFKind]:
     return [_kind_arg(part) for part in text.split(",") if part.strip()]
 
 
-def _vec3_arg(text: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}")
+def _triple(text: str, cast, noun: str) -> tuple:
+    """Three values separated by commas and/or whitespace."""
     try:
-        return np.array([float(p) for p in parts])
+        values = tuple(cast(p) for p in text.replace(",", " ").split())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {text!r}") from None
+        values = ()
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"expected three {noun}, got {text!r}")
+    return values
+
+
+def _vec3_arg(text: str) -> np.ndarray:
+    return np.array(_triple(text, float, "numbers"))
 
 
 def _dims_arg(text: str) -> tuple[int, int, int]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three integers, got {text!r}")
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three integers, got {text!r}") from None
+    dims = _triple(text, int, "integers")
     if any(d < 1 for d in dims):
         raise argparse.ArgumentTypeError("dims must be >= 1")
     return dims
@@ -210,24 +210,18 @@ def _cmd_synth(args) -> int:
         s.generate_state(1)[0] for s in np.random.SeedSequence(args.seed).spawn(3)
     )
     cloud = scenegen.sample_scene(scene, sample_seed)
-    noise = args.noise if args.noise is not None else (scan.noise_sigma if scan else None)
-    dropout = args.dropout if args.dropout is not None else (
-        scan.dropout_fraction if scan else None
-    )
-    wants_scan = scan is not None or args.noise is not None or args.dropout is not None
-    if wants_scan:
-        if scan is None:
-            print("synth: --noise/--dropout need a [scan] section with sensors",
-                  file=sys.stderr)
-            return _DATA_EXIT
-        effective = scenegen.ScanSpec(
-            scan.sensor_origins,
-            noise_sigma=noise or 0.0,
-            dropout_fraction=dropout or 0.0,
-        )
-        cloud = scenegen.simulate_scans(cloud, effective, noise_seed)
-        if effective.dropout_fraction > 0:
-            cloud = scenegen.apply_dropout(cloud, effective.dropout_fraction, dropout_seed)
+    if scan is not None:
+        if args.noise is not None:
+            scan = dataclasses.replace(scan, noise_sigma=args.noise)
+        if args.dropout is not None:
+            scan = dataclasses.replace(scan, dropout_fraction=args.dropout)
+        cloud = scenegen.simulate_scans(cloud, scan, noise_seed)
+        if scan.dropout_fraction > 0:
+            cloud = scenegen.apply_dropout(cloud, scan.dropout_fraction, dropout_seed)
+    elif args.noise is not None or args.dropout is not None:
+        print("synth: --noise/--dropout need a [scan] section with sensors",
+              file=sys.stderr)
+        return _DATA_EXIT
     io.write_ply(cloud, args.output, binary=True)
     print(f"wrote {len(cloud)} points to {args.output}")
     return 0
@@ -260,13 +254,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "origin", None) is not None and getattr(args, "dims", None) is None:
         parser.error("--origin requires --dims")
-    spatial.set_num_threads(args.threads)
+    try:
+        spatial.set_num_threads(args.threads)
+    except ContractError as exc:
+        parser.error(f"--threads: {exc}")
     try:
         return _COMMANDS[args.command](args)
-    except UdfGridError as exc:
-        print(f"udfgrid {args.command}: error: {exc}", file=sys.stderr)
-        return _DATA_EXIT
-    except OSError as exc:
+    except (UdfGridError, OSError) as exc:
         print(f"udfgrid {args.command}: error: {exc}", file=sys.stderr)
         return _DATA_EXIT
 

@@ -226,8 +226,6 @@ class DFParams:
     sigma
         Gaussian weight scale in meters; the usual choice is twice the
         voxel size.
-    normal_k
-        Neighborhood size for PCA normal estimation.
     max_neighbors
         Cap on the number of neighborhood points actually averaged: the
         weighted evaluators use the ``max_neighbors`` nearest cloud points
@@ -236,22 +234,20 @@ class DFParams:
         fidelity targets require (see the repository decision log).
 
     ``neighbor_radius`` is derived: the 3-sigma ball radius in meters
-    (weights beyond it are below e**-9).
+    (weights beyond it are below e**-9).  Normal estimation is not a
+    parameter here: ``roundtrip`` estimates missing normals with
+    ``estimate_normals``' default neighborhood size.
     """
 
     sigma: float
-    normal_k: int = 30
     max_neighbors: int = 36
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", float(self.sigma))
         if not self.sigma > 0:
             raise ContractError("sigma must be positive")
-        if int(self.normal_k) < 3:
-            raise ContractError("normal_k must be >= 3")
         if int(self.max_neighbors) < 1:
             raise ContractError("max_neighbors must be >= 1")
-        object.__setattr__(self, "normal_k", int(self.normal_k))
         object.__setattr__(self, "max_neighbors", int(self.max_neighbors))
 
     @property

@@ -21,6 +21,7 @@ flip involution are exact.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -51,8 +52,10 @@ def gaussian_weight(sq_dist, sigma: float):
 def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Sum of each CSR segment; empty segments sum to 0.
 
-    Accumulation is sequential within each segment in array order, so
-    results are bit-deterministic for a given flat layout.
+    ``np.add.reduceat`` does not promise to add a segment's values in
+    array order, and its sums can differ in the last bits from a plain
+    loop.  They are deterministic for a given flat layout: the same values
+    in the same order give the same bits.
     """
     out = np.zeros(len(lens))
     nonempty = lens > 0
@@ -297,10 +300,6 @@ def build_pyramid(
             voxel_size=spec.voxel_size * factor,
             dims=tuple(-(-d // factor) for d in spec.dims),
         )
-        level_params = DFParams(
-            sigma=params.sigma * factor,
-            normal_k=params.normal_k,
-            max_neighbors=params.max_neighbors,
-        )
+        level_params = dataclasses.replace(params, sigma=params.sigma * factor)
         grids.append(compute_grid(cloud, level_spec, kind, level_params))
     return grids

@@ -85,7 +85,7 @@ class RoundtripReport:
             raise ContractError("counts must be non-negative")
 
 
-def _with_normals(cloud: PointCloud, kind: DFKind, params: DFParams) -> PointCloud:
+def _with_normals(cloud: PointCloud, kind: DFKind) -> PointCloud:
     if not kind.requires_normals or cloud.has_normals:
         return cloud
     if not cloud.has_sensor_origins:
@@ -93,7 +93,7 @@ def _with_normals(cloud: PointCloud, kind: DFKind, params: DFParams) -> PointClo
             f"{kind.value} needs normals; the cloud has neither normals nor "
             "sensor origins to estimate and orient them from"
         )
-    return normals.orient_normals(normals.estimate_normals(cloud, k=params.normal_k))
+    return normals.orient_normals(normals.estimate_normals(cloud))
 
 
 def roundtrip(
@@ -111,7 +111,7 @@ def roundtrip(
     survive degenerate configurations.
     """
     t0 = time.perf_counter()
-    prepared = _with_normals(cloud, kind, params)
+    prepared = _with_normals(cloud, kind)
     grid = dfield.compute_grid(prepared, spec, kind, params)
     if flipped:
         grid = dfield.flip(grid)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 import struct
+from io import BytesIO
 
 import numpy as np
 
@@ -35,12 +36,6 @@ _MAGIC = b"UDFG"
 _HEADER_STRUCT = struct.Struct("<4sIBB3I3ddQ")
 _RECORD_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("k", "<u4"), ("v", "<f4")])
 
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4, "double": 8, "float64": 8,
-}
 _PLY_NUMPY = {
     "char": "<i1", "int8": "<i1", "uchar": "<u1", "uint8": "<u1",
     "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
@@ -48,7 +43,6 @@ _PLY_NUMPY = {
     "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
 }
 _KNOWN_PROPS = ("x", "y", "z", "nx", "ny", "nz", "sx", "sy", "sz")
-_FLOAT_TYPES = {"float", "float32", "double", "float64"}
 
 
 # -- PLY ----------------------------------------------------------------------
@@ -157,9 +151,9 @@ def read_ply(path) -> PointCloud:
             if len(parts) != 3:
                 raise ParseError(f"{path}: malformed property line {text!r}", offset=off)
             ptype, pname = parts[1], parts[2]
-            if ptype not in _PLY_SCALAR_SIZES:
+            if ptype not in _PLY_NUMPY:
                 raise ParseError(f"{path}: unknown property type {ptype!r}", offset=off)
-            if pname in _KNOWN_PROPS and ptype not in _FLOAT_TYPES:
+            if pname in _KNOWN_PROPS and np.dtype(_PLY_NUMPY[ptype]).kind != "f":
                 raise ParseError(
                     f"{path}: property {pname!r} must be float or double, got {ptype}",
                     offset=off,
@@ -209,44 +203,50 @@ def _read_binary_vertices(data, body_start, count, props, path):
     return {n: rows[n].astype(np.float64) for n, _ in props if n in _KNOWN_PROPS}
 
 
-def _read_ascii_vertices(data, body_start, count, props, path):
-    n_props = len(props)
-    tokens = data[body_start:].split()
-    if len(tokens) < count * n_props:
-        # Re-walk line by line to report where the data ran out or broke.
-        pos = body_start
-        seen = 0
-        for raw in data[body_start:].split(b"\n"):
-            row_tokens = raw.split()
-            if row_tokens:
-                if len(row_tokens) < n_props and seen + 1 <= count:
-                    raise ParseError(
-                        f"{path}: vertex row {seen} has {len(row_tokens)} of "
-                        f"{n_props} values",
-                        offset=pos,
-                    )
-                seen += 1
-            pos += len(raw) + 1
-        raise ParseError(
-            f"{path}: vertex data truncated ({seen} of {count} rows)", offset=len(data)
-        )
-    flat = tokens[: count * n_props]
+def _plain_number(tok: bytes) -> bool:
+    """float() syntax minus Python's digit separators ("1_0" is not 10)."""
     try:
-        values = np.array(flat, dtype=np.float64)
+        float(tok)
     except ValueError:
-        pos = body_start
-        for raw in data[body_start:].split(b"\n"):
-            for tok in raw.split():
-                try:
-                    float(tok)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: bad number {tok.decode('ascii', 'replace')!r}",
-                        offset=pos,
-                    ) from None
-            pos += len(raw) + 1
-        raise ParseError(f"{path}: unparseable vertex data", offset=body_start) from None
-    values = values.reshape(count, n_props)
+        return False
+    return b"_" not in tok
+
+
+def _read_ascii_vertices(data, body_start, count, props, path):
+    """The first ``count`` non-empty lines, each one value per property."""
+    n_props = len(props)
+    tokens: list[bytes] = []
+    row_starts: list[int] = []
+    pos = body_start
+    for raw in BytesIO(data[body_start:]):  # lazily: later elements are never split
+        if len(row_starts) == count:
+            break
+        row = raw.split()
+        if row:
+            if len(row) != n_props:
+                raise ParseError(
+                    f"{path}: vertex row {len(row_starts)} has {len(row)} of "
+                    f"{n_props} values",
+                    offset=pos,
+                )
+            tokens += row
+            row_starts.append(pos)
+        pos += len(raw)
+    if len(row_starts) < count:
+        raise ParseError(
+            f"{path}: vertex data truncated ({len(row_starts)} of {count} rows)",
+            offset=len(data),
+        )
+    try:
+        if b"_" in data[body_start:pos]:
+            raise ValueError
+        values = np.array(tokens, dtype=np.float64).reshape(count, n_props)
+    except ValueError:
+        i = next(i for i, tok in enumerate(tokens) if not _plain_number(tok))
+        raise ParseError(
+            f"{path}: bad number {tokens[i].decode('ascii', 'replace')!r}",
+            offset=row_starts[i // n_props],
+        ) from None
     return {
         name: values[:, col]
         for col, (name, _) in enumerate(props)
@@ -281,9 +281,8 @@ def write_grid(grid: SparseDFGrid, path) -> None:
         len(grid),
     )
     records = np.empty(len(grid), dtype=_RECORD_DTYPE)
-    records["i"] = grid.indices[:, 0]
-    records["j"] = grid.indices[:, 1]
-    records["k"] = grid.indices[:, 2]
+    for col, name in enumerate("ijk"):
+        records[name] = grid.indices[:, col]
     records["v"] = v32
     with open(path, "wb") as fh:
         fh.write(header)
@@ -327,21 +326,16 @@ def read_grid(path) -> SparseDFGrid:
     if len(data) - body > need:
         raise ParseError(f"{path}: trailing bytes after records", offset=body + need)
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=body)
-    indices = np.stack(
-        [records["i"].astype(np.int64), records["j"].astype(np.int64), records["k"].astype(np.int64)],
-        axis=1,
-    ) if count else np.empty((0, 3), dtype=np.int64)
+    indices = np.stack([records[c].astype(np.int64) for c in "ijk"], axis=1)
     dims = (int(dx), int(dy), int(dz))
-    if count:
-        codes = linearize(dims, indices)
-        steps = np.diff(codes)
-        if (steps <= 0).any():
-            bad = int(np.argmax(steps <= 0)) + 1
-            word = "duplicate" if steps[bad - 1] == 0 else "unsorted"
-            raise ParseError(
-                f"{path}: {word} record at index {bad}",
-                offset=body + bad * _RECORD_DTYPE.itemsize,
-            )
+    steps = np.diff(linearize(dims, indices))
+    if (steps <= 0).any():
+        bad = int(np.argmax(steps <= 0)) + 1
+        word = "duplicate" if steps[bad - 1] == 0 else "unsorted"
+        raise ParseError(
+            f"{path}: {word} record at index {bad}",
+            offset=body + bad * _RECORD_DTYPE.itemsize,
+        )
     spec = GridSpec(origin=np.array([ox, oy, oz]), voxel_size=voxel_size, dims=dims)
     try:
         return SparseDFGrid(
@@ -349,7 +343,7 @@ def read_grid(path) -> SparseDFGrid:
             kind=kind,
             flipped=bool(flipped),
             indices=indices,
-            values=records["v"].astype(np.float64) if count else np.empty(0),
+            values=records["v"].astype(np.float64),
         )
     except Exception as exc:
         raise ParseError(f"{path}: invalid grid data: {exc}") from exc

@@ -77,8 +77,8 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center, "center"))
         _check_density(self.density)
-        if not self.radius > 0:
-            raise ContractError("sphere radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ContractError("sphere radius must be finite and positive")
 
     def area(self) -> float:
         return 4.0 * math.pi * self.radius * self.radius
@@ -154,8 +154,8 @@ class OpenCylinder:
             raise ContractError("cylinder axis must be non-zero")
         object.__setattr__(self, "axis", axis / norm)
         _check_density(self.density)
-        if not (self.radius > 0 and self.height > 0):
-            raise ContractError("cylinder radius and height must be positive")
+        if not (0 < self.radius < math.inf and 0 < self.height < math.inf):
+            raise ContractError("cylinder radius and height must be finite and positive")
 
     def area(self) -> float:
         return 2.0 * math.pi * self.radius * self.height
@@ -184,8 +184,8 @@ Primitive = PlanePatch | Sphere | Box | OpenCylinder
 
 
 def _check_density(density: float) -> None:
-    if not density > 0:
-        raise ContractError("density must be positive (points per square meter)")
+    if not 0 < density < math.inf:
+        raise ContractError("density must be finite and positive (points per square meter)")
 
 
 def _count(density: float, area: float) -> int:
@@ -203,7 +203,7 @@ class SceneSpec:
         if not prims:
             raise ContractError("scene must contain at least one primitive")
         for p in prims:
-            if not isinstance(p, (PlanePatch, Sphere, Box, OpenCylinder)):
+            if not isinstance(p, Primitive):
                 raise ContractError(f"unsupported primitive type {type(p).__name__}")
         object.__setattr__(self, "primitives", prims)
 
@@ -325,13 +325,15 @@ def augment(cloud: PointCloud, seed, voxel_scale: float, jitter_sigma: float | N
 
 # -- declarative scene configuration -----------------------------------------
 
-_SCENE_KEYS = {
-    "plane": {"corner", "edge_u", "edge_v", "density"},
-    "sphere": {"center", "radius", "density"},
-    "box": {"min", "max", "density"},
-    "cylinder": {"base", "axis", "radius", "height", "density"},
-    "scan": {"sensors", "noise_sigma", "dropout"},
+# Section type -> (class, vector keys, scalar keys).  Each class takes its
+# vector keys, then its scalar keys, in the order listed.
+_PRIMITIVES = {
+    "plane": (PlanePatch, ("corner", "edge_u", "edge_v"), ("density",)),
+    "sphere": (Sphere, ("center",), ("radius", "density")),
+    "box": (Box, ("min", "max"), ("density",)),
+    "cylinder": (OpenCylinder, ("base", "axis"), ("radius", "height", "density")),
 }
+_SCAN_KEYS = ("sensors", "noise_sigma", "dropout")
 
 
 def _parse_floats(text: str, section: str, key: str) -> list[float]:
@@ -367,49 +369,19 @@ def load_scene_config(path) -> tuple[SceneSpec, ScanSpec | None]:
     scan: ScanSpec | None = None
     for section in parser.sections():
         kind = section.split(".", 1)[0].strip().lower()
-        if kind not in _SCENE_KEYS:
+        if kind == "scan":
+            keys = _SCAN_KEYS
+        elif kind in _PRIMITIVES:
+            cls, vectors, scalars = _PRIMITIVES[kind]
+            keys = vectors + scalars
+        else:
             raise ParseError(f"unknown section [{section}] in scene config")
         items = dict(parser.items(section))
-        unknown = set(items) - _SCENE_KEYS[kind]
+        unknown = set(items) - set(keys)
         if unknown:
             raise ParseError(f"section [{section}] has unknown keys: {sorted(unknown)}")
         try:
-            if kind == "plane":
-                primitives.append(
-                    PlanePatch(
-                        _parse_floats(_require(items, section, "corner"), section, "corner"),
-                        _parse_floats(_require(items, section, "edge_u"), section, "edge_u"),
-                        _parse_floats(_require(items, section, "edge_v"), section, "edge_v"),
-                        float(_require(items, section, "density")),
-                    )
-                )
-            elif kind == "sphere":
-                primitives.append(
-                    Sphere(
-                        _parse_floats(_require(items, section, "center"), section, "center"),
-                        float(_require(items, section, "radius")),
-                        float(_require(items, section, "density")),
-                    )
-                )
-            elif kind == "box":
-                primitives.append(
-                    Box(
-                        _parse_floats(_require(items, section, "min"), section, "min"),
-                        _parse_floats(_require(items, section, "max"), section, "max"),
-                        float(_require(items, section, "density")),
-                    )
-                )
-            elif kind == "cylinder":
-                primitives.append(
-                    OpenCylinder(
-                        _parse_floats(_require(items, section, "base"), section, "base"),
-                        _parse_floats(_require(items, section, "axis"), section, "axis"),
-                        float(_require(items, section, "radius")),
-                        float(_require(items, section, "height")),
-                        float(_require(items, section, "density")),
-                    )
-                )
-            elif kind == "scan":
+            if kind == "scan":
                 sensor_text = _require(items, section, "sensors")
                 origins = [
                     _parse_floats(part, section, "sensors")
@@ -421,6 +393,11 @@ def load_scene_config(path) -> tuple[SceneSpec, ScanSpec | None]:
                     noise_sigma=float(items.get("noise_sigma", 0.0)),
                     dropout_fraction=float(items.get("dropout", 0.0)),
                 )
+            else:
+                primitives.append(cls(
+                    *(_parse_floats(_require(items, section, k), section, k) for k in vectors),
+                    *(float(_require(items, section, k)) for k in scalars),
+                ))
         except (ContractError, ValueError) as exc:
             raise ParseError(f"section [{section}]: {exc}") from exc
     if not primitives:

@@ -37,20 +37,27 @@ def set_num_threads(n: int | None) -> None:
     """Cap query parallelism; -1 or None means all available cores.
 
     Thread count never changes results, only speed: parallelism is over
-    independent query rows.
+    independent query rows.  Any count other than -1 or n >= 1 raises
+    ContractError.
     """
     global _num_threads
-    _num_threads = -1 if n is None else int(n)
+    n = -1 if n is None else int(n)
+    if n < 1 and n != -1:
+        raise ContractError(f"thread count must be -1 or >= 1, got {n}")
+    _num_threads = n
 
 
 def get_num_threads() -> int:
+    """The set cap, else UDFGRID_THREADS (at least 1), else -1 (all cores)."""
     if _num_threads == -1:
         env = os.environ.get("UDFGRID_THREADS")
         if env:
             try:
                 return max(1, int(env))
             except ValueError:
-                pass
+                raise ContractError(
+                    f"UDFGRID_THREADS must be an integer, got {env!r}"
+                ) from None
     return _num_threads
 
 

@@ -92,8 +92,23 @@ class TestUsageErrors:
                   "--origin", "0 0", "--dims", "8 8 8"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_bad_thread_count(self, clean_ply, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", threads, "compute", clean_ply,
+                  str(tmp_path / "g.udfg"), "--kind", "ued", *GEOMETRY])
+        assert err.value.code == 1
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestDataErrors:
+    def test_non_integer_thread_environment(self, clean_ply, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("UDFGRID_THREADS", "abc")
+        code = main(["compute", clean_ply, str(tmp_path / "g.udfg"), "--kind", "ued", *GEOMETRY])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "UDFGRID_THREADS" in err and "Traceback" not in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["chamfer", str(tmp_path / "a.ply"), str(tmp_path / "b.ply")])
         assert code == 2
@@ -143,6 +158,19 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "invalid vertex data" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section", [
+        "[sphere]\ncenter = 0, 0, 0\nradius = 0.1\ndensity = inf\n",
+        "[cylinder]\nbase = 0, 0, 0\naxis = 0, 0, 1\nradius = 0.1\n"
+        "height = inf\ndensity = 100\n",
+    ], ids=["sphere density", "cylinder height"])
+    def test_non_finite_scene_size(self, tmp_path, capsys, section):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(section)
+        code = main(["synth", str(cfg), str(tmp_path / "o.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "finite" in err and "Traceback" not in err
 
     def test_normals_need_sensors_for_orientation(self, tmp_path, capsys):
         cloud = PointCloud(np.random.default_rng(42).random((30, 3)))

@@ -280,8 +280,9 @@ class TestDFParams:
 
     def test_defaults(self):
         p = DFParams(sigma=1.0)
-        assert p.normal_k == 30
         assert p.max_neighbors == 36
+        with pytest.raises(TypeError):
+            DFParams(sigma=1.0, normal_k=30)
 
     def test_for_voxel_size(self):
         p = DFParams.for_voxel_size(0.05)
@@ -293,7 +294,7 @@ class TestDFParams:
             DFParams(sigma=0.0)
         with pytest.raises(ContractError):
             DFParams(sigma=-1.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(TypeError):
             DFParams(sigma=1.0, normal_k=2)
         with pytest.raises(ContractError):
             DFParams(sigma=1.0, max_neighbors=0)

@@ -4,16 +4,17 @@ import re
 from pathlib import Path
 
 import udfgrid
+from udfgrid import load_scene_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _quick_start() -> str:
-    """The first ```python block under the "Library quick start" heading."""
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block under ``heading`` in the README."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Library quick start", 1)[1]
-    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert match, "README quick start has no python block"
+    section = text.split(heading, 1)[1]
+    match = re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL)
+    assert match, f"README {heading!r} has no {lang} block"
     return match.group(1)
 
 
@@ -29,5 +30,14 @@ def test_star_import():
 
 
 def test_readme_quick_start_runs(capsys):
-    exec(compile(_quick_start(), str(README), "exec"), {"__name__": "__readme__"})
+    code = _readme_block("## Library quick start", "python")
+    exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
     assert re.fullmatch(r"roundtrip CD: \d+\.\d{6} m\n", capsys.readouterr().out)
+
+
+def test_readme_scene_config_loads(tmp_path):
+    path = tmp_path / "scene.cfg"
+    path.write_text(_readme_block("### Scene configuration files", "ini"))
+    scene, scan = load_scene_config(path)
+    assert len(scene.primitives) == 2
+    assert scan is not None and len(scan.sensor_origins) == 2

@@ -280,6 +280,36 @@ class TestPlyReadErrors:
         assert "bad number 'five'" in str(err)
         assert err.offset == len(head) + len("1 2 3\n")
 
+    _XYZ2 = (
+        "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+        "property double y\nproperty double z\nend_header\n"
+    )
+
+    @pytest.mark.parametrize("body, row, found, row_start", [
+        ("1 2\n3 4 5 6\n", 0, 2, 0),
+        ("1 2 3 4\n5 6\n", 0, 4, 0),
+        ("1 2 3 4 5 6\n", 0, 6, 0),
+        ("1 2 3\n4 5 6 7\n", 1, 4, len("1 2 3\n")),
+        ("\n1 2 3\n\n4 5\n6\n", 1, 2, len("\n1 2 3\n\n")),
+    ], ids=["short then long", "long then short", "one line", "long last", "blank lines"])
+    def test_ascii_rows_are_not_reflowed(self, tmp_path, body, row, found, row_start):
+        """Each vertex row holds one value per property; values never
+        spill from one line into the next."""
+        err = self._err(tmp_path, self._XYZ2 + body)
+        assert f"vertex row {row} has {found} of 3 values" in str(err)
+        assert err.offset == len(self._XYZ2) + row_start
+
+    def test_ascii_digit_separator_in_value(self, tmp_path):
+        """``float()`` and numpy read ``1_0`` as 10; a PLY number has no ``_``."""
+        err = self._err(tmp_path, self._XYZ2 + "1 2 3\n4 1_0 6\n")
+        assert "bad number '1_0'" in str(err)
+        assert err.offset == len(self._XYZ2) + len("1 2 3\n")
+
+    def test_ascii_blank_lines_between_rows_skipped(self, tmp_path):
+        path = tmp_path / "t.ply"
+        path.write_text(self._XYZ2 + "\n1 2 3\n  \n4 5 6\n")
+        np.testing.assert_array_equal(read_ply(path).positions, [[1, 2, 3], [4, 5, 6]])
+
     def test_negative_vertex_count_binary(self, tmp_path):
         """``-1`` must not read every remaining byte as vertex data."""
         head = (

@@ -20,6 +20,7 @@ from udfgrid import (
     sample_scene,
     simulate_scans,
 )
+from udfgrid.scenegen import _PRIMITIVES
 
 
 def _scene(*prims):
@@ -143,6 +144,23 @@ class TestOpenCylinder:
         lateral = cloud.positions - np.outer(t, axis)
         np.testing.assert_allclose(np.linalg.norm(lateral, axis=1), 0.2, atol=1e-9)
         assert (t >= 0).all() and (t <= 1).all()
+
+
+class TestSizesMustBeFinite:
+    @pytest.mark.parametrize("make", [
+        lambda v: PlanePatch((0, 0, 0), (1, 0, 0), (0, 1, 0), v),
+        lambda v: Sphere((0, 0, 0), 0.1, v),
+        lambda v: Sphere((0, 0, 0), v, 100.0),
+        lambda v: Box((0, 0, 0), (1, 1, 1), v),
+        lambda v: OpenCylinder((0, 0, 0), (0, 0, 1), 0.1, 0.5, v),
+        lambda v: OpenCylinder((0, 0, 0), (0, 0, 1), v, 0.5, 100.0),
+        lambda v: OpenCylinder((0, 0, 0), (0, 0, 1), 0.1, v, 100.0),
+    ], ids=["plane density", "sphere density", "sphere radius", "box density",
+            "cylinder density", "cylinder radius", "cylinder height"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_rejected(self, make, bad):
+        with pytest.raises(ContractError):
+            make(bad)
 
 
 class TestSceneSpec:
@@ -424,3 +442,48 @@ dropout = 0.1
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_scene_config(tmp_path / "absent.cfg")
+
+
+# A valid value for every key of every primitive section.
+_VALUES = {
+    "corner": "0, 0, 0", "edge_u": "1, 0, 0", "edge_v": "0, 1, 0",
+    "center": "0, 0, 0", "min": "0, 0, 0", "max": "1, 1, 1",
+    "base": "0, 0, 0", "axis": "0, 0, 1",
+    "radius": "0.1", "height": "0.2", "density": "100",
+}
+
+
+def _section(kind, keys):
+    return f"[{kind}.x]\n" + "".join(f"{k} = {_VALUES[k]}\n" for k in keys)
+
+
+class TestPrimitiveSchema:
+    """Each ``_PRIMITIVES`` row is the whole schema of its section."""
+
+    @pytest.mark.parametrize("kind", sorted(_PRIMITIVES))
+    def test_complete_section_builds_its_class(self, tmp_path, kind):
+        cls, vectors, scalars = _PRIMITIVES[kind]
+        path = tmp_path / "s.cfg"
+        path.write_text(_section(kind, vectors + scalars))
+        scene, scan = load_scene_config(path)
+        assert scan is None
+        assert [type(p) for p in scene.primitives] == [cls]
+
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind, (_, vectors, scalars) in sorted(_PRIMITIVES.items())
+        for key in vectors + scalars
+    ])
+    def test_every_key_is_required(self, tmp_path, kind, key):
+        _, vectors, scalars = _PRIMITIVES[kind]
+        path = tmp_path / "s.cfg"
+        path.write_text(_section(kind, [k for k in vectors + scalars if k != key]))
+        with pytest.raises(ParseError, match=f"missing required key '{key}'"):
+            load_scene_config(path)
+
+    @pytest.mark.parametrize("kind", sorted(_PRIMITIVES))
+    def test_extra_key_refused(self, tmp_path, kind):
+        _, vectors, scalars = _PRIMITIVES[kind]
+        path = tmp_path / "s.cfg"
+        path.write_text(_section(kind, vectors + scalars) + "color = red\n")
+        with pytest.raises(ParseError, match="unknown keys: \\['color'\\]"):
+            load_scene_config(path)

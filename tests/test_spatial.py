@@ -21,6 +21,7 @@ from udfgrid import (
     radius_query,
     set_num_threads,
 )
+from udfgrid import spatial
 from udfgrid.spatial import (
     canonical_distance,
     capped_ball_batch,
@@ -248,6 +249,19 @@ class TestThreadControl:
             assert get_num_threads() == 2
         finally:
             set_num_threads(None if before == -1 else before)
+
+    @pytest.mark.parametrize("bad", [0, -2, -5])
+    def test_invalid_count_rejected(self, bad, monkeypatch):
+        monkeypatch.setattr(spatial, "_num_threads", 3)
+        with pytest.raises(ContractError):
+            set_num_threads(bad)
+        assert get_num_threads() == 3
+
+    def test_non_integer_environment_rejected(self, monkeypatch):
+        monkeypatch.setattr(spatial, "_num_threads", -1)
+        monkeypatch.setenv("UDFGRID_THREADS", "abc")
+        with pytest.raises(ContractError, match="UDFGRID_THREADS"):
+            get_num_threads()
 
     def test_results_independent_of_threads(self):
         rng = np.random.default_rng(42)
