@@ -31,6 +31,12 @@ from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATI
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _EVAL_CHUNK = 8192
+_NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
+# Candidate scan: cubes of _BLOCK**3 nodes, about _SLAB_BLOCKS blocks per
+# slab, and at most _NODE_CHUNK node rows per bounded nearest query.
+_BLOCK = 4
+_SLAB_BLOCKS = 4096
+_NODE_CHUNK = 32768
 _WEIGHT_SUM_FLOOR = 1e-300
 # Stored magnitudes below this snap to +0.0: they are geometrically
 # indistinguishable from surface contact and would otherwise break the
@@ -71,8 +77,10 @@ class _Evaluator:
     Builds the spatial structures once so a grid's worth of queries reuses
     them.  The support is the set of points the kind reads: the points
     with valid normals for normal kinds, the whole cloud otherwise.
-    ``full_index`` covers the whole cloud for the candidate prefilter; it
-    is also the support's index when every normal is valid.
+    ``full_index`` covers the whole cloud for the candidate scan; it is
+    also the support's index when every normal is valid, and then a
+    nearest kind's value follows from that scan's nearest ids and
+    distances (``reuses_nearest``).
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
@@ -89,14 +97,33 @@ class _Evaluator:
             self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
             if not valid.all():
                 self.index = spatial.build_index(self.positions) if valid.any() else None
+        self.reuses_nearest = kind in _NEAREST_KINDS and self.index is self.full_index
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
         q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
         out = np.empty(len(q))
-        for lo in range(0, len(q), _EVAL_CHUNK):
-            out[lo : lo + _EVAL_CHUNK] = self._chunk(q[lo : lo + _EVAL_CHUNK])
+        step = _EVAL_CHUNK
+        if self.kind not in _NEAREST_KINDS and self.index is not None:
+            # Keep a chunk's capped-ball entries, rows x min(cap + 1, n),
+            # under the spatial budget so memory does not grow with the cap.
+            width = min(self.params.max_neighbors + 1, len(self.index))
+            step = min(step, spatial.chunk_rows(width))
+        for lo in range(0, len(q), step):
+            out[lo : lo + step] = self._chunk(q[lo : lo + step])
         return out
+
+    def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
+        kind = self.kind
+        if kind is DFKind.UED:
+            return d
+        dot = np.einsum("ij,ij->i", self.normals[ids], q - self.positions[ids])
+        if kind is DFKind.HOPPE:
+            return dot
+        if kind is DFKind.UHOPPE:
+            return np.abs(dot)
+        return np.where(dot >= 0, 1.0, -1.0) * d
 
     # -- per-kind math ---------------------------------------------------
 
@@ -104,17 +131,8 @@ class _Evaluator:
         kind = self.kind
         if self.index is None:
             return np.full(len(q), np.nan)
-        if kind is DFKind.UED:
-            _, d = spatial.nearest_batch(self.index, q)
-            return d
-        if kind in (DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED):
-            ids, d = spatial.nearest_batch(self.index, q)
-            dot = np.einsum("ij,ij->i", self.normals[ids], q - self.positions[ids])
-            if kind is DFKind.HOPPE:
-                return dot
-            if kind is DFKind.UHOPPE:
-                return np.abs(dot)
-            return np.where(dot >= 0, 1.0, -1.0) * d
+        if kind in _NEAREST_KINDS:
+            return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
         if kind is DFKind.UWED:
             val, _ = self._weighted(q, want_plane=False)
             return val
@@ -194,58 +212,92 @@ def quantize_values(v: np.ndarray) -> np.ndarray:
     return v32.astype(np.float64)
 
 
+def _scan_chunks(
+    index: spatial.SpatialIndex, spec: GridSpec, lo: np.ndarray, hi: np.ndarray, reach: float
+):
+    """Node indices of the box lo..hi that may lie within ``reach`` of a point.
+
+    The box is split into cubes of _BLOCK**3 nodes, taken in slabs of whole
+    block layers.  Each block centre gets one nearest query bounded by
+    reach + h, h being the half-diagonal of a full block, plus a margin for
+    the rounding of positions and distances.  If a node lies within reach
+    of a point p, the triangle inequality puts p within reach + h of the
+    block's centre; so a block whose centre finds no point holds no node
+    within reach, and dropping it leaves the candidate set unchanged.  The
+    surviving blocks' nodes are yielded in chunks of at most _NODE_CHUNK.
+    """
+    v = spec.voxel_size
+    half = 0.5 * (_BLOCK - 1)
+    h = half * v * np.sqrt(3.0)
+    offsets = np.stack(
+        np.meshgrid(*[np.arange(_BLOCK)] * 3, indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    nb = (hi - lo) // _BLOCK + 1
+    layers = max(1, _SLAB_BLOCKS // int(nb[1] * nb[2]))
+    per_chunk = _NODE_CHUNK // len(offsets)
+    for b0 in range(0, nb[0], layers):
+        bi, bj, bk = np.meshgrid(
+            np.arange(b0, min(b0 + layers, nb[0])),
+            np.arange(nb[1]),
+            np.arange(nb[2]),
+            indexing="ij",
+        )
+        corners = lo + _BLOCK * np.stack([bi.ravel(), bj.ravel(), bk.ravel()], axis=1)
+        centres = spec.origin + (corners + half) * v
+        bound = (reach + h) * (1.0 + 1e-9) + 1e-12 * np.abs(centres).max()
+        _, d_centre = spatial.nearest_batch(index, centres, r=bound)
+        corners = corners[np.isfinite(d_centre)]
+        for c0 in range(0, len(corners), per_chunk):
+            nodes = (corners[c0 : c0 + per_chunk, None, :] + offsets).reshape(-1, 3)
+            yield nodes[(nodes <= hi).all(axis=1)]
+
+
 def compute_grid(
     cloud: PointCloud, spec: GridSpec, kind: DFKind, params: DFParams
 ) -> SparseDFGrid:
     """Evaluate ``kind`` at candidate lattice nodes; store |v| < 3 voxel units.
 
-    Candidate nodes are those within 3 * voxel_size (+1e-9 guard) of some
-    cloud point; each is evaluated pointwise, divided by voxel_size, and
-    kept only where defined and strictly inside the truncation band.  The
-    candidate scan over the cloud's padded bounding box is one kd nearest
-    query per node, bounded by that reach (plus the spatial module's 1e-9
-    relative margin), so a node far from every point costs a short search
-    instead of one all the way to the nearest surface.  The result is
-    never flipped.  A cloud entirely outside the grid yields an empty grid
-    and a warning.
+    Candidate nodes are those within reach = 3 * voxel_size (+1e-9 guard)
+    of some cloud point, by canonical distance; each is evaluated
+    pointwise, divided by voxel_size, and kept only where defined and
+    strictly inside the truncation band.  The result is never flipped.  A
+    cloud entirely outside the grid yields an empty grid and a warning.
+
+    The scan covers the cloud's bounding box padded by the reach.  It first
+    drops every 4x4x4 block of nodes whose centre has no point within
+    reach plus the block's half-diagonal: by the triangle inequality such
+    a block holds no candidate, so the candidate set is the same as a scan
+    of every node.  Each remaining node gets one ``nearest_batch`` query
+    bounded by the reach; the rows that find a point are the candidates.
+    UED, SED, Hoppe and UHoppe take their values straight from those ids
+    and distances when every normal is valid (the query runs over the
+    support they read); the weighted kinds, and normal kinds with some NaN
+    normals, evaluate the candidates through their own queries.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
     evaluator = _Evaluator(cloud, kind, params)
     reach = 3.0 * spec.voxel_size + 1e-9
-    bound = reach * (1.0 + spatial._RADIUS_MARGIN)
     lo, hi = _candidate_ranges(cloud, spec, reach)
     kept_idx: list[np.ndarray] = []
     kept_val: list[np.ndarray] = []
-    if (lo <= hi).all():
-        nj, nk = hi[1] - lo[1] + 1, hi[2] - lo[2] + 1
-        per_slab = max(1, int(np.ceil(262144 / max(1, nj * nk))))
-        for i0 in range(lo[0], hi[0] + 1, per_slab):
-            i1 = min(i0 + per_slab - 1, hi[0])
-            ii, jj, kk = np.meshgrid(
-                np.arange(i0, i1 + 1),
-                np.arange(lo[1], hi[1] + 1),
-                np.arange(lo[2], hi[2] + 1),
-                indexing="ij",
-            )
-            nodes_idx = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-            nodes_pos = spec.origin + nodes_idx * spec.voxel_size
-            d_near, _ = evaluator.full_index.tree.query(
-                nodes_pos,
-                k=1,
-                distance_upper_bound=bound,
-                workers=spatial.get_num_threads(),
-            )
-            near = d_near <= reach
-            if not near.any():
-                continue
-            nodes_idx, nodes_pos = nodes_idx[near], nodes_pos[near]
-            vals = evaluator.batch(nodes_pos) / spec.voxel_size
-            vals = quantize_values(vals)
-            keep = np.isfinite(vals) & (np.abs(vals) < TRUNCATION_VOXELS)
-            if keep.any():
-                kept_idx.append(nodes_idx[keep])
-                kept_val.append(vals[keep])
+    chunks = _scan_chunks(evaluator.full_index, spec, lo, hi, reach) if (lo <= hi).all() else ()
+    for nodes_idx in chunks:
+        nodes_pos = spec.origin + nodes_idx * spec.voxel_size
+        ids, d = spatial.nearest_batch(evaluator.full_index, nodes_pos, r=reach)
+        near = d <= reach
+        if not near.any():
+            continue
+        nodes_idx, nodes_pos = nodes_idx[near], nodes_pos[near]
+        if evaluator.reuses_nearest:
+            vals = evaluator.from_nearest(nodes_pos, ids[near], d[near])
+        else:
+            vals = evaluator.batch(nodes_pos)
+        vals = quantize_values(vals / spec.voxel_size)
+        keep = np.isfinite(vals) & (np.abs(vals) < TRUNCATION_VOXELS)
+        if keep.any():
+            kept_idx.append(nodes_idx[keep])
+            kept_val.append(vals[keep])
     if kept_idx:
         indices = np.concatenate(kept_idx)
         values = np.concatenate(kept_val)

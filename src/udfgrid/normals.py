@@ -36,9 +36,20 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     pos = cloud.positions
     index = spatial.build_index(pos)
     kk = min(k, len(pos))
-    ids, _, lens = spatial.knn_batch(index, pos, kk)
+    # Rows are independent: chunking bounds the (rows, kk, 3) neighbourhood
+    # so peak memory does not grow with k.
+    normals = np.empty((len(pos), 3))
+    step = spatial.chunk_rows(kk + 1)
+    for lo in range(0, len(pos), step):
+        normals[lo : lo + step] = _pca_normals(index, pos[lo : lo + step], kk)
+    return PointCloud(pos, normals, cloud.sensor_origins)
+
+
+def _pca_normals(index: spatial.SpatialIndex, q: np.ndarray, kk: int) -> np.ndarray:
+    """Sign-fixed PCA normals of the cloud points ``q``; NaN where degenerate."""
+    ids, _, _ = spatial.knn_batch(index, q, kk)
     # Every query point is a cloud member, so each row has exactly kk hits.
-    neigh = pos[ids.reshape(len(pos), kk)]
+    neigh = index.positions[ids.reshape(len(q), kk)]
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / kk
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -52,7 +63,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     normals = np.where((lead < 0)[:, None], -normals, normals)
     degenerate = (eigvals[:, 1] - eigvals[:, 0]) < _DEGENERATE_EIGENGAP
     normals[degenerate] = np.nan
-    return PointCloud(pos, normals, cloud.sensor_origins)
+    return normals
 
 
 def orient_normals(cloud: PointCloud) -> PointCloud:

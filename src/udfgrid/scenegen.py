@@ -2,9 +2,10 @@
 
 Primitives (bounded plane patch, sphere, box, open cylinder) are sampled
 with stratified randomness at an exact per-primitive count of
-round(density * area) points, carrying exact analytic normals.  Virtual
-scanning assigns each point its nearest sensor and adds isotropic Gaussian
-noise; dropout removes whole scan groups; augmentation applies the
+round(density * area) points, carrying exact analytic normals; a primitive
+whose count would exceed ``MAX_POINTS`` (2**31 - 1) is refused when built.
+Virtual scanning assigns each point its nearest sensor and adds isotropic
+Gaussian noise; dropout removes whole scan groups; augmentation applies the
 z-rotation / scale / jitter recipe used for training-style data expansion.
 
 All generators are seed-deterministic, with independent per-primitive
@@ -52,9 +53,9 @@ class PlanePatch:
         object.__setattr__(self, "corner", _vec3(self.corner, "corner"))
         object.__setattr__(self, "edge_u", _vec3(self.edge_u, "edge_u"))
         object.__setattr__(self, "edge_v", _vec3(self.edge_v, "edge_v"))
-        _check_density(self.density)
         if self.area() <= 0:
             raise ContractError("plane patch must have positive area")
+        _check_sampling(self.density, self.area())
 
     def area(self) -> float:
         return float(np.linalg.norm(np.cross(self.edge_u, self.edge_v)))
@@ -76,9 +77,9 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec3(self.center, "center"))
-        _check_density(self.density)
         if not 0 < self.radius < math.inf:
             raise ContractError("sphere radius must be finite and positive")
+        _check_sampling(self.density, self.area())
 
     def area(self) -> float:
         return 4.0 * math.pi * self.radius * self.radius
@@ -105,9 +106,9 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "min_corner", _vec3(self.min_corner, "min"))
         object.__setattr__(self, "max_corner", _vec3(self.max_corner, "max"))
-        _check_density(self.density)
         if not (self.max_corner > self.min_corner).all():
             raise ContractError("box must have positive extent on every axis")
+        _check_sampling(self.density, self.area())
 
     def area(self) -> float:
         e = self.max_corner - self.min_corner
@@ -153,9 +154,9 @@ class OpenCylinder:
         if norm == 0:
             raise ContractError("cylinder axis must be non-zero")
         object.__setattr__(self, "axis", axis / norm)
-        _check_density(self.density)
         if not (0 < self.radius < math.inf and 0 < self.height < math.inf):
             raise ContractError("cylinder radius and height must be finite and positive")
+        _check_sampling(self.density, self.area())
 
     def area(self) -> float:
         return 2.0 * math.pi * self.radius * self.height
@@ -183,9 +184,19 @@ class OpenCylinder:
 Primitive = PlanePatch | Sphere | Box | OpenCylinder
 
 
-def _check_density(density: float) -> None:
+# Most points one primitive may sample, round(density * area); a larger
+# count is refused when the primitive is built.
+MAX_POINTS = 2**31 - 1
+
+
+def _check_sampling(density: float, area: float) -> None:
     if not 0 < density < math.inf:
         raise ContractError("density must be finite and positive (points per square meter)")
+    if not density * area < MAX_POINTS + 0.5:
+        raise ContractError(
+            f"density {density:g} over area {area:g} m^2 would sample more than "
+            f"{MAX_POINTS} points"
+        )
 
 
 def _count(density: float, area: float) -> int:

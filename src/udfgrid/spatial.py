@@ -16,6 +16,10 @@ is at least as far as the (k+1)-th, so a row is already exact unless the
 (k+1)-th distance lies within the margin of the k-th.  Only such rows are
 redone: a ball query of the k-th distance plus the margin collects every
 candidate, and the k smallest by (distance, id) are kept.
+
+Rows are independent, so a query whose rows x (k+1) entries would exceed
+a fixed budget runs in row chunks under it: peak memory then does not grow
+with k, and the results are the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .core import PointCloud
 from .errors import ContractError, EmptyCloudError
 
 _RADIUS_MARGIN = 1e-9
+# Most (row, neighbour) entries one query materialises at a time.
+_ENTRY_BUDGET = 2**20
 
 _num_threads = -1
 
@@ -48,16 +54,21 @@ def set_num_threads(n: int | None) -> None:
 
 
 def get_num_threads() -> int:
-    """The set cap, else UDFGRID_THREADS (at least 1), else -1 (all cores)."""
+    """The set cap, else UDFGRID_THREADS, else -1 (all cores).
+
+    UDFGRID_THREADS follows the ``--threads`` rule: -1 means all cores and
+    n >= 1 means n; anything else raises ContractError naming it.
+    """
     if _num_threads == -1:
         env = os.environ.get("UDFGRID_THREADS")
         if env:
             try:
-                return max(1, int(env))
+                n = int(env)
             except ValueError:
-                raise ContractError(
-                    f"UDFGRID_THREADS must be an integer, got {env!r}"
-                ) from None
+                n = 0
+            if n < 1 and n != -1:
+                raise ContractError(f"UDFGRID_THREADS must be -1 or an integer >= 1, got {env!r}")
+            return n
     return _num_threads
 
 
@@ -91,6 +102,11 @@ def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
     return SpatialIndex(pos)
 
 
+def chunk_rows(width: int) -> int:
+    """Rows per chunk so that rows x ``width`` entries fit the entry budget."""
+    return max(1, _ENTRY_BUDGET // width)
+
+
 def _flatten_ball(result_lists) -> tuple[np.ndarray, np.ndarray]:
     """Object array of id lists -> (flat ids, row lengths)."""
     lens = np.fromiter((len(r) for r in result_lists), dtype=np.int64, count=len(result_lists))
@@ -113,6 +129,11 @@ def _exact_neighbours(
     """
     n = len(index)
     kq = min(k + 1, n)
+    step = chunk_rows(kq)
+    if len(q) > step:
+        parts = [_exact_neighbours(index, q[lo : lo + step], k, r)
+                 for lo in range(0, len(q), step)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     bound = np.inf if r is None else r * (1.0 + _RADIUS_MARGIN)
     _, ids = index.tree.query(q, k=kq, distance_upper_bound=bound, workers=get_num_threads())
     ids = ids.reshape(len(q), kq)
@@ -142,11 +163,26 @@ def _exact_neighbours(
     return ids[:, :k], dists[:, :k]
 
 
-def nearest_batch(index: SpatialIndex, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point id and canonical distance for each query row."""
+def nearest_batch(
+    index: SpatialIndex, queries: np.ndarray, r: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point id and canonical distance for each query row.
+
+    With ``r``, the search stops at distance r: a row with no point within
+    r (boundary inclusive) gets id ``len(index)`` and distance inf, the
+    padding ``capped_ball_batch`` uses, and every other row is the same
+    bits as the unbounded answer, ties included.  A bounded query is much
+    cheaper than an unbounded one for a row far from every point.
+    """
+    if r is not None and not r > 0:
+        raise ContractError("radius must be positive")
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    ids, dists = _exact_neighbours(index, q, 1)
-    return ids[:, 0], dists[:, 0]
+    ids, dists = _exact_neighbours(index, q, 1, r)
+    ids, dists = ids[:, 0], dists[:, 0]
+    if r is not None:
+        beyond = dists > r
+        ids[beyond], dists[beyond] = len(index), np.inf
+    return ids, dists
 
 
 def nearest(index: SpatialIndex, q) -> tuple[int, float]:

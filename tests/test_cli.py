@@ -109,6 +109,23 @@ class TestDataErrors:
         assert code == 2
         assert "UDFGRID_THREADS" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_out_of_range_thread_environment(self, clean_ply, tmp_path, capsys, monkeypatch,
+                                             threads):
+        monkeypatch.setenv("UDFGRID_THREADS", threads)
+        code = main(["compute", clean_ply, str(tmp_path / "g.udfg"), "--kind", "ued", *GEOMETRY])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "UDFGRID_THREADS" in err and "Traceback" not in err
+
+    def test_huge_scene_density(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[sphere]\ncenter = 0, 0, 0\nradius = 1\ndensity = 1e300\n")
+        code = main(["synth", str(cfg), str(tmp_path / "o.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "points" in err and "Traceback" not in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["chamfer", str(tmp_path / "a.ply"), str(tmp_path / "b.ply")])
         assert code == 2

@@ -25,6 +25,7 @@ from udfgrid import (
     make_evaluator,
     voxel_position,
 )
+from udfgrid import dfield
 from udfgrid.dfield import quantize_values
 from udfgrid.spatial import canonical_distance
 
@@ -323,8 +324,27 @@ def snapped_patches(draw):
         nrm = np.zeros((uu.size, 3))
         nrm[:, axis] = draw(st.sampled_from([-1.0, 1.0]))
         normals.append(nrm)
-    cloud = PointCloud(np.concatenate(positions), normals=np.concatenate(normals))
+    normals = np.concatenate(normals)
+    # Some clouds lose a few normals, as degenerate PCA neighbourhoods do.
+    normals[[i % len(normals) for i in draw(st.lists(st.integers(0, 10**6), max_size=3))]] = np.nan
+    cloud = PointCloud(np.concatenate(positions), normals=normals)
     return cloud, GridSpec(origin=origin, voxel_size=voxel, dims=dims)
+
+
+def sparse_scene(seed: int):
+    """Six points on a quarter-voxel lattice spread through a 70^3 grid.
+
+    Two of them sit near opposite corners, so the scanned box is the whole
+    grid.
+    """
+    rng = np.random.default_rng(seed)
+    voxel = 0.125
+    pos = rng.integers(0, 4 * 70, size=(6, 3)) * (voxel / 4)
+    pos[:2] = [[0.3, 0.2, 0.1], [8.5, 8.4, 8.3]]
+    nrm = np.zeros((6, 3))
+    nrm[np.arange(6), rng.integers(0, 3, 6)] = 1.0
+    return PointCloud(pos, normals=nrm), GridSpec(origin=(0, 0, 0), voxel_size=voxel,
+                                                   dims=(70, 70, 70))
 
 
 class TestCandidateSet:
@@ -342,10 +362,7 @@ class TestCandidateSet:
         keep = np.isfinite(vals) & (np.abs(vals) < 3.0)
         return idx[near][keep], vals[keep]
 
-    @settings(max_examples=60)
-    @given(snapped_patches(), st.sampled_from([DFKind.UED, DFKind.HOPPE]))
-    def test_matches_dense_oracle(self, scene, kind):
-        cloud, spec = scene
+    def _check(self, cloud, spec, kind):
         params = DFParams.for_voxel_size(spec.voxel_size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty grids warn
@@ -353,6 +370,20 @@ class TestCandidateSet:
         idx, vals = self._oracle(cloud, spec, kind, params)
         np.testing.assert_array_equal(grid.indices, idx)
         np.testing.assert_array_equal(grid.values, vals)
+
+    @settings(max_examples=60)
+    @given(snapped_patches(), st.sampled_from(list(DFKind)))
+    def test_matches_dense_oracle(self, scene, kind):
+        self._check(*scene, kind)
+
+    @pytest.mark.parametrize("kind", list(DFKind))
+    def test_sparse_box_spanning_slabs(self, kind):
+        cloud, spec = sparse_scene(seed=11)
+        reach = 3.0 * spec.voxel_size + 1e-9
+        lo, hi = dfield._candidate_ranges(cloud, spec, reach)
+        blocks = (hi - lo) // dfield._BLOCK + 1
+        assert blocks[0] * blocks[1] * blocks[2] > dfield._SLAB_BLOCKS  # several slabs
+        self._check(cloud, spec, kind)
 
 
 class TestPlaneAccuracy:

@@ -14,6 +14,7 @@ from udfgrid import (
     estimate_normals,
     orient_normals,
     sample_scene,
+    spatial,
 )
 
 
@@ -81,6 +82,13 @@ class TestEstimateNormals:
         bogus = np.tile([1.0, 0.0, 0.0], (30, 1))
         cloud = estimate_normals(PointCloud(pos, normals=bogus), k=5)
         np.testing.assert_allclose(np.abs(cloud.normals[:, 2]), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("budget", [1, 37, 1000])
+    def test_row_chunks_give_the_same_bits(self, budget, monkeypatch):
+        cloud = PointCloud(np.random.default_rng(3).random((300, 3)))
+        whole = estimate_normals(cloud, k=12).normals
+        monkeypatch.setattr(spatial, "_ENTRY_BUDGET", budget)
+        np.testing.assert_array_equal(estimate_normals(cloud, k=12).normals, whole)
 
 
 class TestOrientNormals:

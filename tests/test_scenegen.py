@@ -20,7 +20,7 @@ from udfgrid import (
     sample_scene,
     simulate_scans,
 )
-from udfgrid.scenegen import _PRIMITIVES
+from udfgrid.scenegen import _PRIMITIVES, MAX_POINTS
 
 
 def _scene(*prims):
@@ -161,6 +161,33 @@ class TestSizesMustBeFinite:
     def test_rejected(self, make, bad):
         with pytest.raises(ContractError):
             make(bad)
+
+
+class TestPointLimit:
+    """A primitive that would sample more than MAX_POINTS is refused when built."""
+
+    @pytest.mark.parametrize("make", [
+        lambda d: PlanePatch((0, 0, 0), (1, 0, 0), (0, 1, 0), d),
+        lambda d: Sphere((0, 0, 0), 1.0, d),
+        lambda d: Box((0, 0, 0), (1, 1, 1), d),
+        lambda d: OpenCylinder((0, 0, 0), (0, 0, 1), 1.0, 1.0, d),
+    ], ids=["plane", "sphere", "box", "cylinder"])
+    @pytest.mark.parametrize("density", [1e300, 1e12])
+    def test_huge_density_rejected(self, make, density):
+        with pytest.raises(ContractError, match="points"):
+            make(density)
+
+    def test_limit_is_inclusive(self):
+        # A unit square samples exactly round(density) points.
+        PlanePatch((0, 0, 0), (1, 0, 0), (0, 1, 0), float(MAX_POINTS))
+        with pytest.raises(ContractError):
+            PlanePatch((0, 0, 0), (1, 0, 0), (0, 1, 0), float(MAX_POINTS + 1))
+
+    def test_config_with_huge_density_is_a_parse_error(self, tmp_path):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[sphere]\ncenter = 0, 0, 0\nradius = 1\ndensity = 1e300\n")
+        with pytest.raises(ParseError, match="sphere"):
+            load_scene_config(cfg)
 
 
 class TestSceneSpec:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -81,6 +81,21 @@ class TestNearest:
             bi, bd = brute_nearest(pts, q[row])
             assert ids[row] == bi
             assert dists[row] == bd  # identical formula, identical bits
+
+    def test_bounded(self):
+        idx = build_index(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+        q = np.array([[0.5, 0.0, 0.0], [2.0, 0.0, 0.0], [1.25, 0.0, 0.0], [9.0, 0.0, 0.0]])
+        ids, dists = nearest_batch(idx, q, r=0.5)
+        # Row 0: a tie on the boundary goes to the lowest id; row 1 has two
+        # points at exactly 1.0, beyond r; row 3 is far from every point.
+        assert ids.tolist() == [0, 3, 1, 3]
+        assert dists.tolist() == [0.5, np.inf, 0.25, np.inf]
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+    def test_bound_must_be_positive(self, r):
+        idx = build_index(np.zeros((1, 3)))
+        with pytest.raises(ContractError):
+            nearest_batch(idx, np.zeros((1, 3)), r=r)
 
 
 class TestKnn:
@@ -263,6 +278,19 @@ class TestThreadControl:
         with pytest.raises(ContractError, match="UDFGRID_THREADS"):
             get_num_threads()
 
+    @pytest.mark.parametrize("env", ["0", "-2", "-5"])
+    def test_out_of_range_environment_rejected(self, env, monkeypatch):
+        monkeypatch.setattr(spatial, "_num_threads", -1)
+        monkeypatch.setenv("UDFGRID_THREADS", env)
+        with pytest.raises(ContractError, match="UDFGRID_THREADS"):
+            get_num_threads()
+
+    @pytest.mark.parametrize("env, expected", [("-1", -1), ("1", 1), ("3", 3)])
+    def test_environment_follows_the_threads_rule(self, env, expected, monkeypatch):
+        monkeypatch.setattr(spatial, "_num_threads", -1)
+        monkeypatch.setenv("UDFGRID_THREADS", env)
+        assert get_num_threads() == expected
+
     def test_results_independent_of_threads(self):
         rng = np.random.default_rng(42)
         pts = rng.random((400, 3))
@@ -319,6 +347,37 @@ class TestLatticeProperties:
             for x in q
         ]
         assert got == want
+
+    @given(lattice, lattice, st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_bounded_nearest_matches_unbounded(self, pts, q, i, j):
+        # r is an actual point-query distance, so some rows sit on the boundary.
+        r = float(canonical_distance(pts[i % len(pts)], q[j % len(q)])) or 0.1
+        index = build_index(pts)
+        ids, dists = nearest_batch(index, q, r=r)
+        all_ids, all_dists = nearest_batch(index, q)
+        within = all_dists <= r
+        np.testing.assert_array_equal(ids[within], all_ids[within])
+        np.testing.assert_array_equal(dists[within], all_dists[within])
+        assert (ids[~within] == len(pts)).all()
+        assert np.isinf(dists[~within]).all()
+
+    @settings(max_examples=40)
+    @given(lattice, lattice, st.integers(1, 130), st.integers(1, 40))
+    def test_row_chunks_give_the_same_bits(self, pts, q, k, budget):
+        index = build_index(pts)
+        r = float(canonical_distance(pts[0], q[0])) or 0.1
+        whole = (knn_batch(index, q, k), capped_ball_batch(index, q, r, k),
+                 nearest_batch(index, q), nearest_batch(index, q, r=r))
+        original = spatial._ENTRY_BUDGET
+        spatial._ENTRY_BUDGET = budget  # as small as one row per chunk
+        try:
+            split = (knn_batch(index, q, k), capped_ball_batch(index, q, r, k),
+                     nearest_batch(index, q), nearest_batch(index, q, r=r))
+        finally:
+            spatial._ENTRY_BUDGET = original
+        for a, b in zip(whole, split):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
 
     @given(lattice, lattice)
     def test_chamfer_matches_bruteforce(self, a, b):
