@@ -158,12 +158,10 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", _as_float_array(self.origin, "origin", (3,)))
-        object.__setattr__(self, "voxel_size", float(self.voxel_size))
+        object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if not np.isfinite(self.origin).all():
             raise ContractError("origin must be finite")
-        if not self.voxel_size > 0:
-            raise ContractError("voxel_size must be positive")
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ContractError("dims must be three integers >= 1")
         if self.dims[0] * self.dims[1] * self.dims[2] > MAX_NODES:
@@ -175,11 +173,23 @@ class GridSpec:
         positions = np.asarray(positions, dtype=np.float64)
         if len(positions) == 0:
             raise EmptyCloudError("cannot cover an empty point set")
+        voxel_size = _check_voxel_size(voxel_size)
         pad = TRUNCATION_VOXELS * voxel_size
-        origin = positions.min(axis=0) - pad
-        top = positions.max(axis=0) + pad
-        dims = np.floor((top - origin) / voxel_size + 1e-9) + 1
+        with np.errstate(over="ignore"):
+            origin = positions.min(axis=0) - pad
+            top = positions.max(axis=0) + pad
+            dims = np.floor((top - origin) / voxel_size + 1e-9) + 1
+        if not (dims <= MAX_NODES).all():
+            raise ContractError(f"covering grid at voxel_size {voxel_size} exceeds {MAX_NODES} nodes")
         return cls(origin=origin, voxel_size=voxel_size, dims=tuple(int(d) for d in dims))
+
+
+def _check_voxel_size(voxel_size) -> float:
+    """``voxel_size`` as a float; it must be finite and positive."""
+    v = float(voxel_size)
+    if not (np.isfinite(v) and v > 0):
+        raise ContractError(f"voxel_size must be finite and positive, got {v}")
+    return v
 
 
 def voxel_position(spec: GridSpec, idx) -> np.ndarray:

@@ -1,15 +1,24 @@
 """The eight truncated distance functions on sparse voxel grids.
 
-Signed kinds: Hoppe (point-to-plane at the nearest point), IMLS (Gaussian-
-weighted average of point-to-plane distances), SED (nearest distance signed
-by the nearest normal), SWED (UWED magnitude, IMLS sign).  Unsigned kinds:
-UED (nearest distance), UWED (Gaussian-weighted average of distances),
-UHoppe and UIMLS (absolute values of the signed evaluators).
+Each kind is one of two estimators combined with one of four value rules.
+The nearest estimator reads the nearest cloud point: its distance, and the
+distance to that point's tangent plane (the dot of its normal with x - p).
+The weighted estimator averages both over the neighborhood N_x with
+Gaussian weights.  The rules, applied by ``_value``:
 
-Weighted kinds average over the neighborhood N_x: the ``max_neighbors``
-nearest cloud points within the 3-sigma ball around x (weights beyond 3
-sigma are below e**-9).  Points with invalid (NaN) normals are excluded
-from N_x for every normal-dependent kind.
+==========================  ========  ========
+rule                        nearest   weighted
+==========================  ========  ========
+distance                    UED       UWED
+plane distance              Hoppe     IMLS
+abs(plane distance)         UHoppe    UIMLS
+sign(plane) x distance      SED       SWED
+==========================  ========  ========
+
+sign(0) counts as +1.  N_x is the ``max_neighbors`` nearest cloud points
+within the 3-sigma ball around x (weights beyond 3 sigma are below e**-9).
+Points with invalid (NaN) normals are excluded from the support of every
+normal-dependent kind.
 
 ``evaluate`` gives one kind's value at one point; ``make_evaluator``
 builds the spatial indices once for many queries against one cloud.
@@ -32,11 +41,13 @@ from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _EVAL_CHUNK = 8192
 _NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
-# Candidate scan: cubes of _BLOCK**3 nodes, about _SLAB_BLOCKS blocks per
-# slab, and at most _NODE_CHUNK node rows per bounded nearest query.
+# Candidate scan: cubes of _BLOCK**3 nodes, culled _CULL_BATCH blocks at a
+# time, at most _NODE_CHUNK node rows per bounded nearest query, and at most
+# _MAX_SCAN_NODES nodes in the scanned box.
 _BLOCK = 4
-_SLAB_BLOCKS = 4096
+_CULL_BATCH = 4096
 _NODE_CHUNK = 32768
+_MAX_SCAN_NODES = 2**32
 _WEIGHT_SUM_FLOOR = 1e-300
 # Stored magnitudes below this snap to +0.0: they are geometrically
 # indistinguishable from surface contact and would otherwise break the
@@ -102,55 +113,41 @@ class _Evaluator:
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
         q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+        if self.index is None:
+            return np.full(len(q), np.nan)
+        if self.kind in _NEAREST_KINDS:
+            return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
+        # Keep a chunk's capped-ball entries, rows x min(cap + 1, n), under
+        # the spatial budget so memory does not grow with the cap.
+        width = min(self.params.max_neighbors + 1, len(self.index))
+        step = min(_EVAL_CHUNK, spatial.chunk_rows(width))
         out = np.empty(len(q))
-        step = _EVAL_CHUNK
-        if self.kind not in _NEAREST_KINDS and self.index is not None:
-            # Keep a chunk's capped-ball entries, rows x min(cap + 1, n),
-            # under the spatial budget so memory does not grow with the cap.
-            width = min(self.params.max_neighbors + 1, len(self.index))
-            step = min(step, spatial.chunk_rows(width))
         for lo in range(0, len(q), step):
-            out[lo : lo + step] = self._chunk(q[lo : lo + step])
+            out[lo : lo + step] = self._weighted(q[lo : lo + step])
         return out
 
     def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
         """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
-        kind = self.kind
-        if kind is DFKind.UED:
-            return d
-        dot = np.einsum("ij,ij->i", self.normals[ids], q - self.positions[ids])
-        if kind is DFKind.HOPPE:
-            return dot
-        if kind is DFKind.UHOPPE:
-            return np.abs(dot)
-        return np.where(dot >= 0, 1.0, -1.0) * d
+        plane = self._plane(q, ids, 1) if self.kind.requires_normals else None
+        return _value(self.kind, d, plane)
 
-    # -- per-kind math ---------------------------------------------------
+    def _plane(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
+        """Distances to the tangent planes of support points ``ids``.
 
-    def _chunk(self, q: np.ndarray) -> np.ndarray:
-        kind = self.kind
-        if self.index is None:
-            return np.full(len(q), np.nan)
-        if kind in _NEAREST_KINDS:
-            return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
-        if kind is DFKind.UWED:
-            val, _ = self._weighted(q, want_plane=False)
-            return val
-        if kind in (DFKind.IMLS, DFKind.UIMLS):
-            _, val = self._weighted(q, want_plane=True)
-            return np.abs(val) if kind is DFKind.UIMLS else val
-        if kind is DFKind.SWED:
-            uwed, imls = self._weighted(q, want_plane=True)
-            return np.where(imls >= 0, 1.0, -1.0) * uwed
-        raise ContractError(f"unhandled kind {kind}")
+        Row r of ``q`` is measured against the next ``lens[r]`` (or ``lens``)
+        ids.  The difference is taken in place so that at most two
+        (len(ids), 3) arrays are alive at once.
+        """
+        diff = self.positions[ids]
+        np.subtract(np.repeat(q, lens, axis=0), diff, out=diff)
+        return np.einsum("ij,ij->i", self.normals[ids], diff)
 
-    def _weighted(self, q: np.ndarray, want_plane: bool):
-        """Gaussian-weighted averages over N_x.
+    def _weighted(self, q: np.ndarray) -> np.ndarray:
+        """A weighted kind's values: the rule over Gaussian-weighted averages on N_x.
 
-        Returns (uwed, imls): the weighted mean Euclidean distance and,
-        when ``want_plane``, the weighted mean point-to-plane distance
-        (else NaN).  Undefined rows (empty N_x, underflowing weight sum)
-        are NaN in both.
+        The averages are of the Euclidean distance and, for normal kinds,
+        of the point-to-plane distance.  Rows with an empty N_x or an
+        underflowing weight sum are undefined (NaN).
         """
         p = self.params
         ids, dists, lens = spatial.capped_ball_batch(
@@ -158,17 +155,22 @@ class _Evaluator:
         )
         w = gaussian_weight(dists * dists, p.sigma)
         den = _segment_sums(w, lens)
-        bad = (lens == 0) | (den < _WEIGHT_SUM_FLOOR)
-        den_safe = np.where(bad, 1.0, den)
-        uwed = _segment_sums(w * dists, lens) / den_safe
-        uwed[bad] = np.nan
-        imls = np.full(len(q), np.nan)
-        if want_plane:
-            rows = np.repeat(np.arange(len(q), dtype=np.int64), lens)
-            dot = np.einsum("ij,ij->i", self.normals[ids], q[rows] - self.positions[ids])
-            imls = _segment_sums(w * dot, lens) / den_safe
-            imls[bad] = np.nan
-        return uwed, imls
+        den[(lens == 0) | (den < _WEIGHT_SUM_FLOOR)] = np.nan
+        plane = None
+        if self.kind.requires_normals:
+            plane = _segment_sums(w * self._plane(q, ids, lens), lens) / den
+        return _value(self.kind, _segment_sums(w * dists, lens) / den, plane)
+
+
+def _value(kind: DFKind, dist: np.ndarray, plane: np.ndarray | None) -> np.ndarray:
+    """``kind``'s value from its estimator's distance and plane distance."""
+    if kind in (DFKind.UED, DFKind.UWED):
+        return dist
+    if kind in (DFKind.HOPPE, DFKind.IMLS):
+        return plane
+    if kind in (DFKind.UHOPPE, DFKind.UIMLS):
+        return np.abs(plane)
+    return np.where(plane >= 0, 1.0, -1.0) * dist
 
 
 def make_evaluator(cloud: PointCloud, kind: DFKind, params: DFParams) -> _Evaluator:
@@ -186,19 +188,6 @@ def evaluate(x, cloud: PointCloud, kind: DFKind, params: DFParams | None = None)
     return float(ev.batch(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])
 
 
-def _candidate_ranges(
-    cloud: PointCloud, spec: GridSpec, reach: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive node index ranges that can lie within ``reach`` of the cloud."""
-    lo_w = cloud.positions.min(axis=0) - reach
-    hi_w = cloud.positions.max(axis=0) + reach
-    lo = np.ceil((lo_w - spec.origin) / spec.voxel_size).astype(np.int64)
-    hi = np.floor((hi_w - spec.origin) / spec.voxel_size).astype(np.int64)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, np.asarray(spec.dims) - 1)
-    return lo, hi
-
-
 def quantize_values(v: np.ndarray) -> np.ndarray:
     """Round to float32-representable doubles, snapping tiny magnitudes to 0.
 
@@ -212,44 +201,59 @@ def quantize_values(v: np.ndarray) -> np.ndarray:
     return v32.astype(np.float64)
 
 
-def _scan_chunks(
-    index: spatial.SpatialIndex, spec: GridSpec, lo: np.ndarray, hi: np.ndarray, reach: float
-):
-    """Node indices of the box lo..hi that may lie within ``reach`` of a point.
+def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
+    """Grid nodes within ``reach`` of an index point, with that nearest point.
 
-    The box is split into cubes of _BLOCK**3 nodes, taken in slabs of whole
-    block layers.  Each block centre gets one nearest query bounded by
-    reach + h, h being the half-diagonal of a full block, plus a margin for
-    the rounding of positions and distances.  If a node lies within reach
-    of a point p, the triangle inequality puts p within reach + h of the
-    block's centre; so a block whose centre finds no point holds no node
-    within reach, and dropping it leaves the candidate set unchanged.  The
-    surviving blocks' nodes are yielded in chunks of at most _NODE_CHUNK.
+    Yields (node indices, node positions, nearest ids, distances) in chunks.
+    The scanned box is the points' bounding box padded by the reach, clipped
+    to the grid in float space so that a far point cannot overflow the
+    int64 indices; a box of more than _MAX_SCAN_NODES nodes raises
+    ContractError.  The box is split into cubes of _BLOCK**3 nodes, culled
+    _CULL_BATCH blocks at a time in row-major order.  Each block centre gets
+    one nearest query bounded by reach + h, h being the half-diagonal of a
+    full block, plus a margin for the rounding of positions and distances.
+    If a node lies within reach of a point p, the triangle inequality puts p
+    within reach + h of the block's centre; so a block whose centre finds no
+    point holds no candidate, and dropping it leaves the candidates
+    unchanged.  The surviving blocks' nodes get one nearest query bounded by
+    the reach, in chunks of at most _NODE_CHUNK rows.
     """
     v = spec.voxel_size
+    top = np.asarray(spec.dims) - 1
+    with np.errstate(over="ignore"):  # an overflow clips like any far edge
+        lo = np.ceil((index.positions.min(axis=0) - reach - spec.origin) / v)
+        hi = np.floor((index.positions.max(axis=0) + reach - spec.origin) / v)
+    lo, hi = np.clip(lo, 0, top + 1).astype(np.int64), np.clip(hi, -1, top).astype(np.int64)
+    if (hi < lo).any():
+        return
+    scanned = int(np.prod(hi - lo + 1))
+    if scanned > _MAX_SCAN_NODES:
+        raise ContractError(
+            f"compute_grid would scan {scanned} nodes, more than {_MAX_SCAN_NODES};"
+            " use a larger voxel size or a smaller grid"
+        )
     half = 0.5 * (_BLOCK - 1)
     h = half * v * np.sqrt(3.0)
-    offsets = np.stack(
-        np.meshgrid(*[np.arange(_BLOCK)] * 3, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    nb = (hi - lo) // _BLOCK + 1
-    layers = max(1, _SLAB_BLOCKS // int(nb[1] * nb[2]))
+    offsets = np.stack(np.unravel_index(np.arange(_BLOCK**3), (_BLOCK,) * 3), axis=1)
+    nb = tuple(int(n) for n in (hi - lo) // _BLOCK + 1)
+    n_blocks = nb[0] * nb[1] * nb[2]
     per_chunk = _NODE_CHUNK // len(offsets)
-    for b0 in range(0, nb[0], layers):
-        bi, bj, bk = np.meshgrid(
-            np.arange(b0, min(b0 + layers, nb[0])),
-            np.arange(nb[1]),
-            np.arange(nb[2]),
-            indexing="ij",
-        )
-        corners = lo + _BLOCK * np.stack([bi.ravel(), bj.ravel(), bk.ravel()], axis=1)
+    for b0 in range(0, n_blocks, _CULL_BATCH):
+        flat = np.arange(b0, min(b0 + _CULL_BATCH, n_blocks))
+        corners = lo + _BLOCK * np.stack(np.unravel_index(flat, nb), axis=1)
         centres = spec.origin + (corners + half) * v
         bound = (reach + h) * (1.0 + 1e-9) + 1e-12 * np.abs(centres).max()
         _, d_centre = spatial.nearest_batch(index, centres, r=bound)
         corners = corners[np.isfinite(d_centre)]
         for c0 in range(0, len(corners), per_chunk):
             nodes = (corners[c0 : c0 + per_chunk, None, :] + offsets).reshape(-1, 3)
-            yield nodes[(nodes <= hi).all(axis=1)]
+            nodes = nodes[(nodes <= hi).all(axis=1)]
+            pos = spec.origin + nodes * v
+            ids, d = spatial.nearest_batch(index, pos, r=reach)
+            near = d <= reach
+            if near.any():
+                nodes, pos, ids, d = nodes[near], pos[near], ids[near], d[near]
+                yield nodes, pos, ids, d
 
 
 def compute_grid(
@@ -263,34 +267,25 @@ def compute_grid(
     strictly inside the truncation band.  The result is never flipped.  A
     cloud entirely outside the grid yields an empty grid and a warning.
 
-    The scan covers the cloud's bounding box padded by the reach.  It first
-    drops every 4x4x4 block of nodes whose centre has no point within
-    reach plus the block's half-diagonal: by the triangle inequality such
-    a block holds no candidate, so the candidate set is the same as a scan
-    of every node.  Each remaining node gets one ``nearest_batch`` query
-    bounded by the reach; the rows that find a point are the candidates.
-    UED, SED, Hoppe and UHoppe take their values straight from those ids
-    and distances when every normal is valid (the query runs over the
-    support they read); the weighted kinds, and normal kinds with some NaN
-    normals, evaluate the candidates through their own queries.
+    ``_candidates`` finds them: it culls 4x4x4 blocks of nodes that cannot
+    hold one, then gives each remaining node one bounded nearest query.  It
+    scans the cloud's bounding box padded by the reach and clipped to the
+    grid, and raises ContractError naming the node count when that box
+    holds more than 2**32 nodes.  UED, SED, Hoppe and UHoppe take their
+    values straight from the scan's nearest ids and distances when every
+    normal is valid (the query runs over the support they read); the
+    weighted kinds, and normal kinds with some NaN normals, evaluate the
+    candidates through their own queries.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
     evaluator = _Evaluator(cloud, kind, params)
     reach = 3.0 * spec.voxel_size + 1e-9
-    lo, hi = _candidate_ranges(cloud, spec, reach)
     kept_idx: list[np.ndarray] = []
     kept_val: list[np.ndarray] = []
-    chunks = _scan_chunks(evaluator.full_index, spec, lo, hi, reach) if (lo <= hi).all() else ()
-    for nodes_idx in chunks:
-        nodes_pos = spec.origin + nodes_idx * spec.voxel_size
-        ids, d = spatial.nearest_batch(evaluator.full_index, nodes_pos, r=reach)
-        near = d <= reach
-        if not near.any():
-            continue
-        nodes_idx, nodes_pos = nodes_idx[near], nodes_pos[near]
+    for nodes_idx, nodes_pos, ids, d in _candidates(evaluator.full_index, spec, reach):
         if evaluator.reuses_nearest:
-            vals = evaluator.from_nearest(nodes_pos, ids[near], d[near])
+            vals = evaluator.from_nearest(nodes_pos, ids, d)
         else:
             vals = evaluator.batch(nodes_pos)
         vals = quantize_values(vals / spec.voxel_size)

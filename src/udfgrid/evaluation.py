@@ -149,17 +149,6 @@ def sigma_sweep(
     return reports
 
 
-def report_record(report: RoundtripReport) -> str:
-    """One line-delimited key=value record."""
-    return (
-        f"kind={report.kind.value} flipped={int(report.flipped)} "
-        f"sigma_m={report.sigma:.17g} voxel_size_m={report.voxel_size:.17g} "
-        f"cd_m={report.cd:.17g} cd_cm={report.cd * 100.0:.17g} "
-        f"extracted={report.extracted_count} occupied={report.occupied_voxels} "
-        f"wall_s={report.wall_time:.3f}"
-    )
-
-
 def format_report_table(reports: list[RoundtripReport]) -> str:
     """Plain-text table of roundtrip results (CD in meters and cm)."""
     header = (

@@ -233,12 +233,7 @@ def radius_query_batch(
     rows = np.repeat(np.arange(len(q), dtype=np.int64), lens)
     flat_d = canonical_distance(q[rows], index.positions[flat_ids])
     keep = flat_d <= r
-    kept_per_row = np.zeros(len(q), dtype=np.int64)
-    nonempty = lens > 0
-    if keep.size:
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        kept_per_row[nonempty] = np.add.reduceat(keep, starts[nonempty])
-    return flat_ids[keep], flat_d[keep], kept_per_row
+    return flat_ids[keep], flat_d[keep], np.bincount(rows[keep], minlength=len(q))
 
 
 def radius_query(index: SpatialIndex, q, r: float) -> list[tuple[int, float]]:

@@ -1,11 +1,29 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import functools
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from udfgrid import DFKind, EmptyCloudError, GridSpec, PointCloud, read_grid, read_ply, write_ply
+from udfgrid import (
+    DFKind,
+    DFParams,
+    EmptyCloudError,
+    GridSpec,
+    PointCloud,
+    compute_grid,
+    read_grid,
+    read_ply,
+    write_grid,
+    write_ply,
+)
 from udfgrid.cli import main
 
 SCENE_CFG = """
@@ -189,6 +207,23 @@ class TestDataErrors:
         assert code == 2
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("voxel_size", ["0", "nan", "inf"])
+    def test_bad_voxel_size(self, clean_ply, tmp_path, capsys, voxel_size):
+        code = main(["compute", clean_ply, str(tmp_path / "g.udfg"), "--kind", "ued",
+                     "--voxel-size", voxel_size, "--auto-bounds"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "voxel_size" in err and "Traceback" not in err
+
+    def test_scan_limit(self, tmp_path, capsys):
+        cube = tmp_path / "cube.ply"
+        write_ply(PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), cube)
+        code = main(["compute", str(cube), str(tmp_path / "g.udfg"), "--kind", "ued",
+                     "--voxel-size", "1e-6", "--auto-bounds"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "nodes" in err and "Traceback" not in err
+
     def test_normals_need_sensors_for_orientation(self, tmp_path, capsys):
         cloud = PointCloud(np.random.default_rng(42).random((30, 3)))
         src = tmp_path / "plain.ply"
@@ -351,3 +386,88 @@ class TestAutoBounds:
     def test_empty_positions_rejected(self):
         with pytest.raises(EmptyCloudError):
             GridSpec.covering(np.empty((0, 3)), 0.05)
+
+
+# -- property: the CLI on damaged files ---------------------------------------
+#
+# A damaged file is a small library-written file cut to a shorter length or
+# with one byte XOR-ed by a non-zero mask, as in the reader fuzz of
+# test_io.py.  Whatever the damage, a command exits 0, 1 or 2 and prints no
+# traceback; any other exception propagates out of ``main`` and fails here.
+
+_DAMAGE = st.tuples(
+    st.sampled_from(["cut", "xor"]), st.integers(0, 2**16), st.integers(1, 255)
+)
+_CLI_FUZZ = settings(max_examples=60)
+
+
+def _fuzz_cloud() -> PointCloud:
+    rng = np.random.default_rng(7)
+    nrm = rng.normal(size=(8, 3))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    return PointCloud(rng.random((8, 3)), nrm, rng.random((8, 3)) + 2.0)
+
+
+@functools.cache
+def _undamaged(name: str) -> bytes:
+    """Library-written bytes of ``binary.ply``, ``ascii.ply`` or ``grid.udfg``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        cloud = _fuzz_cloud()
+        if name == "grid.udfg":
+            spec = GridSpec.covering(cloud.positions, 0.25)
+            write_grid(compute_grid(cloud, spec, DFKind.SWED, DFParams.for_voxel_size(0.25)), path)
+        else:
+            write_ply(cloud, path, binary=name == "binary.ply")
+        return path.read_bytes()
+
+
+def _run_on_damaged(name: str, how: str, at: int, mask: int, command) -> None:
+    data = _undamaged(name)
+    at %= len(data)
+    if how == "cut":
+        data = data[:at]
+    else:
+        data = data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged, good = Path(tmp) / name, Path(tmp) / f"good-{name}"
+        damaged.write_bytes(data)
+        good.write_bytes(_undamaged(name))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(command(str(damaged), str(good), tmp))
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def _compute(damaged, good, tmp):
+    return ["compute", damaged, f"{tmp}/g.udfg", "--kind", "swed",
+            "--voxel-size", "0.25", "--auto-bounds"]
+
+
+def _chamfer(damaged, good, tmp):
+    return ["chamfer", damaged, good]
+
+
+def _extract(damaged, good, tmp):
+    return ["extract", damaged, f"{tmp}/out.ply"]
+
+
+class TestDamagedFiles:
+    @_CLI_FUZZ
+    @given(_DAMAGE, st.sampled_from([_compute, _chamfer]))
+    def test_binary_ply(self, d, command):
+        _run_on_damaged("binary.ply", *d, command)
+
+    @_CLI_FUZZ
+    @given(_DAMAGE, st.sampled_from([_compute, _chamfer]))
+    def test_ascii_ply(self, d, command):
+        _run_on_damaged("ascii.ply", *d, command)
+
+    @_CLI_FUZZ
+    @given(_DAMAGE)
+    def test_udfg(self, d):
+        _run_on_damaged("grid.udfg", *d, _extract)

@@ -184,6 +184,10 @@ class TestGridSpec:
             GridSpec(origin=(0, 0, 0), voxel_size=0.0, dims=(2, 2, 2))
         with pytest.raises(ContractError):
             GridSpec(origin=(0, 0, 0), voxel_size=-1.0, dims=(2, 2, 2))
+        # The UDFG reader refuses a non-finite voxel size, so a spec may not hold one.
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ContractError, match="voxel_size"):
+                GridSpec(origin=(0, 0, 0), voxel_size=bad, dims=(2, 2, 2))
         with pytest.raises(ContractError):
             GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2, 0, 2))
         with pytest.raises(ContractError):
@@ -196,6 +200,16 @@ class TestGridSpec:
         with pytest.raises(ContractError):
             GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**21, 2**21, 2**21))
         GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**21, 2**21, 2**21 - 1))
+
+    @pytest.mark.parametrize("voxel_size", [0.0, np.inf, np.nan])
+    def test_covering_checks_voxel_size_first(self, voxel_size):
+        with pytest.raises(ContractError, match="voxel_size"):
+            GridSpec.covering(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), voxel_size)
+
+    def test_covering_refuses_dims_beyond_int64(self):
+        """A box / voxel ratio that overflows float64 is a ContractError, not OverflowError."""
+        with pytest.raises(ContractError, match="nodes"):
+            GridSpec.covering(np.array([[0.0, 0.0, 0.0], [1e10, 1.0, 1.0]]), 1e-300)
 
 
 class TestVoxelPosition:

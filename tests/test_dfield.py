@@ -378,12 +378,41 @@ class TestCandidateSet:
 
     @pytest.mark.parametrize("kind", list(DFKind))
     def test_sparse_box_spanning_slabs(self, kind):
+        """A sparse box whose blocks take more than one cull batch."""
         cloud, spec = sparse_scene(seed=11)
-        reach = 3.0 * spec.voxel_size + 1e-9
-        lo, hi = dfield._candidate_ranges(cloud, spec, reach)
-        blocks = (hi - lo) // dfield._BLOCK + 1
-        assert blocks[0] * blocks[1] * blocks[2] > dfield._SLAB_BLOCKS  # several slabs
+        reach = 3.0 * spec.voxel_size
+        top = spec.origin + (np.array(spec.dims) - 1) * spec.voxel_size
+        assert (cloud.positions.min(axis=0) - reach <= spec.origin).all()  # the whole grid
+        assert (cloud.positions.max(axis=0) + reach >= top).all()
+        blocks = -(-np.array(spec.dims) // dfield._BLOCK)
+        assert blocks.prod() > dfield._CULL_BATCH
         self._check(cloud, spec, kind)
+
+    @pytest.mark.parametrize("x", [1e18, -1e18])
+    def test_far_point_keeps_the_box(self, x):
+        """A point 2**63 voxels away must not empty the scanned box."""
+        cloud = PointCloud([[0.2, 0.2, 0.2], [x, 0.2, 0.2]])
+        spec = GridSpec(origin=(0, 0, 0), voxel_size=0.05, dims=(10, 10, 10))
+        self._check(cloud, spec, DFKind.UED)
+
+
+class TestScanLimit:
+    def test_tiny_voxel_refused(self):
+        cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        spec = GridSpec.covering(cloud.positions, 1e-6)
+        with pytest.raises(ContractError, match="nodes"):
+            compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(1e-6))
+
+    def test_limit_counts_the_clipped_box(self, monkeypatch):
+        """The box is clipped to the grid (4**3 nodes here) before it is counted."""
+        cloud = PointCloud([[0.1, 0.1, 0.1]])
+        spec = GridSpec(origin=(0, 0, 0), voxel_size=0.05, dims=(4, 4, 4))
+        params = DFParams.for_voxel_size(0.05)
+        monkeypatch.setattr(dfield, "_MAX_SCAN_NODES", 64)
+        assert len(compute_grid(cloud, spec, DFKind.UED, params)) > 0
+        monkeypatch.setattr(dfield, "_MAX_SCAN_NODES", 63)
+        with pytest.raises(ContractError, match="64 nodes"):
+            compute_grid(cloud, spec, DFKind.UED, params)
 
 
 class TestPlaneAccuracy:

@@ -22,7 +22,6 @@ from udfgrid import (
     sigma_sweep,
     simulate_scans,
 )
-from udfgrid.evaluation import report_record
 
 
 class TestChamfer:
@@ -197,16 +196,6 @@ class TestReportFormatting:
             cd=0.0123456789, extracted_count=1234, occupied_voxels=567,
             wall_time=1.5,
         )
-
-    def test_record_round_trips_floats(self):
-        rec = report_record(self._report())
-        fields = dict(part.split("=", 1) for part in rec.split())
-        assert fields["kind"] == "uwed"
-        assert fields["flipped"] == "0"
-        assert float(fields["cd_m"]) == 0.0123456789  # %.17g is lossless
-        assert float(fields["sigma_m"]) == 0.1
-        assert int(fields["extracted"]) == 1234
-        assert int(fields["occupied"]) == 567
 
     def test_table_layout(self):
         table = format_report_table([self._report(), self._report()])
