@@ -18,6 +18,9 @@ from .errors import ContractError, EmptyCloudError, OutOfBoundsError
 TRUNCATION_VOXELS = 3.0
 # Largest node count whose lexicographic codes fit ``linearize``'s int64.
 MAX_NODES = 2**63 - 1
+# Largest coordinate magnitude of a point, sensor origin or grid node: the
+# squared differences of three coordinates within it stay finite in float64.
+MAX_COORD = 2.0**500
 
 
 def _as_float_array(a, name: str, shape_tail: tuple[int, ...]) -> np.ndarray:
@@ -105,8 +108,8 @@ class PointCloud:
     def __post_init__(self):
         pos = _as_float_array(self.positions, "positions", (3,)).reshape(-1, 3)
         object.__setattr__(self, "positions", pos)
-        if not np.isfinite(pos).all():
-            raise ContractError("positions must be finite")
+        if not (np.abs(pos) <= MAX_COORD).all():
+            raise ContractError(f"positions must be finite and within MAX_COORD = {MAX_COORD:g}")
         if self.normals is not None:
             nrm = _as_float_array(self.normals, "normals", (3,)).reshape(-1, 3)
             if len(nrm) != len(pos):
@@ -124,8 +127,10 @@ class PointCloud:
             org = _as_float_array(self.sensor_origins, "sensor_origins", (3,)).reshape(-1, 3)
             if len(org) != len(pos):
                 raise ContractError("sensor_origins count must equal position count")
-            if not np.isfinite(org).all():
-                raise ContractError("sensor_origins must be finite")
+            if not (np.abs(org) <= MAX_COORD).all():
+                raise ContractError(
+                    f"sensor_origins must be finite and within MAX_COORD = {MAX_COORD:g}"
+                )
             object.__setattr__(self, "sensor_origins", org)
 
     def __len__(self) -> int:
@@ -160,12 +165,16 @@ class GridSpec:
         object.__setattr__(self, "origin", _as_float_array(self.origin, "origin", (3,)))
         object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not np.isfinite(self.origin).all():
-            raise ContractError("origin must be finite")
+        if not (np.abs(self.origin) <= MAX_COORD).all():
+            raise ContractError(f"origin must be finite and within MAX_COORD = {MAX_COORD:g}")
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ContractError("dims must be three integers >= 1")
         if self.dims[0] * self.dims[1] * self.dims[2] > MAX_NODES:
             raise ContractError(f"dims {self.dims} exceed {MAX_NODES} nodes")
+        # voxel_size <= MAX_COORD and dims < 2**63 keep this product finite.
+        far = self.origin + (np.asarray(self.dims) - 1) * self.voxel_size
+        if not (np.abs(far) <= MAX_COORD).all():
+            raise ContractError(f"far corner {far} lies beyond MAX_COORD = {MAX_COORD:g}")
 
     @classmethod
     def covering(cls, positions, voxel_size: float) -> "GridSpec":
@@ -185,10 +194,12 @@ class GridSpec:
 
 
 def _check_voxel_size(voxel_size) -> float:
-    """``voxel_size`` as a float; it must be finite and positive."""
+    """``voxel_size`` as a float; it must be positive and at most MAX_COORD."""
     v = float(voxel_size)
-    if not (np.isfinite(v) and v > 0):
-        raise ContractError(f"voxel_size must be finite and positive, got {v}")
+    if not 0 < v <= MAX_COORD:
+        raise ContractError(
+            f"voxel_size must be finite, positive and at most MAX_COORD = {MAX_COORD:g}, got {v}"
+        )
     return v
 
 

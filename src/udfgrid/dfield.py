@@ -36,7 +36,9 @@ import warnings
 import numpy as np
 
 from . import spatial
-from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS
+from .core import (
+    MAX_COORD, DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS
+)
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _EVAL_CHUNK = 8192
@@ -241,7 +243,9 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
     for b0 in range(0, n_blocks, _CULL_BATCH):
         flat = np.arange(b0, min(b0 + _CULL_BATCH, n_blocks))
         corners = lo + _BLOCK * np.stack(np.unravel_index(flat, nb), axis=1)
-        centres = spec.origin + (corners + half) * v
+        # A partial block's centre may lie beyond the far corner, and so
+        # beyond MAX_COORD; clipped back, it is still within h of every node.
+        centres = np.clip(spec.origin + (corners + half) * v, -MAX_COORD, MAX_COORD)
         bound = (reach + h) * (1.0 + 1e-9) + 1e-12 * np.abs(centres).max()
         _, d_centre = spatial.nearest_batch(index, centres, r=bound)
         corners = corners[np.isfinite(d_centre)]

@@ -29,7 +29,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, linearize
+from .core import MAX_COORD, MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, linearize
 from .errors import ContractError, ParseError
 
 _MAGIC = b"UDFG"
@@ -312,10 +312,14 @@ def read_grid(path) -> SparseDFGrid:
         raise ParseError(f"{path}: dims must be >= 1, got {(dx, dy, dz)}", offset=10)
     if dx * dy * dz > MAX_NODES:
         raise ParseError(f"{path}: dims {(dx, dy, dz)} exceed {MAX_NODES} nodes", offset=10)
-    if not np.isfinite([ox, oy, oz]).all():
-        raise ParseError(f"{path}: non-finite origin {(ox, oy, oz)}", offset=22)
-    if not (np.isfinite(voxel_size) and voxel_size > 0):
-        raise ParseError(f"{path}: invalid voxel_size {voxel_size}", offset=46)
+    if not (np.abs([ox, oy, oz]) <= MAX_COORD).all():
+        raise ParseError(
+            f"{path}: origin {(ox, oy, oz)} not finite and within {MAX_COORD:g}", offset=22
+        )
+    try:  # the origin is valid, so the voxel size or the far corner is not
+        spec = GridSpec(origin=np.array([ox, oy, oz]), voxel_size=voxel_size, dims=(dx, dy, dz))
+    except ContractError as exc:
+        raise ParseError(f"{path}: {exc}", offset=46) from None
     body = _HEADER_STRUCT.size
     need = count * _RECORD_DTYPE.itemsize
     if len(data) - body < need:
@@ -327,8 +331,7 @@ def read_grid(path) -> SparseDFGrid:
         raise ParseError(f"{path}: trailing bytes after records", offset=body + need)
     records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=body)
     indices = np.stack([records[c].astype(np.int64) for c in "ijk"], axis=1)
-    dims = (int(dx), int(dy), int(dz))
-    steps = np.diff(linearize(dims, indices))
+    steps = np.diff(linearize(spec.dims, indices))
     if (steps <= 0).any():
         bad = int(np.argmax(steps <= 0)) + 1
         word = "duplicate" if steps[bad - 1] == 0 else "unsorted"
@@ -336,7 +339,6 @@ def read_grid(path) -> SparseDFGrid:
             f"{path}: {word} record at index {bad}",
             offset=body + bad * _RECORD_DTYPE.itemsize,
         )
-    spec = GridSpec(origin=np.array([ox, oy, oz]), voxel_size=voxel_size, dims=dims)
     try:
         return SparseDFGrid(
             spec=spec,

@@ -8,28 +8,30 @@ are reproducible and match a brute-force scan exactly:
 - exact distance ties break toward the lowest point id;
 - radius queries are boundary-inclusive (distance == r is returned).
 
-Nearest, k-nearest and capped-ball selection share one mechanism.  The
-kd-tree is asked for k+1 neighbours (capped balls bound that query by r
-plus a 1e-9 relative margin), their canonical distances are recomputed
-and each row is ordered by (distance, id).  A point the kd-tree left out
-is at least as far as the (k+1)-th, so a row is already exact unless the
-(k+1)-th distance lies within the margin of the k-th.  Only such rows are
-redone: a ball query of the k-th distance plus the margin collects every
-candidate, and the k smallest by (distance, id) are kept.
+Nearest, k-nearest and capped-ball selection share one mechanism, a kd
+query for more than k neighbours (capped balls bound it by r plus a 1e-9
+relative margin) whose canonical distances are recomputed and whose rows
+are ordered by (distance, id).  A point the kd query left out is at least
+as far as the last one it returned, so a row is exact unless its last
+distance lies within the margin of its k-th.  Only such rows are asked
+again, at twice the width, until the width covers the whole cloud.
 
-Rows are independent, so a query whose rows x (k+1) entries would exceed
+Index points and query rows are (M, 3) arrays, or one (3,) point, of
+coordinates within ``core.MAX_COORD``; anything else raises ContractError.
+Rows are independent, so a query whose rows x width entries would exceed
 a fixed budget runs in row chunks under it: peak memory then does not grow
 with k, and the results are the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PointCloud
+from .core import MAX_COORD, PointCloud
 from .errors import ContractError, EmptyCloudError
 
 _RADIUS_MARGIN = 1e-9
@@ -82,11 +84,30 @@ def canonical_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
+def _rows(a, name: str) -> np.ndarray:
+    """One (3,) point or an (M, 3) array as (M, 3) float64 rows; ContractError
+    unless that is its shape and every coordinate is finite and within MAX_COORD."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in (1, 2) or a.shape[-1] != 3:
+        raise ContractError(f"{name} must have shape (3,) or (M, 3), got {a.shape}")
+    a = a.reshape(-1, 3)
+    if not (np.abs(a) <= MAX_COORD).all():
+        raise ContractError(f"{name} must be finite and within MAX_COORD = {MAX_COORD:g}")
+    return a
+
+
+def _count(n, name: str) -> int:
+    """``n`` as an int; anything but an integer >= 1 raises ContractError."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ContractError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 class SpatialIndex:
     """Immutable search structure over a cloud's positions."""
 
     def __init__(self, positions: np.ndarray):
-        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        positions = _rows(positions, "index points")
         if len(positions) == 0:
             raise EmptyCloudError("cannot build a spatial index over an empty cloud")
         self.positions = positions
@@ -107,60 +128,46 @@ def chunk_rows(width: int) -> int:
     return max(1, _ENTRY_BUDGET // width)
 
 
-def _flatten_ball(result_lists) -> tuple[np.ndarray, np.ndarray]:
-    """Object array of id lists -> (flat ids, row lengths)."""
-    lens = np.fromiter((len(r) for r in result_lists), dtype=np.int64, count=len(result_lists))
-    if lens.sum() == 0:
-        return np.empty(0, dtype=np.int64), lens
-    flat = np.concatenate([np.asarray(r, dtype=np.int64) for r in result_lists if len(r)])
-    return flat, lens
-
-
 def _exact_neighbours(
-    index: SpatialIndex, q: np.ndarray, k: int, r: float | None = None
+    index: SpatialIndex, q: np.ndarray, k: int, r: float | None = None, width: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest points by (canonical distance, id) for each row of ``q``.
 
     Returns (ids, dists), both of shape (len(q), min(k, len(index))), each
-    row ordered by (distance, id).  With ``r``, only points whose kd
-    distance is within r (plus the margin) are candidates; a row with fewer
-    than k of them is padded with id ``len(index)`` and distance inf, and
-    callers drop whatever lies beyond r themselves.
+    row ordered by (distance, id).  With ``r``, only points within r count:
+    a row with fewer than k of them is padded with id ``len(index)`` and
+    distance inf.
+
+    One kd query asks for ``width`` (default k + 1) neighbours per row.  A
+    row whose last one lies within the margin of its k-th may hide a tie
+    or a closer point, so such rows are asked again at twice the width;
+    at ``len(index)`` the kd query returns every point and the row is exact.
     """
     n = len(index)
-    kq = min(k + 1, n)
-    step = chunk_rows(kq)
+    width = min(k + 1 if width is None else width, n)
+    step = chunk_rows(width)
     if len(q) > step:
-        parts = [_exact_neighbours(index, q[lo : lo + step], k, r)
+        parts = [_exact_neighbours(index, q[lo : lo + step], k, r, width)
                  for lo in range(0, len(q), step)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     bound = np.inf if r is None else r * (1.0 + _RADIUS_MARGIN)
-    _, ids = index.tree.query(q, k=kq, distance_upper_bound=bound, workers=get_num_threads())
-    ids = ids.reshape(len(q), kq)
+    _, ids = index.tree.query(q, k=width, distance_upper_bound=bound, workers=get_num_threads())
+    ids = ids.reshape(len(q), width)
     found = index.positions[np.minimum(ids, n - 1)]
     dists = np.where(ids < n, canonical_distance(q[:, None, :], found), np.inf)
     order = np.lexsort((ids, dists), axis=-1)
     ids = np.take_along_axis(ids, order, axis=-1)
     dists = np.take_along_axis(dists, order, axis=-1)
-    if kq > k:
-        # A point the kd query left out is at least as far as the (k+1)-th
-        # one, so only a (k+1)-th within the margin of the k-th can hide a
-        # tie or a closer point: those rows are redone over the full ball.
-        kth, nxt = dists[:, k - 1], dists[:, k]
-        redo = np.flatnonzero(np.isfinite(nxt) & (nxt <= kth * (1.0 + _RADIUS_MARGIN)))
-        if len(redo):
-            lists = index.tree.query_ball_point(
-                q[redo], kth[redo] * (1.0 + _RADIUS_MARGIN), workers=get_num_threads()
-            )
-            flat_ids, lens = _flatten_ball(lists)
-            rows = np.repeat(np.arange(len(redo), dtype=np.int64), lens)
-            flat_d = canonical_distance(q[redo][rows], index.positions[flat_ids])
-            sel = np.lexsort((flat_ids, flat_d, rows))
-            # Every ball holds the k returned points, so each segment has >= k.
-            starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-            sel = sel[starts[:, None] + np.arange(k)]
-            ids[redo, :k], dists[redo, :k] = flat_ids[sel], flat_d[sel]
-    return ids[:, :k], dists[:, :k]
+    if width < n:
+        kth, last = dists[:, k - 1], dists[:, -1]
+        wide = np.flatnonzero(np.isfinite(last) & (last <= kth * (1.0 + _RADIUS_MARGIN)))
+        if len(wide):
+            ids[wide, :k], dists[wide, :k] = _exact_neighbours(index, q[wide], k, r, 2 * width)
+    ids, dists = ids[:, :k], dists[:, :k]
+    if r is not None:
+        beyond = dists > r
+        ids[beyond], dists[beyond] = n, np.inf
+    return ids, dists
 
 
 def nearest_batch(
@@ -176,18 +183,13 @@ def nearest_batch(
     """
     if r is not None and not r > 0:
         raise ContractError("radius must be positive")
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    ids, dists = _exact_neighbours(index, q, 1, r)
-    ids, dists = ids[:, 0], dists[:, 0]
-    if r is not None:
-        beyond = dists > r
-        ids[beyond], dists[beyond] = len(index), np.inf
-    return ids, dists
+    ids, dists = _exact_neighbours(index, _rows(queries, "query points"), 1, r)
+    return ids[:, 0], dists[:, 0]
 
 
 def nearest(index: SpatialIndex, q) -> tuple[int, float]:
     """Nearest point to ``q``; exact distance ties go to the lowest id."""
-    ids, dists = nearest_batch(index, np.asarray(q).reshape(1, 3))
+    ids, dists = nearest_batch(index, [q])
     return int(ids[0]), float(dists[0])
 
 
@@ -199,10 +201,8 @@ def knn_batch(
     Returns flat (ids, dists, lengths); segment r has ``lengths[r]``
     entries (= min(k, cloud size)).
     """
-    if k < 1:
-        raise ContractError("k must be >= 1")
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    ids, dists = _exact_neighbours(index, q, k)
+    q = _rows(queries, "query points")
+    ids, dists = _exact_neighbours(index, q, _count(k, "k"))
     return ids.ravel(), dists.ravel(), np.full(len(q), ids.shape[1], dtype=np.int64)
 
 
@@ -211,7 +211,7 @@ def knn(index: SpatialIndex, q, k: int) -> list[tuple[int, float]]:
 
     Sorted ascending by distance, exact ties by lowest id.
     """
-    ids, dists, _ = knn_batch(index, np.asarray(q).reshape(1, 3), k)
+    ids, dists, _ = knn_batch(index, [q], k)
     return [(int(i), float(d)) for i, d in zip(ids, dists)]
 
 
@@ -221,15 +221,17 @@ def radius_query_batch(
     """All points with canonical distance <= r, per query row.
 
     Returns flat (ids, dists, lengths); each segment is sorted by point
-    id ascending.  Boundary inclusive.
+    id ascending.  Boundary inclusive.  The only query whose rows have no
+    length bound, so the only one that takes kd ball queries.
     """
     if not r > 0:
         raise ContractError("radius must be positive")
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+    q = _rows(queries, "query points")
     lists = index.tree.query_ball_point(
         q, r * (1.0 + _RADIUS_MARGIN), workers=get_num_threads(), return_sorted=True
     )
-    flat_ids, lens = _flatten_ball(lists)
+    lens = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    flat_ids = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=lens.sum())
     rows = np.repeat(np.arange(len(q), dtype=np.int64), lens)
     flat_d = canonical_distance(q[rows], index.positions[flat_ids])
     keep = flat_d <= r
@@ -238,7 +240,7 @@ def radius_query_batch(
 
 def radius_query(index: SpatialIndex, q, r: float) -> list[tuple[int, float]]:
     """Points within distance r of ``q`` (inclusive), sorted by point id."""
-    ids, dists, _ = radius_query_batch(index, np.asarray(q).reshape(1, 3), r)
+    ids, dists, _ = radius_query_batch(index, [q], r)
     return [(int(i), float(d)) for i, d in zip(ids, dists)]
 
 
@@ -255,11 +257,8 @@ def capped_ball_batch(
     """
     if not r > 0:
         raise ContractError("radius must be positive")
-    if cap < 1:
-        raise ContractError("cap must be >= 1")
-    q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
-    ids, dists = _exact_neighbours(index, q, cap, r)
-    ids = np.where(dists <= r, ids, len(index))
+    q = _rows(queries, "query points")
+    ids, dists = _exact_neighbours(index, q, _count(cap, "cap"), r)
     order = np.argsort(ids, axis=-1)
     ids = np.take_along_axis(ids, order, axis=-1)
     dists = np.take_along_axis(dists, order, axis=-1)

@@ -4,7 +4,9 @@ import contextlib
 import functools
 import io
 import re
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +225,33 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "nodes" in err and "Traceback" not in err
+
+    def test_coordinate_beyond_the_bound(self, tmp_path, capsys):
+        """1.4e154 squared overflows: chamfer printed inf and exited 0."""
+        far, near = tmp_path / "far.ply", tmp_path / "near.ply"
+        head = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+                "property double y\nproperty double z\nend_header\n")
+        far.write_text(head + "1.4e154 0 0\n")
+        near.write_text(head + "0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["chamfer", str(far), str(near)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "positions must be finite" in err and "Traceback" not in err
+
+    def test_grid_beyond_the_bound(self, tmp_path, capsys):
+        """A voxel size of 4.5e307 puts the far corner of 10**3 nodes at inf."""
+        path = tmp_path / "far.udfg"
+        header = struct.pack("<4sIBB3I3ddQ", b"UDFG", 1, DFKind.UED.code, 0,
+                             10, 10, 10, 0.0, 0.0, 0.0, 4.5e307, 0)
+        path.write_bytes(header)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["extract", str(path), str(tmp_path / "out.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "byte offset 46" in err and "Traceback" not in err
 
     def test_normals_need_sensors_for_orientation(self, tmp_path, capsys):
         cloud = PointCloud(np.random.default_rng(42).random((30, 3)))

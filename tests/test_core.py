@@ -21,7 +21,8 @@ from udfgrid import (
     voxel_position,
     world_to_voxel,
 )
-from udfgrid.core import linearize
+from udfgrid.core import MAX_COORD, linearize
+from udfgrid.spatial import canonical_distance
 
 
 class TestDFKind:
@@ -102,6 +103,23 @@ class TestPointCloud:
             PointCloud([[0.0, 0.0, np.nan]])
         with pytest.raises(ContractError):
             PointCloud([[0.0, np.inf, 0.0]])
+
+    def test_coordinates_beyond_the_bound_rejected(self):
+        """1.4e154 squared overflows float64; the bound refuses it up front."""
+        PointCloud([[MAX_COORD, -MAX_COORD, 0.0]])
+        beyond = np.nextafter(MAX_COORD, np.inf)
+        for bad in ([[1.4e154, 0.0, 0.0]], [[0.0, -beyond, 0.0]], [[0.0, 0.0, 1e300]]):
+            with pytest.raises(ContractError, match="positions must be finite"):
+                PointCloud(bad)
+        with pytest.raises(ContractError, match="sensor_origins"):
+            PointCloud(np.zeros((1, 3)), sensor_origins=[[0.0, beyond, 0.0]])
+
+    def test_bound_keeps_distances_finite(self):
+        """The farthest two accepted points are a finite canonical distance apart."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = canonical_distance(np.full(3, MAX_COORD), np.full(3, -MAX_COORD))
+        assert np.isfinite(d)
 
     def test_unit_normals_accepted(self):
         rng = np.random.default_rng(42)
@@ -200,6 +218,23 @@ class TestGridSpec:
         with pytest.raises(ContractError):
             GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**21, 2**21, 2**21))
         GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2**21, 2**21, 2**21 - 1))
+
+    def test_node_positions_within_the_bound(self):
+        """Every node position origin + idx * voxel_size stays within MAX_COORD."""
+        beyond = np.nextafter(MAX_COORD, np.inf)
+        GridSpec(origin=(-MAX_COORD, 0, 0), voxel_size=MAX_COORD / 4, dims=(9, 1, 1))
+        bad = [
+            dict(origin=0, voxel_size=4.5e307, dims=(10,) * 3),  # far corner inf
+            dict(origin=0, voxel_size=beyond, dims=(1,) * 3),
+            dict(origin=(0, beyond, 0), voxel_size=1.0, dims=(1,) * 3),
+            dict(origin=(0, 0, MAX_COORD), voxel_size=1.0e140, dims=(1, 1, 2)),
+            dict(origin=0, voxel_size=MAX_COORD / 4, dims=(6, 1, 1)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kwargs in bad:
+                with pytest.raises(ContractError):
+                    GridSpec(**kwargs)
 
     @pytest.mark.parametrize("voxel_size", [0.0, np.inf, np.nan])
     def test_covering_checks_voxel_size_first(self, voxel_size):

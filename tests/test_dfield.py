@@ -26,6 +26,7 @@ from udfgrid import (
     voxel_position,
 )
 from udfgrid import dfield
+from udfgrid.core import MAX_COORD
 from udfgrid.dfield import quantize_values
 from udfgrid.spatial import canonical_distance
 
@@ -113,6 +114,15 @@ class TestUed:
 
     def test_works_without_normals(self):
         assert evaluate((1.0, 0.0, 0.0), PointCloud([[0.0, 0.0, 0.0]]), DFKind.UED) == 1.0
+
+    @pytest.mark.parametrize("x", [(np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (1e200, 0.0, 0.0)])
+    @pytest.mark.parametrize("kind", [DFKind.UED, DFKind.UWED])
+    def test_query_point_beyond_the_bound(self, x, kind):
+        """A scipy ValueError for NaN and inf; an overflow warning for 1e200."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="finite"):
+                evaluate(x, PointCloud([[0.0, 0.0, 0.0]]), kind)
 
 
 class TestUnsignedWrappers:
@@ -413,6 +423,14 @@ class TestScanLimit:
         monkeypatch.setattr(dfield, "_MAX_SCAN_NODES", 63)
         with pytest.raises(ContractError, match="64 nodes"):
             compute_grid(cloud, spec, DFKind.UED, params)
+
+    def test_grid_ending_at_the_coordinate_bound(self):
+        """A block of 4 nodes over a 5-node box has its centre beyond the far corner."""
+        v = 2.0**490
+        spec = GridSpec(origin=(MAX_COORD - 4 * v, 0, 0), voxel_size=v, dims=(5, 1, 1))
+        cloud = PointCloud([[MAX_COORD - 4 * v, 0.0, 0.0], [MAX_COORD, 0.0, 0.0]])
+        grid = compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(v))
+        assert grid.values.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
 
 
 class TestPlaneAccuracy:

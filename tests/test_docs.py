@@ -5,6 +5,7 @@ from pathlib import Path
 
 import udfgrid
 from udfgrid import load_scene_config
+from udfgrid.core import MAX_COORD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +42,10 @@ def test_readme_scene_config_loads(tmp_path):
     scene, scan = load_scene_config(path)
     assert len(scene.primitives) == 2
     assert scan is not None and len(scan.sensor_origins) == 2
+
+
+def test_readme_states_the_coordinate_bound():
+    text = README.read_text(encoding="utf-8").split("## Conventions worth knowing", 1)[1]
+    match = re.search(r"`MAX_COORD` = 2\^(\d+)", text)
+    assert match, "README conventions state no coordinate bound"
+    assert 2.0 ** int(match.group(1)) == MAX_COORD

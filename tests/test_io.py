@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from udfgrid import (
@@ -23,7 +23,7 @@ from udfgrid import (
     write_grid,
     write_ply,
 )
-from udfgrid.core import MAX_NODES
+from udfgrid.core import MAX_COORD, MAX_NODES
 
 
 def _full_cloud(n=25, seed=42):
@@ -349,6 +349,14 @@ class TestPlyReadErrors:
         err = self._err(tmp_path, payload)
         assert err.offset == head.index("element vertex")
 
+    def test_position_beyond_the_bound(self, tmp_path):
+        head = (
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n"
+        )
+        err = self._err(tmp_path, head + "0 -1.4e154 0\n")
+        assert "positions must be finite" in str(err)
+
     def test_nan_position_binary(self, tmp_path):
         cloud = PointCloud(np.random.default_rng(42).random((3, 3)))
         path = tmp_path / "t.ply"
@@ -562,6 +570,28 @@ class TestUdfgReadErrors:
         err = self._write_and_corrupt(tmp_path, mutate)
         assert "origin" in str(err) and err.offset == 22
 
+    def test_origin_beyond_the_bound(self, tmp_path):
+        def mutate(d):
+            d[30:38] = struct.pack("<d", 1e200)  # origin y
+            return d
+        err = self._write_and_corrupt(tmp_path, mutate)
+        assert "origin" in str(err) and err.offset == 22
+
+    def test_voxel_size_beyond_the_bound(self, tmp_path):
+        def mutate(d):
+            d[46:54] = struct.pack("<d", 2.0 * MAX_COORD)
+            return d
+        err = self._write_and_corrupt(tmp_path, mutate)
+        assert "voxel_size" in str(err) and err.offset == 46
+
+    def test_far_corner_beyond_the_bound(self, tmp_path):
+        """Each value is within the bound, but node 8 sits at 2 * MAX_COORD."""
+        def mutate(d):
+            d[46:54] = struct.pack("<d", MAX_COORD / 4)
+            return d
+        err = self._write_and_corrupt(tmp_path, mutate)
+        assert "far corner" in str(err) and err.offset == 46
+
     def test_records_truncated(self, tmp_path):
         err = self._write_and_corrupt(tmp_path, lambda d: d[:-10])
         assert "record data truncated" in str(err)
@@ -677,14 +707,23 @@ _VALUE_RANGES = {  # (signed, flipped) -> st.floats bounds of a valid value
 
 @st.composite
 def grids(draw):
-    """Valid grids with float32 values; dims span the full u32 range."""
+    """Valid grids with float32 values; dims span the full u32 range.
+
+    Node positions span [-MAX_COORD, MAX_COORD], the range ``GridSpec``
+    accepts: the voxel size leaves room for the longest axis, and each
+    origin for its own axis.
+    """
     u32 = st.integers(1, 2**32 - 1)
     dims = draw(st.tuples(u32, u32, u32).filter(lambda d: d[0] * d[1] * d[2] <= MAX_NODES))
-    spec = GridSpec(
-        origin=draw(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)),
-        voxel_size=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
-        dims=dims,
-    )
+    longest = max(dims) - 1
+    voxel_size = draw(st.floats(min_value=0.0, exclude_min=True,
+                                max_value=min(MAX_COORD, 2 * MAX_COORD / max(longest, 1))))
+    origin = [draw(st.floats(-MAX_COORD, max(-MAX_COORD, MAX_COORD - (d - 1) * voxel_size)))
+              for d in dims]
+    try:
+        spec = GridSpec(origin=origin, voxel_size=voxel_size, dims=dims)
+    except ContractError:  # the far corner rounded past the bound
+        reject()
     kind = draw(st.sampled_from(DFKind))
     flipped = draw(st.booleans())
     node = st.tuples(*[st.integers(0, d - 1) for d in dims])
@@ -695,6 +734,21 @@ def grids(draw):
 
 
 class TestGridProperties:
+    def test_bound_is_inclusive(self, tmp_path):
+        """Node 8 at exactly MAX_COORD reads back; one ulp further is refused."""
+        spec = GridSpec(origin=(-MAX_COORD, 0, 0), voxel_size=MAX_COORD / 4, dims=(9, 1, 1))
+        write_grid(SparseDFGrid(spec, DFKind.UED, False, [[8, 0, 0]], [1.0]), tmp_path / "a")
+        assert read_grid(tmp_path / "a").spec.voxel_size == MAX_COORD / 4
+        beyond = np.nextafter(MAX_COORD / 4, np.inf)
+        with pytest.raises(ContractError):
+            GridSpec(origin=(-MAX_COORD, 0, 0), voxel_size=beyond, dims=(9, 1, 1))
+        data = bytearray((tmp_path / "a").read_bytes())
+        data[46:54] = struct.pack("<d", beyond)
+        (tmp_path / "b").write_bytes(bytes(data))
+        with pytest.raises(ParseError) as err:
+            read_grid(tmp_path / "b")
+        assert err.value.offset == 46
+
     @_FUZZ
     @given(grids())
     def test_write_read_write_is_byte_identical(self, grid):

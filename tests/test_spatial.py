@@ -1,8 +1,10 @@
 """Tests for the accelerated spatial queries against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -248,12 +250,106 @@ class TestCappedBall:
                 want = sorted(inside, key=lambda t: (t[1], t[0]))[:cap]
                 assert seg == {i for i, _ in want}
 
+    def test_margin_points_lie_beyond_r(self):
+        """The kd query's bound has a 1e-9 margin; what it admits beyond r is padding."""
+        x = 0.5 + 1e-12
+        idx = build_index(np.array([[x, 0.0, 0.0], [5.0, 5.0, 5.0]]))
+        q = np.array([[0.0, 0.0, 0.0], [x, 0.5, 0.0]])  # distances x and exactly 0.5
+        ids, dists = nearest_batch(idx, q, r=0.5)
+        assert ids.tolist() == [2, 0] and dists.tolist() == [np.inf, 0.5]
+        fi, fd, lens = capped_ball_batch(idx, q, 0.5, 2)
+        assert fi.tolist() == [0] and fd.tolist() == [0.5] and lens.tolist() == [0, 1]
+
     def test_validation(self):
         idx = build_index(np.ones((3, 3)))
         with pytest.raises(ContractError):
             capped_ball_batch(idx, np.zeros((1, 3)), 0.0, 5)
         with pytest.raises(ContractError):
             capped_ball_batch(idx, np.zeros((1, 3)), 1.0, 0)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_index_points_beyond_the_bound(self, bad):
+        pts = np.zeros((3, 3))
+        pts[1, 2] = bad
+        with pytest.raises(ContractError, match="finite"):
+            build_index(pts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_query_points_beyond_the_bound(self, bad):
+        """NaN and inf leaked scipy's ValueError; 1e200 overflowed the squares."""
+        idx = build_index(np.zeros((2, 3)))
+        q = (0.0, bad, 0.0)
+        calls = [
+            lambda: nearest(idx, q),
+            lambda: knn(idx, q, 2),
+            lambda: radius_query(idx, q, 1.0),
+            lambda: nearest_batch(idx, [q], r=1.0),
+            lambda: capped_ball_batch(idx, [q], 1.0, 2),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ContractError, match="finite"):
+                    call()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (2, 3, 3)])
+    def test_query_shape(self, shape):
+        idx = build_index(np.zeros((2, 3)))
+        q = np.zeros(shape)
+        for call in (nearest_batch, radius_query_batch, nearest):
+            with pytest.raises(ContractError, match="shape"):
+                call(idx, q) if call is not radius_query_batch else call(idx, q, 1.0)
+        with pytest.raises(ContractError, match="shape"):
+            build_index(q)
+
+    @pytest.mark.parametrize("bad", [1.5, "2"])
+    def test_counts_are_integers(self, bad):
+        """k = 1.5 raised a TypeError from the row chunking."""
+        idx = build_index(np.zeros((2, 3)))
+        with pytest.raises(ContractError, match="k must"):
+            knn(idx, (0.0, 0.0, 0.0), bad)
+        with pytest.raises(ContractError, match="cap must"):
+            capped_ball_batch(idx, np.zeros((1, 3)), 1.0, bad)
+
+
+class _QueryLog:
+    """A kd-tree stand-in that offers only ``query`` and records each width."""
+
+    def __init__(self, tree):
+        self.tree, self.widths = tree, []
+
+    def query(self, q, k, **kwargs):
+        self.widths.append(k)
+        return self.tree.query(q, k=k, **kwargs)
+
+
+class TestWidening:
+    """Rows whose last kd neighbour ties the k-th are asked again at twice the width."""
+
+    @pytest.mark.parametrize("k, alone, lattice", [
+        (1, [2, 4, 8], [2, 4, 8, 16]),  # alone, the third width is the whole cloud
+        (2, [3, 6, 8], [3, 6, 12]),
+        (8, [8], [9]),
+    ])
+    @pytest.mark.parametrize("in_lattice", [False, True])
+    def test_cube_centre(self, k, alone, lattice, in_lattice):
+        """The centre of a unit cube is equally far from its 8 corners."""
+        axis = np.arange(4.0) if in_lattice else np.array([1.0, 2.0])
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = pts[np.random.default_rng(42).permutation(len(pts))]
+        centre = np.array([[1.5, 1.5, 1.5]])
+        index = build_index(pts)
+        index.tree = _QueryLog(index.tree)
+        got = _segments(*knn_batch(index, centre, k))
+        assert got == [brute_knn(pts, centre[0], k)]
+        assert index.tree.widths == (lattice if in_lattice else alone)
+        r = brute_knn(pts, centre[0], 1)[0][1]
+        want = sorted(sorted(brute_radius(pts, centre[0], r), key=lambda t: (t[1], t[0]))[:k])
+        assert _segments(*capped_ball_batch(index, centre, r, k)) == [want]
+        ids, dists = nearest_batch(index, centre, r=r)
+        assert list(zip(ids.tolist(), dists.tolist())) == [brute_nearest(pts, centre[0])]
 
 
 class TestThreadControl:
@@ -363,6 +459,9 @@ class TestLatticeProperties:
 
     @settings(max_examples=40)
     @given(lattice, lattice, st.integers(1, 130), st.integers(1, 40))
+    # Every point ties with every other, so each row widens up to the whole
+    # cloud, one row per chunk.
+    @example(pts=np.full((40, 3), 0.1), q=np.zeros((3, 3)), k=3, budget=1)
     def test_row_chunks_give_the_same_bits(self, pts, q, k, budget):
         index = build_index(pts)
         r = float(canonical_distance(pts[0], q[0])) or 0.1
