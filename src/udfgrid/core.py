@@ -23,13 +23,65 @@ MAX_NODES = 2**63 - 1
 MAX_COORD = 2.0**500
 
 
-def _as_float_array(a, name: str, shape_tail: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 1 and shape_tail == (3,) and arr.shape == (3,):
-        pass
-    elif arr.shape[1:] != shape_tail:
-        raise ContractError(f"{name} must have trailing shape {shape_tail}, got {arr.shape}")
-    return arr
+def _shape_rows(a, name: str, dtype=np.float64) -> np.ndarray:
+    """One (3,) point or an (M, 3) array as (M, 3) rows of ``dtype`` (None keeps
+    numpy's); ContractError for any other shape.  ``as_rows`` without the bound,
+    for normals, whose NaN rows are legal, and for voxel indices."""
+    try:
+        a = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ContractError(f"{name} must be numbers of shape (3,) or (M, 3)") from None
+    if a.ndim not in (1, 2) or a.shape[-1] != 3:
+        raise ContractError(f"{name} must have shape (3,) or (M, 3), got {a.shape}")
+    return a.reshape(-1, 3)
+
+
+def as_rows(a, name: str) -> np.ndarray:
+    """One (3,) point or an (M, 3) array as (M, 3) float64 rows; ContractError
+    unless that is its shape and every coordinate is finite and within MAX_COORD."""
+    a = _shape_rows(a, name)
+    if not (np.abs(a) <= MAX_COORD).all():
+        raise ContractError(f"{name} must be finite and within MAX_COORD = {MAX_COORD:g}")
+    return a
+
+
+def as_point(a, name: str) -> np.ndarray:
+    """Exactly one (3,) point, checked as ``as_rows`` checks a row."""
+    row = as_rows(a, name)
+    if np.ndim(a) != 1:
+        raise ContractError(f"{name} must have shape (3,), got {np.shape(a)}")
+    return row[0]
+
+
+def as_count(n, name: str, least: int = 1) -> int:
+    """``n`` as an int; anything but an integer (not a bool) >= ``least`` raises ContractError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ContractError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def as_length(x, name: str) -> float:
+    """``x`` as a float; anything but a number 0 < x <= MAX_COORD raises ContractError."""
+    v = float(x) if isinstance(x, (int, float, np.integer, np.floating)) else np.nan
+    if not 0 < v <= MAX_COORD:
+        raise ContractError(
+            f"{name} must be finite, positive and at most MAX_COORD = {MAX_COORD:g}, got {x!r}"
+        )
+    return v
+
+
+def _as_indices(ijk) -> np.ndarray:
+    """Voxel indices, one (i, j, k) or an (N, 3) array of integral values, as
+    (N, 3) int64 rows; an empty list is no rows.  ContractError otherwise."""
+    empty = isinstance(ijk, (list, tuple)) and len(ijk) == 0
+    rows = _shape_rows(np.empty((0, 3)) if empty else ijk, "voxel indices", dtype=None)
+    if rows.dtype.kind not in "iuf":
+        raise ContractError(f"voxel indices must be integers, got {rows.dtype}")
+    with np.errstate(invalid="ignore"):
+        idx = rows.astype(np.int64, copy=False)
+    if idx is not rows and not (idx == rows).all():
+        raise ContractError("voxel indices must be integers within int64")
+    return idx
 
 
 class DFKind(enum.Enum):
@@ -106,12 +158,10 @@ class PointCloud:
     sensor_origins: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = _as_float_array(self.positions, "positions", (3,)).reshape(-1, 3)
+        pos = as_rows(self.positions, "positions")
         object.__setattr__(self, "positions", pos)
-        if not (np.abs(pos) <= MAX_COORD).all():
-            raise ContractError(f"positions must be finite and within MAX_COORD = {MAX_COORD:g}")
         if self.normals is not None:
-            nrm = _as_float_array(self.normals, "normals", (3,)).reshape(-1, 3)
+            nrm = _shape_rows(self.normals, "normals")
             if len(nrm) != len(pos):
                 raise ContractError("normals count must equal position count")
             invalid = np.isnan(nrm).all(axis=1)
@@ -124,13 +174,9 @@ class PointCloud:
                 raise ContractError("normals must be unit length within 1e-6")
             object.__setattr__(self, "normals", nrm)
         if self.sensor_origins is not None:
-            org = _as_float_array(self.sensor_origins, "sensor_origins", (3,)).reshape(-1, 3)
+            org = as_rows(self.sensor_origins, "sensor_origins")
             if len(org) != len(pos):
                 raise ContractError("sensor_origins count must equal position count")
-            if not (np.abs(org) <= MAX_COORD).all():
-                raise ContractError(
-                    f"sensor_origins must be finite and within MAX_COORD = {MAX_COORD:g}"
-                )
             object.__setattr__(self, "sensor_origins", org)
 
     def __len__(self) -> int:
@@ -162,27 +208,23 @@ class GridSpec:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _as_float_array(self.origin, "origin", (3,)))
-        object.__setattr__(self, "voxel_size", _check_voxel_size(self.voxel_size))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not (np.abs(self.origin) <= MAX_COORD).all():
-            raise ContractError(f"origin must be finite and within MAX_COORD = {MAX_COORD:g}")
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ContractError("dims must be three integers >= 1")
+        object.__setattr__(self, "origin", as_point(self.origin, "origin"))
+        object.__setattr__(self, "voxel_size", as_length(self.voxel_size, "voxel_size"))
+        if not np.iterable(self.dims) or len(self.dims) != 3:
+            raise ContractError(f"dims must be three integers >= 1, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(as_count(d, "dims") for d in self.dims))
         if self.dims[0] * self.dims[1] * self.dims[2] > MAX_NODES:
             raise ContractError(f"dims {self.dims} exceed {MAX_NODES} nodes")
         # voxel_size <= MAX_COORD and dims < 2**63 keep this product finite.
-        far = self.origin + (np.asarray(self.dims) - 1) * self.voxel_size
-        if not (np.abs(far) <= MAX_COORD).all():
-            raise ContractError(f"far corner {far} lies beyond MAX_COORD = {MAX_COORD:g}")
+        as_point(self.origin + (np.asarray(self.dims) - 1) * self.voxel_size, "far corner")
 
     @classmethod
     def covering(cls, positions, voxel_size: float) -> "GridSpec":
         """Grid over the bounding box of ``positions`` padded by 3 voxels."""
-        positions = np.asarray(positions, dtype=np.float64)
+        positions = as_rows(positions, "positions")
         if len(positions) == 0:
             raise EmptyCloudError("cannot cover an empty point set")
-        voxel_size = _check_voxel_size(voxel_size)
+        voxel_size = as_length(voxel_size, "voxel_size")
         pad = TRUNCATION_VOXELS * voxel_size
         with np.errstate(over="ignore"):
             origin = positions.min(axis=0) - pad
@@ -193,25 +235,16 @@ class GridSpec:
         return cls(origin=origin, voxel_size=voxel_size, dims=tuple(int(d) for d in dims))
 
 
-def _check_voxel_size(voxel_size) -> float:
-    """``voxel_size`` as a float; it must be positive and at most MAX_COORD."""
-    v = float(voxel_size)
-    if not 0 < v <= MAX_COORD:
-        raise ContractError(
-            f"voxel_size must be finite, positive and at most MAX_COORD = {MAX_COORD:g}, got {v}"
-        )
-    return v
-
-
 def voxel_position(spec: GridSpec, idx) -> np.ndarray:
     """World position of lattice node(s) ``idx``: origin + idx * voxel_size.
 
     ``idx`` may be a single (i, j, k) triple or an (N, 3) array.
     """
-    ia = np.asarray(idx)
+    ia = _as_indices(idx)
     if ((ia < 0) | (ia >= np.asarray(spec.dims))).any():
         raise ContractError(f"voxel index {idx} outside dims {spec.dims}")
-    return spec.origin + ia * spec.voxel_size
+    pos = spec.origin + ia * spec.voxel_size
+    return pos[0] if np.ndim(idx) == 1 and len(pos) == 1 else pos
 
 
 def round_half_away_from_zero(x) -> np.ndarray:
@@ -264,12 +297,9 @@ class DFParams:
     max_neighbors: int = 36
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not self.sigma > 0:
-            raise ContractError("sigma must be positive")
-        if int(self.max_neighbors) < 1:
-            raise ContractError("max_neighbors must be >= 1")
-        object.__setattr__(self, "max_neighbors", int(self.max_neighbors))
+        object.__setattr__(self, "sigma", as_length(self.sigma, "sigma"))
+        as_length(self.neighbor_radius, "neighbor_radius (3 * sigma)")
+        object.__setattr__(self, "max_neighbors", as_count(self.max_neighbors, "max_neighbors"))
 
     @property
     def neighbor_radius(self) -> float:
@@ -278,7 +308,7 @@ class DFParams:
     @classmethod
     def for_voxel_size(cls, voxel_size: float, **kwargs) -> "DFParams":
         """Default parameters for a grid: sigma = 2 * voxel_size."""
-        return cls(sigma=2.0 * float(voxel_size), **kwargs)
+        return cls(sigma=2.0 * as_length(voxel_size, "voxel_size"), **kwargs)
 
 
 def linearize(dims: tuple[int, int, int], ijk: np.ndarray) -> np.ndarray:
@@ -311,7 +341,7 @@ class SparseDFGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).reshape(-1, 3)
+        idx = _as_indices(self.indices)
         val = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if len(idx) != len(val):
             raise ContractError("indices and values must have equal length")
@@ -349,7 +379,9 @@ class SparseDFGrid:
 
     def value_at(self, ijk) -> float | None:
         """Stored value at one index, or None if the voxel is empty."""
-        vals, found = self.values_at(np.asarray(ijk).reshape(1, 3))
+        vals, found = self.values_at(ijk)
+        if len(vals) != 1:
+            raise ContractError(f"value_at takes one (i, j, k) index, got {ijk!r}")
         return float(vals[0]) if found[0] else None
 
     def values_at(self, ijk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +390,7 @@ class SparseDFGrid:
         Entries not stored (or outside dims) report found=False with
         value NaN.
         """
-        ijk = np.asarray(ijk, dtype=np.int64).reshape(-1, 3)
+        ijk = _as_indices(ijk)
         out = np.full(len(ijk), np.nan)
         inside = ((ijk >= 0) & (ijk < np.asarray(self.spec.dims))).all(axis=1)
         found = np.zeros(len(ijk), dtype=bool)

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import spatial
 from .core import (
-    MAX_COORD, DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS
+    MAX_COORD, DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS,
+    as_count, as_length, as_point, as_rows,
 )
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
@@ -60,8 +61,7 @@ _ZERO_SNAP = 2.0 ** -26
 
 def gaussian_weight(sq_dist, sigma: float):
     """exp(-sq_dist / sigma**2), the neighborhood weight."""
-    if not sigma > 0:
-        raise ContractError("sigma must be positive")
+    sigma = as_length(sigma, "sigma")
     sq = np.asarray(sq_dist, dtype=np.float64)
     if (sq < 0).any():
         raise ContractError("sq_dist must be non-negative")
@@ -114,7 +114,7 @@ class _Evaluator:
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
-        q = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
+        q = as_rows(queries, "query points")
         if self.index is None:
             return np.full(len(q), np.nan)
         if self.kind in _NEAREST_KINDS:
@@ -187,7 +187,7 @@ def evaluate(x, cloud: PointCloud, kind: DFKind, params: DFParams | None = None)
     kinds (Hoppe, SED, UED, UHoppe) do not read it.
     """
     ev = make_evaluator(cloud, kind, params or DFParams(sigma=1.0))
-    return float(ev.batch(np.asarray(x, dtype=np.float64).reshape(1, 3))[0])
+    return float(ev.batch(as_point(x, "x"))[0])
 
 
 def quantize_values(v: np.ndarray) -> np.ndarray:
@@ -247,13 +247,15 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
         # beyond MAX_COORD; clipped back, it is still within h of every node.
         centres = np.clip(spec.origin + (corners + half) * v, -MAX_COORD, MAX_COORD)
         bound = (reach + h) * (1.0 + 1e-9) + 1e-12 * np.abs(centres).max()
-        _, d_centre = spatial.nearest_batch(index, centres, r=bound)
+        # Spatial queries refuse a radius beyond MAX_COORD.  Only a grid of a few
+        # huge voxels needs one, and an unbounded query finds the same candidates.
+        _, d_centre = spatial.nearest_batch(index, centres, r=None if bound > MAX_COORD else bound)
         corners = corners[np.isfinite(d_centre)]
         for c0 in range(0, len(corners), per_chunk):
             nodes = (corners[c0 : c0 + per_chunk, None, :] + offsets).reshape(-1, 3)
             nodes = nodes[(nodes <= hi).all(axis=1)]
             pos = spec.origin + nodes * v
-            ids, d = spatial.nearest_batch(index, pos, r=reach)
+            ids, d = spatial.nearest_batch(index, pos, r=None if reach > MAX_COORD else reach)
             near = d <= reach
             if near.any():
                 nodes, pos, ids, d = nodes[near], pos[near], ids[near], d[near]
@@ -341,10 +343,8 @@ def build_pyramid(
     the truncation band of 3 voxels at the level's own scale — behaves
     identically at every level.
     """
-    if levels < 1:
-        raise ContractError("levels must be >= 1")
     grids = []
-    for level in range(levels):
+    for level in range(as_count(levels, "levels")):
         factor = 2 ** level
         level_spec = GridSpec(
             origin=spec.origin,

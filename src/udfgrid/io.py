@@ -29,7 +29,7 @@ from io import BytesIO
 
 import numpy as np
 
-from .core import MAX_COORD, MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, linearize
+from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point, linearize
 from .errors import ContractError, ParseError
 
 _MAGIC = b"UDFG"
@@ -312,14 +312,13 @@ def read_grid(path) -> SparseDFGrid:
         raise ParseError(f"{path}: dims must be >= 1, got {(dx, dy, dz)}", offset=10)
     if dx * dy * dz > MAX_NODES:
         raise ParseError(f"{path}: dims {(dx, dy, dz)} exceed {MAX_NODES} nodes", offset=10)
-    if not (np.abs([ox, oy, oz]) <= MAX_COORD).all():
-        raise ParseError(
-            f"{path}: origin {(ox, oy, oz)} not finite and within {MAX_COORD:g}", offset=22
-        )
-    try:  # the origin is valid, so the voxel size or the far corner is not
-        spec = GridSpec(origin=np.array([ox, oy, oz]), voxel_size=voxel_size, dims=(dx, dy, dz))
+    offset = 22  # the origin; once it passes, the voxel size or the far corner
+    try:
+        origin = as_point((ox, oy, oz), "origin")
+        offset = 46
+        spec = GridSpec(origin=origin, voxel_size=voxel_size, dims=(dx, dy, dz))
     except ContractError as exc:
-        raise ParseError(f"{path}: {exc}", offset=46) from None
+        raise ParseError(f"{path}: {exc}", offset=offset) from None
     body = _HEADER_STRUCT.size
     need = count * _RECORD_DTYPE.itemsize
     if len(data) - body < need:

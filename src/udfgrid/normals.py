@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import spatial
-from .core import PointCloud
-from .errors import ContractError, InsufficientDataError, MissingDataError
+from .core import PointCloud, as_count
+from .errors import InsufficientDataError, MissingDataError
 
 _DEGENERATE_EIGENGAP = 1e-9
 
@@ -31,8 +31,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     """
     if len(cloud) < 3:
         raise InsufficientDataError("normal estimation needs at least 3 points")
-    if k < 3:
-        raise ContractError("k must be >= 3")
+    k = as_count(k, "k", least=3)
     pos = cloud.positions
     index = spatial.build_index(pos)
     kk = min(k, len(pos))

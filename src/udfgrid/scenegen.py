@@ -20,17 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, as_length, as_point, as_rows
 from .errors import ContractError, MissingDataError, ParseError
-
-
-def _vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.shape != (3,):
-        raise ContractError(f"{name} must be a 3-vector")
-    if not np.isfinite(arr).all():
-        raise ContractError(f"{name} must be finite")
-    return arr
 
 
 def _stratified_unit_square(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -50,9 +41,9 @@ class PlanePatch:
     density: float
 
     def __post_init__(self):
-        object.__setattr__(self, "corner", _vec3(self.corner, "corner"))
-        object.__setattr__(self, "edge_u", _vec3(self.edge_u, "edge_u"))
-        object.__setattr__(self, "edge_v", _vec3(self.edge_v, "edge_v"))
+        object.__setattr__(self, "corner", as_point(self.corner, "corner"))
+        object.__setattr__(self, "edge_u", as_point(self.edge_u, "edge_u"))
+        object.__setattr__(self, "edge_v", as_point(self.edge_v, "edge_v"))
         if self.area() <= 0:
             raise ContractError("plane patch must have positive area")
         _check_sampling(self.density, self.area())
@@ -76,9 +67,8 @@ class Sphere:
     density: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec3(self.center, "center"))
-        if not 0 < self.radius < math.inf:
-            raise ContractError("sphere radius must be finite and positive")
+        object.__setattr__(self, "center", as_point(self.center, "center"))
+        object.__setattr__(self, "radius", as_length(self.radius, "sphere radius"))
         _check_sampling(self.density, self.area())
 
     def area(self) -> float:
@@ -104,8 +94,8 @@ class Box:
     density: float
 
     def __post_init__(self):
-        object.__setattr__(self, "min_corner", _vec3(self.min_corner, "min"))
-        object.__setattr__(self, "max_corner", _vec3(self.max_corner, "max"))
+        object.__setattr__(self, "min_corner", as_point(self.min_corner, "min"))
+        object.__setattr__(self, "max_corner", as_point(self.max_corner, "max"))
         if not (self.max_corner > self.min_corner).all():
             raise ContractError("box must have positive extent on every axis")
         _check_sampling(self.density, self.area())
@@ -148,14 +138,14 @@ class OpenCylinder:
     density: float
 
     def __post_init__(self):
-        object.__setattr__(self, "base_center", _vec3(self.base_center, "base_center"))
-        axis = _vec3(self.axis, "axis")
+        object.__setattr__(self, "base_center", as_point(self.base_center, "base_center"))
+        axis = as_point(self.axis, "axis")
         norm = np.linalg.norm(axis)
         if norm == 0:
             raise ContractError("cylinder axis must be non-zero")
         object.__setattr__(self, "axis", axis / norm)
-        if not (0 < self.radius < math.inf and 0 < self.height < math.inf):
-            raise ContractError("cylinder radius and height must be finite and positive")
+        object.__setattr__(self, "radius", as_length(self.radius, "cylinder radius"))
+        object.__setattr__(self, "height", as_length(self.height, "cylinder height"))
         _check_sampling(self.density, self.area())
 
     def area(self) -> float:
@@ -228,11 +218,9 @@ class ScanSpec:
     dropout_fraction: float = 0.0
 
     def __post_init__(self):
-        org = np.asarray(self.sensor_origins, dtype=np.float64).reshape(-1, 3)
+        org = as_rows(self.sensor_origins, "sensor origins")
         if len(org) < 1:
             raise ContractError("scan needs at least one sensor origin")
-        if not np.isfinite(org).all():
-            raise ContractError("sensor origins must be finite")
         object.__setattr__(self, "sensor_origins", org)
         if not self.noise_sigma >= 0:
             raise ContractError("noise_sigma must be >= 0")

@@ -16,8 +16,10 @@ as far as the last one it returned, so a row is exact unless its last
 distance lies within the margin of its k-th.  Only such rows are asked
 again, at twice the width, until the width covers the whole cloud.
 
-Index points and query rows are (M, 3) arrays, or one (3,) point, of
-coordinates within ``core.MAX_COORD``; anything else raises ContractError.
+Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
+and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
+within ``core.MAX_COORD``, integers >= 1, and lengths in (0, MAX_COORD].
+Anything else raises ContractError.
 Rows are independent, so a query whose rows x width entries would exceed
 a fixed budget runs in row chunks under it: peak memory then does not grow
 with k, and the results are the same bits.
@@ -31,7 +33,7 @@ import os
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import MAX_COORD, PointCloud
+from .core import PointCloud, as_count, as_length, as_rows
 from .errors import ContractError, EmptyCloudError
 
 _RADIUS_MARGIN = 1e-9
@@ -84,30 +86,11 @@ def canonical_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _rows(a, name: str) -> np.ndarray:
-    """One (3,) point or an (M, 3) array as (M, 3) float64 rows; ContractError
-    unless that is its shape and every coordinate is finite and within MAX_COORD."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape[-1] != 3:
-        raise ContractError(f"{name} must have shape (3,) or (M, 3), got {a.shape}")
-    a = a.reshape(-1, 3)
-    if not (np.abs(a) <= MAX_COORD).all():
-        raise ContractError(f"{name} must be finite and within MAX_COORD = {MAX_COORD:g}")
-    return a
-
-
-def _count(n, name: str) -> int:
-    """``n`` as an int; anything but an integer >= 1 raises ContractError."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ContractError(f"{name} must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
 class SpatialIndex:
     """Immutable search structure over a cloud's positions."""
 
     def __init__(self, positions: np.ndarray):
-        positions = _rows(positions, "index points")
+        positions = as_rows(positions, "index points")
         if len(positions) == 0:
             raise EmptyCloudError("cannot build a spatial index over an empty cloud")
         self.positions = positions
@@ -181,9 +164,8 @@ def nearest_batch(
     bits as the unbounded answer, ties included.  A bounded query is much
     cheaper than an unbounded one for a row far from every point.
     """
-    if r is not None and not r > 0:
-        raise ContractError("radius must be positive")
-    ids, dists = _exact_neighbours(index, _rows(queries, "query points"), 1, r)
+    r = None if r is None else as_length(r, "radius")
+    ids, dists = _exact_neighbours(index, as_rows(queries, "query points"), 1, r)
     return ids[:, 0], dists[:, 0]
 
 
@@ -201,8 +183,8 @@ def knn_batch(
     Returns flat (ids, dists, lengths); segment r has ``lengths[r]``
     entries (= min(k, cloud size)).
     """
-    q = _rows(queries, "query points")
-    ids, dists = _exact_neighbours(index, q, _count(k, "k"))
+    q = as_rows(queries, "query points")
+    ids, dists = _exact_neighbours(index, q, as_count(k, "k"))
     return ids.ravel(), dists.ravel(), np.full(len(q), ids.shape[1], dtype=np.int64)
 
 
@@ -224,9 +206,8 @@ def radius_query_batch(
     id ascending.  Boundary inclusive.  The only query whose rows have no
     length bound, so the only one that takes kd ball queries.
     """
-    if not r > 0:
-        raise ContractError("radius must be positive")
-    q = _rows(queries, "query points")
+    r = as_length(r, "radius")
+    q = as_rows(queries, "query points")
     lists = index.tree.query_ball_point(
         q, r * (1.0 + _RADIUS_MARGIN), workers=get_num_threads(), return_sorted=True
     )
@@ -255,10 +236,8 @@ def capped_ball_batch(
     accumulate in the same order.  Returns flat (ids, dists, lengths);
     rows with no point in the ball have length 0.
     """
-    if not r > 0:
-        raise ContractError("radius must be positive")
-    q = _rows(queries, "query points")
-    ids, dists = _exact_neighbours(index, q, _count(cap, "cap"), r)
+    q = as_rows(queries, "query points")
+    ids, dists = _exact_neighbours(index, q, as_count(cap, "cap"), as_length(r, "radius"))
     order = np.argsort(ids, axis=-1)
     ids = np.take_along_axis(ids, order, axis=-1)
     dists = np.take_along_axis(dists, order, axis=-1)

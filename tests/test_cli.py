@@ -3,6 +3,8 @@
 import contextlib
 import functools
 import io
+import itertools
+import math
 import re
 import struct
 import tempfile
@@ -20,6 +22,7 @@ from udfgrid import (
     EmptyCloudError,
     GridSpec,
     PointCloud,
+    SparseDFGrid,
     compute_grid,
     read_grid,
     read_ply,
@@ -216,6 +219,14 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "voxel_size" in err and "Traceback" not in err
+
+    def test_infinite_sigma(self, clean_ply, tmp_path, capsys):
+        """An infinite sigma made every Gaussian weight 1, and compute exited 0."""
+        code = main(["compute", clean_ply, str(tmp_path / "g.udfg"), "--kind", "uwed",
+                     "--sigma", "inf", *GEOMETRY])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sigma" in err and "Traceback" not in err
 
     def test_scan_limit(self, tmp_path, capsys):
         cube = tmp_path / "cube.ply"
@@ -500,3 +511,78 @@ class TestDamagedFiles:
     @given(_DAMAGE)
     def test_udfg(self, d):
         _run_on_damaged("grid.udfg", *d, _extract)
+
+
+# -- exhaustive: every byte of a tiny file XOR-ed by each of a few masks -------
+#
+# 0x40 flips the top exponent bit of a little-endian double or float, which
+# is what made a coordinate or voxel size overflow; 0x01 and 0x80 cover the
+# low and sign bits.  A run exits 0 with finite output, or 1 or 2 with no
+# traceback.
+
+_MASKS = (0x01, 0x40, 0x80)
+
+
+@functools.cache
+def _tiny(name: str) -> bytes:
+    """Library-written bytes of a 3-point ``tiny.ply`` or a 7-record ``tiny.udfg``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        if name == "tiny.ply":
+            write_ply(PointCloud([[0.1, 0.2, 0.3], [0.4, 0.1, 0.2], [0.3, 0.35, 0.05]]), path)
+        else:  # a centre voxel with its six axis neighbours: one extraction candidate
+            idx = [[1, 1, 1], [0, 1, 1], [2, 1, 1], [1, 0, 1], [1, 2, 1], [1, 1, 0], [1, 1, 2]]
+            grid = SparseDFGrid(GridSpec((0, 0, 0), 0.25, (3, 3, 3)), DFKind.UED, False,
+                                idx, [1.5, 0.5, 2.5, 1.0, 2.0, 1.25, 1.75])
+            write_grid(grid, path)
+        return path.read_bytes()
+
+
+def _sweep(name: str, command, finite) -> None:
+    data = _tiny(name)
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged, good = Path(tmp) / name, Path(tmp) / f"good-{name}"
+        good.write_bytes(data)
+        for at, mask in itertools.product(range(len(data)), _MASKS):
+            damaged.write_bytes(data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                try:
+                    code = main(command(str(damaged), str(good), tmp))
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # any other escape is a finding
+                    code = repr(exc)
+            ok = code in (1, 2) or (code == 0 and finite(out.getvalue(), tmp))
+            if not ok or "Traceback" in err.getvalue():
+                bad.append((at, hex(mask), code, err.getvalue()[-200:]))
+    assert bad == []
+
+
+def _grid_finite(out: str, tmp: str) -> bool:
+    return bool(np.isfinite(read_grid(f"{tmp}/g.udfg").values).all())
+
+
+def _distance_finite(out: str, tmp: str) -> bool:
+    return math.isfinite(float(re.search(r"chamfer distance: (\S+) m", out).group(1)))
+
+
+def _points_finite(out: str, tmp: str) -> bool:
+    return bool(np.isfinite(read_ply(f"{tmp}/out.ply").positions).all())
+
+
+class TestDamageSweep:
+    def test_ply_compute(self):
+        _sweep("tiny.ply", _compute_ued, _grid_finite)
+
+    def test_ply_chamfer(self):
+        _sweep("tiny.ply", _chamfer, _distance_finite)
+
+    def test_udfg_extract(self):
+        _sweep("tiny.udfg", _extract, _points_finite)
+
+
+def _compute_ued(damaged, good, tmp):
+    return ["compute", damaged, f"{tmp}/g.udfg", "--kind", "ued",
+            "--voxel-size", "0.25", "--auto-bounds"]

@@ -15,12 +15,20 @@ from udfgrid import (
     GridSpec,
     OutOfBoundsError,
     PointCloud,
+    ScanSpec,
     SparseDFGrid,
+    Sphere,
     TRUNCATION_VOXELS,
+    build_pyramid,
+    estimate_normals,
+    evaluate,
+    gaussian_weight,
+    make_evaluator,
     round_half_away_from_zero,
     voxel_position,
     world_to_voxel,
 )
+from udfgrid import core, spatial
 from udfgrid.core import MAX_COORD, linearize
 from udfgrid.spatial import canonical_distance
 
@@ -224,11 +232,11 @@ class TestGridSpec:
         beyond = np.nextafter(MAX_COORD, np.inf)
         GridSpec(origin=(-MAX_COORD, 0, 0), voxel_size=MAX_COORD / 4, dims=(9, 1, 1))
         bad = [
-            dict(origin=0, voxel_size=4.5e307, dims=(10,) * 3),  # far corner inf
-            dict(origin=0, voxel_size=beyond, dims=(1,) * 3),
+            dict(origin=(0, 0, 0), voxel_size=4.5e307, dims=(10,) * 3),  # beyond the bound
+            dict(origin=(0, 0, 0), voxel_size=beyond, dims=(1,) * 3),
             dict(origin=(0, beyond, 0), voxel_size=1.0, dims=(1,) * 3),
             dict(origin=(0, 0, MAX_COORD), voxel_size=1.0e140, dims=(1, 1, 2)),
-            dict(origin=0, voxel_size=MAX_COORD / 4, dims=(6, 1, 1)),
+            dict(origin=(0, 0, 0), voxel_size=MAX_COORD / 4, dims=(6, 1, 1)),  # far corner
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -448,3 +456,141 @@ class TestSparseDFGrid:
         np.testing.assert_array_equal(found, [True, False, True, False])
         assert vals[0] == 0.25 and vals[2] == 1.5
         assert np.isnan(vals[1]) and np.isnan(vals[3])
+
+
+# -- the argument contract: rows, points, counts and lengths ------------------
+#
+# Each row below is an input that was once misread silently or crashed with a
+# numpy or Python exception; ``match`` names the core check that now refuses it.
+
+_TETRA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_SHAPE = r"must have shape \(3,\)"
+_BOUND = "must be finite and within MAX_COORD"
+_COUNT = "must be an integer >="
+_LENGTH = "must be finite, positive and at most MAX_COORD"
+
+
+def _nan_normal_cloud() -> PointCloud:
+    return PointCloud(_TETRA, normals=np.full((4, 3), np.nan))
+
+
+def _index():
+    return spatial.build_index(np.array(_TETRA))
+
+
+class TestArgumentContract:
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: GridSpec.covering([[np.nan, 0, 0]], 0.1), _BOUND,
+                     id="covering NaN"),
+        pytest.param(lambda: make_evaluator(PointCloud(_TETRA), DFKind.UED, DFParams(0.1))
+                     .batch(np.zeros(6)), _SHAPE, id="batch (6,)"),
+        pytest.param(lambda: make_evaluator(_nan_normal_cloud(), DFKind.HOPPE, DFParams(0.1))
+                     .batch([[np.nan, 0, 0]]), _BOUND, id="batch NaN without support"),
+        pytest.param(lambda: ScanSpec([[0, 0, 0, 1, 1, 1]]), _SHAPE, id="ScanSpec (1, 6)"),
+        pytest.param(lambda: ScanSpec([0, 0]), _SHAPE, id="ScanSpec (2,)"),
+    ])
+    def test_rows(self, call, match):
+        with pytest.raises(ContractError, match=match):
+            call()
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: GridSpec(origin=[[0, 0, 0]], voxel_size=0.1, dims=(2, 2, 2)),
+                     _SHAPE, id="GridSpec origin (1, 3)"),
+        pytest.param(lambda: evaluate([0, 0], PointCloud(_TETRA), DFKind.UED), _SHAPE,
+                     id="evaluate (2,)"),
+        pytest.param(lambda: evaluate(np.zeros((2, 2)), PointCloud(_TETRA), DFKind.UED),
+                     _SHAPE, id="evaluate (2, 2)"),
+        pytest.param(lambda: evaluate([np.nan, 0, 0], _nan_normal_cloud(), DFKind.HOPPE),
+                     _BOUND, id="evaluate NaN, every normal NaN"),
+    ])
+    def test_point(self, call, match):
+        with pytest.raises(ContractError, match=match):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: DFParams(0.1, max_neighbors=1.5), id="max_neighbors 1.5"),
+        pytest.param(lambda: GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2.5, 2, 2)),
+                     id="dims 2.5"),
+        pytest.param(lambda: estimate_normals(PointCloud(_TETRA), k=3.5), id="k 3.5"),
+        pytest.param(lambda: build_pyramid(
+            PointCloud(_TETRA), GridSpec.covering(_TETRA, 0.5), DFKind.UED, DFParams(1.0),
+            levels=2.5), id="levels 2.5"),
+    ])
+    def test_count(self, call):
+        with pytest.raises(ContractError, match=_COUNT):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: DFParams(sigma=np.inf), id="DFParams sigma inf"),
+        pytest.param(lambda: DFParams(sigma=MAX_COORD / 2), id="DFParams 3 sigma beyond"),
+        pytest.param(lambda: gaussian_weight(1.0, np.inf), id="gaussian_weight sigma inf"),
+        pytest.param(lambda: spatial.nearest_batch(_index(), [0, 0, 0], r=np.inf),
+                     id="nearest_batch r inf"),
+        pytest.param(lambda: spatial.radius_query_batch(_index(), [0, 0, 0], np.inf),
+                     id="radius_query_batch r inf"),
+        pytest.param(lambda: spatial.capped_ball_batch(_index(), [0, 0, 0], np.inf, 3),
+                     id="capped_ball_batch r inf"),
+    ])
+    def test_length(self, call):
+        with pytest.raises(ContractError, match=_LENGTH):
+            call()
+
+    def test_covering_one_point(self):
+        """A (3,) point is one row, as everywhere else; it raised TypeError."""
+        one = GridSpec.covering(np.array([1.0, 2.0, 3.0]), 0.1)
+        rows = GridSpec.covering([[1.0, 2.0, 3.0]], 0.1)
+        np.testing.assert_array_equal(one.origin, rows.origin)
+        assert one.dims == rows.dims
+
+    def test_the_checks(self):
+        """The four checks themselves, at their edges."""
+        beyond = np.nextafter(MAX_COORD, np.inf)
+        assert core.as_rows([1, 2, 3], "p").shape == (1, 3)
+        assert core.as_rows(np.empty((0, 3)), "p").shape == (0, 3)
+        assert core.as_point([1, 2, 3], "p").shape == (3,)
+        assert core.as_count(np.int64(3), "n", least=3) == 3
+        assert core.as_length(MAX_COORD, "x") == MAX_COORD
+        for bad in ([[0, 0]], [[[0, 0, 0]]], 1.0, [[0, 0, 1], [0, 1]], "abc"):
+            with pytest.raises(ContractError, match="p "):
+                core.as_rows(bad, "p")
+        with pytest.raises(ContractError, match=_SHAPE):
+            core.as_point([[0, 0, 0]], "p")
+        with pytest.raises(ContractError, match=_BOUND):
+            core.as_point([0, beyond, 0], "p")
+        for bad in (True, 2.0, "2", 2):
+            with pytest.raises(ContractError, match=_COUNT):
+                core.as_count(bad, "n", least=3)
+        for bad in (0.0, -1.0, np.nan, np.inf, beyond, "x", None):
+            with pytest.raises(ContractError, match=_LENGTH):
+                core.as_length(bad, "x")
+        with pytest.raises(ContractError, match="sphere radius " + _LENGTH):
+            Sphere((0, 0, 0), np.inf, 100.0)
+
+
+class TestVoxelIndices:
+    """Index arrays are integral: a fraction was truncated silently."""
+
+    def setup_method(self):
+        self.spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.5, dims=(4, 4, 4))
+        self.grid = SparseDFGrid(self.spec, DFKind.UED, False, [[0, 0, 0]], [0.5])
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda s: SparseDFGrid(s.spec, DFKind.UED, False, [[0.7, 0, 0]], [0.5]),
+                     id="SparseDFGrid"),
+        pytest.param(lambda s: s.grid.values_at([[0.9, 0, 0]]), id="values_at"),
+        pytest.param(lambda s: s.grid.value_at((0.9, 0, 0)), id="value_at"),
+        pytest.param(lambda s: voxel_position(s.spec, [0.5, 0, 0]), id="voxel_position"),
+        pytest.param(lambda s: voxel_position(s.spec, [np.inf, 0, 0]), id="inf index"),
+        pytest.param(lambda s: s.grid.values_at([[2.0**63, 0, 0]]), id="beyond int64"),
+    ])
+    def test_fractions_refused(self, call):
+        with pytest.raises(ContractError, match="integ"):
+            call(self)
+
+    def test_integral_and_empty_accepted(self):
+        assert SparseDFGrid(self.spec, DFKind.UED, False, [], []).indices.shape == (0, 3)
+        vals, found = self.grid.values_at([])
+        assert vals.shape == found.shape == (0,)
+        assert self.grid.value_at((0.0, 0.0, 0.0)) == 0.5
+        assert voxel_position(self.spec, []).shape == (0, 3)
+        np.testing.assert_array_equal(voxel_position(self.spec, [2.0, 0, 0]), [1.0, 0.0, 0.0])

@@ -432,6 +432,18 @@ class TestScanLimit:
         grid = compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(v))
         assert grid.values.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
 
+    def test_voxels_whose_scan_radius_exceeds_the_bound(self):
+        """The cull radius of a MAX_COORD / 4 voxel lies beyond MAX_COORD, where
+        the spatial queries refuse a radius; the scan then queries unbounded."""
+        v = MAX_COORD / 4
+        spec = GridSpec(origin=(-MAX_COORD, 0, 0), voxel_size=v, dims=(9, 1, 1))
+        cloud = PointCloud([[0.0, 0.0, 0.0], [v, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = compute_grid(cloud, spec, DFKind.UED, DFParams(v / 2))
+        assert grid.indices[:, 0].tolist() == [2, 3, 4, 5, 6, 7]
+        assert grid.values.tolist() == [2.0, 1.0, 0.0, 0.0, 1.0, 2.0]
+
 
 class TestPlaneAccuracy:
     """Stored node values versus the true plane distance, in voxel units.

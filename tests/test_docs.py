@@ -8,6 +8,7 @@ from udfgrid import load_scene_config
 from udfgrid.core import MAX_COORD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = Path(udfgrid.__file__).resolve().parent
 
 
 def _readme_block(heading: str, lang: str) -> str:
@@ -49,3 +50,22 @@ def test_readme_states_the_coordinate_bound():
     match = re.search(r"`MAX_COORD` = 2\^(\d+)", text)
     assert match, "README conventions state no coordinate bound"
     assert 2.0 ** int(match.group(1)) == MAX_COORD
+
+
+def test_the_argument_contract_lives_in_core():
+    """Only ``core`` checks values against MAX_COORD or coerces input rows by reshaping.
+
+    Other modules call ``core.as_rows``, ``as_point``, ``as_count`` and
+    ``as_length``.  Clipping to MAX_COORD bounds an output and is allowed.
+    """
+    rule = re.compile(
+        r"<=\s*MAX_COORD|MAX_COORD\s*>="  # a bound check: x <= MAX_COORD, also false for NaN
+        r"|asarray\(.*\)\.reshape\(\s*-?1,\s*3\s*\)"  # a row coercion
+    )
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py")) if path.name != "core.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if rule.search(line)
+    ]
+    assert found == []
