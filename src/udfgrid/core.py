@@ -60,14 +60,23 @@ def as_count(n, name: str, least: int = 1) -> int:
     return int(n)
 
 
-def as_length(x, name: str) -> float:
-    """``x`` as a float; anything but a number 0 < x <= MAX_COORD raises ContractError."""
+def as_length(x, name: str, zero: bool = False) -> float:
+    """``x`` as a float; anything but a number 0 < x <= MAX_COORD (0 <= x with
+    ``zero``) raises ContractError."""
     v = float(x) if isinstance(x, (int, float, np.integer, np.floating)) else np.nan
-    if not 0 < v <= MAX_COORD:
+    if not (0 <= v if zero else 0 < v) or not v <= MAX_COORD:
+        sign = "non-negative" if zero else "positive"
         raise ContractError(
-            f"{name} must be finite, positive and at most MAX_COORD = {MAX_COORD:g}, got {x!r}"
+            f"{name} must be finite, {sign} and at most MAX_COORD = {MAX_COORD:g}, got {x!r}"
         )
     return v
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, so no caller can write into it afterwards."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def _as_indices(ijk) -> np.ndarray:
@@ -151,6 +160,11 @@ class PointCloud:
     all-NaN, the marker for "normal could not be estimated" produced by
     degenerate neighborhoods.  Evaluators that need normals treat NaN rows
     as absent points.
+
+    The cloud owns read-only copies of its arrays: writing into an array it
+    was built from does not change it, and writing into one of its own
+    raises ValueError.  So whatever is derived from a cloud and kept with
+    it, such as ``compute_grid``'s neighbourhood entry, cannot go stale.
     """
 
     positions: np.ndarray
@@ -159,7 +173,7 @@ class PointCloud:
 
     def __post_init__(self):
         pos = as_rows(self.positions, "positions")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", _owned(pos))
         if self.normals is not None:
             nrm = _shape_rows(self.normals, "normals")
             if len(nrm) != len(pos):
@@ -172,12 +186,12 @@ class PointCloud:
                 np.linalg.norm(rows, axis=1), 1.0, atol=1e-6, rtol=0.0
             ):
                 raise ContractError("normals must be unit length within 1e-6")
-            object.__setattr__(self, "normals", nrm)
+            object.__setattr__(self, "normals", _owned(nrm))
         if self.sensor_origins is not None:
             org = as_rows(self.sensor_origins, "sensor_origins")
             if len(org) != len(pos):
                 raise ContractError("sensor_origins count must equal position count")
-            object.__setattr__(self, "sensor_origins", org)
+            object.__setattr__(self, "sensor_origins", _owned(org))
 
     def __len__(self) -> int:
         return len(self.positions)

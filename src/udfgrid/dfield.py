@@ -25,12 +25,16 @@ builds the spatial indices once for many queries against one cloud.
 ``compute_grid`` evaluates a kind at candidate lattice nodes, converts to
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
-flip involution are exact.
+flip involution are exact.  A weighted kind's ``compute_grid`` leaves its
+candidate nodes and capped balls on the (immutable) cloud, within the
+spatial entry budget, so the next weighted kind with the same spec,
+support, sigma and cap skips the scan and the ball query.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -52,6 +56,8 @@ _CULL_BATCH = 4096
 _NODE_CHUNK = 32768
 _MAX_SCAN_NODES = 2**32
 _WEIGHT_SUM_FLOOR = 1e-300
+# The PointCloud attribute that holds compute_grid's neighbourhood entry.
+_ENTRY = "_neighbourhood"
 # Stored magnitudes below this snap to +0.0: they are geometrically
 # indistinguishable from surface contact and would otherwise break the
 # exactness of the flip involution (3 - v loses bits below float64's
@@ -87,13 +93,13 @@ def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class _Evaluator:
     """Pointwise/batch evaluation of one DF kind over a fixed cloud.
 
-    Builds the spatial structures once so a grid's worth of queries reuses
-    them.  The support is the set of points the kind reads: the points
-    with valid normals for normal kinds, the whole cloud otherwise.
-    ``full_index`` covers the whole cloud for the candidate scan; it is
-    also the support's index when every normal is valid, and then a
-    nearest kind's value follows from that scan's nearest ids and
-    distances (``reuses_nearest``).
+    Builds the spatial structures once, on first use, so a grid's worth of
+    queries reuses them.  The support is the set of points the kind reads:
+    the points with valid normals for normal kinds, the whole cloud
+    otherwise (``whole`` says which).  ``full_index`` covers the whole
+    cloud for the candidate scan; it is also the support's index when the
+    support is the whole cloud, and then a nearest kind's value follows
+    from that scan's nearest ids and distances (``reuses_nearest``).
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
@@ -103,14 +109,26 @@ class _Evaluator:
             raise MissingDataError(f"{kind.value} requires a cloud with oriented normals")
         self.kind = kind
         self.params = params
-        self.full_index = spatial.build_index(cloud.positions)
-        self.positions, self.normals, self.index = cloud.positions, None, self.full_index
+        self.cloud = cloud
+        self.positions, self.normals, self.whole = cloud.positions, None, True
         if kind.requires_normals:
             valid = ~np.isnan(cloud.normals).any(axis=1)
             self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
-            if not valid.all():
-                self.index = spatial.build_index(self.positions) if valid.any() else None
-        self.reuses_nearest = kind in _NEAREST_KINDS and self.index is self.full_index
+            self.whole = bool(valid.all())
+        self.reuses_nearest = kind in _NEAREST_KINDS and self.whole
+        # Entries per capped-ball row, min(cap + 1, n).
+        self.width = min(params.max_neighbors + 1, len(self.positions))
+
+    @functools.cached_property
+    def full_index(self) -> spatial.SpatialIndex:
+        return spatial.build_index(self.cloud.positions)
+
+    @functools.cached_property
+    def index(self) -> spatial.SpatialIndex | None:
+        """The support's index; None when no point has a valid normal."""
+        if self.whole:
+            return self.full_index
+        return spatial.build_index(self.positions) if len(self.positions) else None
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
@@ -119,19 +137,61 @@ class _Evaluator:
             return np.full(len(q), np.nan)
         if self.kind in _NEAREST_KINDS:
             return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
-        # Keep a chunk's capped-ball entries, rows x min(cap + 1, n), under
-        # the spatial budget so memory does not grow with the cap.
-        width = min(self.params.max_neighbors + 1, len(self.index))
-        step = min(_EVAL_CHUNK, spatial.chunk_rows(width))
-        out = np.empty(len(q))
-        for lo in range(0, len(q), step):
-            out[lo : lo + step] = self._weighted(q[lo : lo + step])
-        return out
+        return self.weighted(q, self.balls(q))
 
     def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
         """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
         plane = self._plane(q, ids, 1) if self.kind.requires_normals else None
         return _value(self.kind, d, plane)
+
+    def balls(self, q: np.ndarray):
+        """The capped balls N_x of ``q``'s rows: (ids, dists, lens) per chunk.
+
+        A chunk's entries, rows x ``width``, stay under the spatial budget
+        so memory does not grow with the cap.
+        """
+        p = self.params
+        step = min(_EVAL_CHUNK, spatial.chunk_rows(self.width))
+        for lo in range(0, len(q), step):
+            yield spatial.capped_ball_batch(
+                self.index, q[lo : lo + step], p.neighbor_radius, p.max_neighbors
+            )
+
+    def recall(self, q: np.ndarray, balls: list):
+        """What ``balls`` yields for ``q``, rebuilt from its stored (ids, lens).
+
+        ``canonical_distance`` works element by element, so the recomputed
+        distances are the bits the capped-ball query returned.
+        """
+        lo = 0
+        for ids, lens in balls:
+            rows = np.repeat(q[lo : lo + len(lens)], lens, axis=0)
+            yield ids, spatial.canonical_distance(rows, self.positions[ids]), lens
+            lo += len(lens)
+
+    def weighted(self, q: np.ndarray, balls) -> np.ndarray:
+        """A weighted kind's values at ``q`` from its rows' capped balls.
+
+        ``balls`` gives (ids, dists, lens) per chunk of rows, in row order.
+        The rule is applied to Gaussian-weighted averages over N_x of the
+        Euclidean distance and, for normal kinds, of the point-to-plane
+        distance.  Rows with an empty N_x or an underflowing weight sum are
+        undefined (NaN).
+        """
+        out = np.empty(len(q))
+        lo = 0
+        for ids, dists, lens in balls:
+            rows = q[lo : lo + len(lens)]
+            w = gaussian_weight(dists * dists, self.params.sigma)
+            den = _segment_sums(w, lens)
+            den[(lens == 0) | (den < _WEIGHT_SUM_FLOOR)] = np.nan
+            plane = None
+            if self.kind.requires_normals:
+                plane = _segment_sums(w * self._plane(rows, ids, lens), lens) / den
+            dist = _segment_sums(w * dists, lens) / den
+            out[lo : lo + len(lens)] = _value(self.kind, dist, plane)
+            lo += len(lens)
+        return out
 
     def _plane(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
         """Distances to the tangent planes of support points ``ids``.
@@ -143,25 +203,6 @@ class _Evaluator:
         diff = self.positions[ids]
         np.subtract(np.repeat(q, lens, axis=0), diff, out=diff)
         return np.einsum("ij,ij->i", self.normals[ids], diff)
-
-    def _weighted(self, q: np.ndarray) -> np.ndarray:
-        """A weighted kind's values: the rule over Gaussian-weighted averages on N_x.
-
-        The averages are of the Euclidean distance and, for normal kinds,
-        of the point-to-plane distance.  Rows with an empty N_x or an
-        underflowing weight sum are undefined (NaN).
-        """
-        p = self.params
-        ids, dists, lens = spatial.capped_ball_batch(
-            self.index, q, p.neighbor_radius, p.max_neighbors
-        )
-        w = gaussian_weight(dists * dists, p.sigma)
-        den = _segment_sums(w, lens)
-        den[(lens == 0) | (den < _WEIGHT_SUM_FLOOR)] = np.nan
-        plane = None
-        if self.kind.requires_normals:
-            plane = _segment_sums(w * self._plane(q, ids, lens), lens) / den
-        return _value(self.kind, _segment_sums(w * dists, lens) / den, plane)
 
 
 def _value(kind: DFKind, dist: np.ndarray, plane: np.ndarray | None) -> np.ndarray:
@@ -262,6 +303,46 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
                 yield nodes, pos, ids, d
 
 
+def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
+    """(node indices, values) of ``ev``'s kind for each chunk of candidate nodes.
+
+    A weighted kind over a non-empty support reads the cloud's neighbourhood
+    entry when its key (spec values, support, 3-sigma radius, cap) matches:
+    the candidate chunks and their capped balls, so it makes no scan and no
+    ball query.  Otherwise it scans, and once the scan has finished it
+    publishes the entry it gathered, replacing the cloud's last one, if its
+    rows x ``ev.width`` ball entries fit the spatial entry budget.
+    """
+    reach = 3.0 * spec.voxel_size + 1e-9
+    if ev.kind in _NEAREST_KINDS or not len(ev.positions):
+        for nodes_idx, nodes_pos, ids, d in _candidates(ev.full_index, spec, reach):
+            if ev.reuses_nearest:
+                yield nodes_idx, ev.from_nearest(nodes_pos, ids, d)
+            else:
+                yield nodes_idx, ev.batch(nodes_pos)
+        return
+    p = ev.params
+    key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
+           p.neighbor_radius, p.max_neighbors)
+    entry = getattr(cloud, _ENTRY, None)
+    if entry is not None and entry[0] == key:
+        for nodes_idx, nodes_pos, balls in entry[1]:
+            yield nodes_idx, ev.weighted(nodes_pos, ev.recall(nodes_pos, balls))
+        return
+    chunks, rows = [], 0
+    for nodes_idx, nodes_pos, _, _ in _candidates(ev.full_index, spec, reach):
+        rows += len(nodes_pos)
+        balls = ev.balls(nodes_pos)
+        if chunks is not None and rows * ev.width <= spatial._ENTRY_BUDGET:
+            balls = list(balls)
+            chunks.append((nodes_idx, nodes_pos, [(ids, lens) for ids, _, lens in balls]))
+        else:
+            chunks = None
+        yield nodes_idx, ev.weighted(nodes_pos, balls)
+    if chunks is not None:
+        object.__setattr__(cloud, _ENTRY, (key, chunks))
+
+
 def compute_grid(
     cloud: PointCloud, spec: GridSpec, kind: DFKind, params: DFParams
 ) -> SparseDFGrid:
@@ -279,21 +360,22 @@ def compute_grid(
     grid, and raises ContractError naming the node count when that box
     holds more than 2**32 nodes.  UED, SED, Hoppe and UHoppe take their
     values straight from the scan's nearest ids and distances when every
-    normal is valid (the query runs over the support they read); the
-    weighted kinds, and normal kinds with some NaN normals, evaluate the
-    candidates through their own queries.
+    normal is valid (the query runs over the support they read); normal
+    kinds with some NaN normals evaluate the candidates through their own
+    queries.
+
+    The weighted kinds (UWED, IMLS, UIMLS, SWED) keep one neighbourhood
+    entry on the cloud: the candidate chunks with their capped-ball ids and
+    lengths, at most 2**20 ball entries.  The next weighted call on the
+    same cloud with the same spec, support, sigma-derived radius and cap
+    reuses it instead of scanning and querying again; its weights and
+    values are computed afresh, to the same bits.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
-    evaluator = _Evaluator(cloud, kind, params)
-    reach = 3.0 * spec.voxel_size + 1e-9
     kept_idx: list[np.ndarray] = []
     kept_val: list[np.ndarray] = []
-    for nodes_idx, nodes_pos, ids, d in _candidates(evaluator.full_index, spec, reach):
-        if evaluator.reuses_nearest:
-            vals = evaluator.from_nearest(nodes_pos, ids, d)
-        else:
-            vals = evaluator.batch(nodes_pos)
+    for nodes_idx, vals in _node_values(cloud, spec, _Evaluator(cloud, kind, params)):
         vals = quantize_values(vals / spec.voxel_size)
         keep = np.isfinite(vals) & (np.abs(vals) < TRUNCATION_VOXELS)
         if keep.any():

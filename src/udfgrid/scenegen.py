@@ -211,7 +211,10 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Virtual scanning setup: sensors, per-point noise, scan dropout."""
+    """Virtual scanning setup: sensors, per-point noise, scan dropout.
+
+    ``noise_sigma`` is a non-negative length (0 means no noise).
+    """
 
     sensor_origins: np.ndarray
     noise_sigma: float = 0.0
@@ -222,8 +225,8 @@ class ScanSpec:
         if len(org) < 1:
             raise ContractError("scan needs at least one sensor origin")
         object.__setattr__(self, "sensor_origins", org)
-        if not self.noise_sigma >= 0:
-            raise ContractError("noise_sigma must be >= 0")
+        noise = as_length(self.noise_sigma, "noise_sigma", zero=True)
+        object.__setattr__(self, "noise_sigma", noise)
         if not (0.0 <= self.dropout_fraction < 1.0):
             raise ContractError("dropout_fraction must be in [0, 1)")
 
@@ -291,14 +294,14 @@ def augment(cloud: PointCloud, seed, voxel_scale: float, jitter_sigma: float | N
     """Random z-rotation, uniform scale in [0.8, 1.2] about the centroid,
     and per-point Gaussian jitter (default 0.25 * voxel_scale).
 
-    Normals are rotated and re-normalized; sensor origins receive the
-    same rotation and scaling (no jitter).  Draw order is fixed: angle,
-    scale, then the jitter array.
+    ``jitter_sigma`` is a non-negative length: a non-finite or negative one
+    raises ContractError naming it.  Normals are rotated and re-normalized;
+    sensor origins receive the same rotation and scaling (no jitter).  Draw
+    order is fixed: angle, scale, then the jitter array.
     """
     if jitter_sigma is None:
         jitter_sigma = 0.25 * float(voxel_scale)
-    if jitter_sigma < 0:
-        raise ContractError("jitter_sigma must be >= 0")
+    jitter_sigma = as_length(jitter_sigma, "jitter_sigma", zero=True)
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * math.pi)
     scale = rng.uniform(0.8, 1.2)

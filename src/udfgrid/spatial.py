@@ -47,14 +47,14 @@ def set_num_threads(n: int | None) -> None:
     """Cap query parallelism; -1 or None means all available cores.
 
     Thread count never changes results, only speed: parallelism is over
-    independent query rows.  Any count other than -1 or n >= 1 raises
-    ContractError.
+    independent query rows.  Anything but -1 or an integer n >= 1 (not a
+    bool, not 2.0) raises ContractError.
     """
     global _num_threads
-    n = -1 if n is None else int(n)
-    if n < 1 and n != -1:
-        raise ContractError(f"thread count must be -1 or >= 1, got {n}")
-    _num_threads = n
+    n = -1 if n is None else n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or (n < 1 and n != -1):
+        raise ContractError(f"thread count must be -1 or an integer >= 1, got {n!r}")
+    _num_threads = int(n)
 
 
 def get_num_threads() -> int:

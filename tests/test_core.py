@@ -198,6 +198,26 @@ class TestPointCloud:
         sub = cloud.select([0])
         assert sub.normals is None and sub.sensor_origins is None
 
+    def test_owns_a_copy_of_the_callers_array(self):
+        """Writing into the array a cloud was built from leaves the cloud as it was."""
+        pos = np.random.default_rng(42).random((6, 3))
+        before = pos.copy()
+        cloud = PointCloud(pos)
+        pos[0] = [9.0, 9.0, 9.0]
+        pos *= 2.0
+        np.testing.assert_array_equal(cloud.positions, before)
+
+    def test_arrays_are_read_only(self):
+        rng = np.random.default_rng(42)
+        up = np.tile([0.0, 0.0, 1.0], (4, 1))
+        cloud = PointCloud(rng.random((4, 3)), up, rng.random((4, 3)))
+        for c in (cloud, cloud.select([True, False, True, True]), cloud.select([3, 0])):
+            for arr in (c.positions, c.normals, c.sensor_origins):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 0.5
+                with pytest.raises(ValueError, match="read-only"):
+                    arr += 1.0
+
 
 class TestGridSpec:
     def test_basic(self):

@@ -1,5 +1,7 @@
 """Tests for the eight distance-function evaluators and grid computation."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import VOXEL_SIZE, grid_spec_for, plane_cloud
+from helpers import DENSITY, SENSORS, VOXEL_SIZE, desk_scene, grid_spec_for, plane_cloud
 from udfgrid import (
     ContractError,
     DFKind,
@@ -16,16 +18,21 @@ from udfgrid import (
     GridSpec,
     MissingDataError,
     PointCloud,
+    ScanSpec,
     SparseDFGrid,
     build_pyramid,
     compute_grid,
+    estimate_normals,
     evaluate,
     flip,
     gaussian_weight,
     make_evaluator,
+    orient_normals,
+    sample_scene,
+    simulate_scans,
     voxel_position,
 )
-from udfgrid import dfield
+from udfgrid import dfield, spatial
 from udfgrid.core import MAX_COORD
 from udfgrid.dfield import quantize_values
 from udfgrid.spatial import canonical_distance
@@ -304,6 +311,92 @@ class TestComputeGrid:
         with pytest.raises(EmptyCloudError):
             compute_grid(PointCloud(np.empty((0, 3))), spec, DFKind.UED,
                          DFParams.for_voxel_size(0.05))
+
+
+def _noisy_desk_with_normals(nan_every: int | None = None) -> PointCloud:
+    """An eighth-density noisy desk scan with oriented PCA normals."""
+    clean = sample_scene(desk_scene(DENSITY / 8), 11)
+    scan = simulate_scans(clean, ScanSpec(SENSORS, noise_sigma=0.5 * VOXEL_SIZE), 1011)
+    cloud = orient_normals(estimate_normals(scan))
+    if nan_every is None:
+        return cloud
+    nrm = np.array(cloud.normals)
+    nrm[::nan_every] = np.nan
+    return PointCloud(cloud.positions, nrm, cloud.sensor_origins)
+
+
+def _same_bits(a: SparseDFGrid, b: SparseDFGrid) -> bool:
+    return (a.indices.tobytes(), a.values.tobytes()) == (b.indices.tobytes(), b.values.tobytes())
+
+
+class TestNeighbourhoodEntry:
+    """Weighted kinds on one cloud share its candidate scan and capped balls."""
+
+    SEQUENCE = (DFKind.UWED, DFKind.IMLS, DFKind.SWED, DFKind.UIMLS)
+    VOXEL = 2 * VOXEL_SIZE  # coarse, to keep the candidate count small
+
+    @pytest.mark.parametrize("variant", ["shared", "nan_normals", "sigma", "spec", "no_room"])
+    def test_grids_match_a_fresh_cloud(self, variant, monkeypatch):
+        if variant == "no_room":
+            monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**16)
+        cloud = _noisy_desk_with_normals(97 if variant == "nan_normals" else None)
+        spec = grid_spec_for(cloud, self.VOXEL)
+        moved = GridSpec(spec.origin + 0.5 * self.VOXEL, self.VOXEL, spec.dims)
+        for step, kind in enumerate(self.SEQUENCE):
+            sigma = (1.0 if variant == "sigma" and step % 2 else 2.0) * self.VOXEL
+            at = moved if variant == "spec" and step % 2 else spec
+            params = DFParams(sigma=sigma)
+            fresh = PointCloud(cloud.positions, cloud.normals, cloud.sensor_origins)
+            assert _same_bits(compute_grid(cloud, at, kind, params),
+                              compute_grid(fresh, at, kind, params)), (variant, kind)
+        assert (getattr(cloud, dfield._ENTRY, None) is None) == (variant == "no_room")
+
+    def test_three_kinds_make_one_ball_query_series(self, monkeypatch):
+        cloud = _noisy_desk_with_normals()
+        spec, params = grid_spec_for(cloud, self.VOXEL), DFParams(sigma=2.0 * self.VOXEL)
+        calls = []
+        query = spatial.capped_ball_batch
+
+        def spy(index, queries, r, cap):
+            calls.append(len(queries))
+            return query(index, queries, r, cap)
+
+        monkeypatch.setattr(spatial, "capped_ball_batch", spy)
+        compute_grid(PointCloud(cloud.positions), spec, DFKind.UWED, params)
+        one_kind = list(calls)
+        calls.clear()
+        for kind in (DFKind.UWED, DFKind.IMLS, DFKind.SWED):
+            compute_grid(cloud, spec, kind, params)
+        assert one_kind and calls == one_kind
+
+    def test_concurrent_calls_see_whole_entries(self):
+        """Threads alternating kinds and sigmas on one cloud get a fresh cloud's grids."""
+        cloud = plane_cloud(seed=5, density=1000.0)
+        spec = grid_spec_for(cloud, self.VOXEL)
+        jobs = [(kind, DFParams(sigma=m * self.VOXEL)) for kind in self.SEQUENCE for m in (1, 2)]
+        expected = {job: compute_grid(PointCloud(cloud.positions, cloud.normals), spec, *job)
+                    for job in jobs}
+        same, errors = [], []
+
+        def work(first):
+            try:
+                for job in jobs[first:] + jobs[:first]:
+                    same.append(_same_bits(compute_grid(cloud, spec, *job), expected[job]))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(same) == 4 * len(jobs) and all(same)
 
 
 @st.composite

@@ -220,6 +220,14 @@ class TestScanSpec:
         with pytest.raises(ContractError):
             ScanSpec([[0.0, 0.0, 1.0]], dropout_fraction=-0.1)
 
+    @pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan, -0.1])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ContractError, match="noise_sigma"):
+            ScanSpec([[0.0, 0.0, 1.0]], noise_sigma=sigma)
+
+    def test_zero_noise_sigma_allowed(self):
+        assert ScanSpec([[0.0, 0.0, 1.0]], noise_sigma=0).noise_sigma == 0.0
+
 
 class TestSimulateScans:
     def _two_sided(self):
@@ -372,6 +380,15 @@ class TestAugment:
     def test_negative_jitter_rejected(self):
         with pytest.raises(ContractError):
             augment(self._cloud(), 42, voxel_scale=0.05, jitter_sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, -np.inf])
+    def test_non_finite_jitter_rejected(self, sigma):
+        with pytest.raises(ContractError, match="jitter_sigma"):
+            augment(self._cloud(), 42, voxel_scale=0.05, jitter_sigma=sigma)
+
+    def test_default_jitter_of_an_infinite_scale_rejected(self):
+        with pytest.raises(ContractError, match="jitter_sigma"):
+            augment(self._cloud(), 42, voxel_scale=np.inf)
 
     def test_deterministic(self):
         a = augment(self._cloud(), 9, voxel_scale=0.05)

@@ -368,6 +368,19 @@ class TestThreadControl:
             set_num_threads(bad)
         assert get_num_threads() == 3
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, -1.0, True, "2"])
+    def test_non_integer_count_rejected(self, bad, monkeypatch):
+        """2.5 is not truncated to 2, and neither floats nor bools count as integers."""
+        monkeypatch.setattr(spatial, "_num_threads", 3)
+        with pytest.raises(ContractError, match="thread count"):
+            set_num_threads(bad)
+        assert get_num_threads() == 3
+
+    def test_numpy_integer_count_accepted(self, monkeypatch):
+        monkeypatch.setattr(spatial, "_num_threads", 3)
+        set_num_threads(np.int64(2))
+        assert get_num_threads() == 2 and type(spatial._num_threads) is int
+
     def test_non_integer_environment_rejected(self, monkeypatch):
         monkeypatch.setattr(spatial, "_num_threads", -1)
         monkeypatch.setenv("UDFGRID_THREADS", "abc")
