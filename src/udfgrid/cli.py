@@ -192,6 +192,7 @@ def _cmd_chamfer(args) -> int:
 def _cmd_roundtrip(args) -> int:
     cloud = io.read_ply(args.input)
     spec = _resolve_spec(args, cloud.positions)
+    cloud = evaluation.with_normals(cloud, args.kind)
     if args.sigma_sweep:
         reports = evaluation.sigma_sweep(cloud, spec, args.kind, flipped=args.flip)
     else:

@@ -26,9 +26,15 @@ builds the spatial indices once for many queries against one cloud.
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
 flip involution are exact.  A weighted kind's ``compute_grid`` leaves its
-candidate nodes and capped balls on the (immutable) cloud, within the
-spatial entry budget, so the next weighted kind with the same spec,
-support, sigma and cap skips the scan and the ball query.
+candidate nodes and capped balls on the (immutable) cloud, so the next
+weighted kind with the same spec, support, sigma and cap skips the scan and
+the ball query.
+
+Two bounds keep memory small.  Every transient (row x neighbour) array is
+sized by the spatial working budget (``spatial.chunk_rows``): the capped
+balls are queried, weighted and summed a few thousand rows at a time.  The
+stored neighbourhood is bounded on its own, by ``_ENTRY_BOUND`` ball
+entries; a grid with more streams and stores nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .core import (
 )
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
-_EVAL_CHUNK = 8192
 _NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
 # Candidate scan: cubes of _BLOCK**3 nodes, culled _CULL_BATCH blocks at a
 # time, at most _NODE_CHUNK node rows per bounded nearest query, and at most
@@ -56,8 +61,10 @@ _CULL_BATCH = 4096
 _NODE_CHUNK = 32768
 _MAX_SCAN_NODES = 2**32
 _WEIGHT_SUM_FLOOR = 1e-300
-# The PointCloud attribute that holds compute_grid's neighbourhood entry.
+# The PointCloud attribute that holds compute_grid's neighbourhood entry, and
+# the most capped-ball entries (rows x width) it stores: 8 MiB of ids.
 _ENTRY = "_neighbourhood"
+_ENTRY_BOUND = 2**20
 # Stored magnitudes below this snap to +0.0: they are geometrically
 # indistinguishable from surface contact and would otherwise break the
 # exactness of the flip involution (3 - v loses bits below float64's
@@ -137,71 +144,81 @@ class _Evaluator:
             return np.full(len(q), np.nan)
         if self.kind in _NEAREST_KINDS:
             return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
-        return self.weighted(q, self.balls(q))
+        return self.weighted(len(q), self.balls(q))
 
     def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
         """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
-        plane = self._plane(q, ids, 1) if self.kind.requires_normals else None
+        plane = self._plane(self._diff(q, ids, 1), ids) if self.normals is not None else None
         return _value(self.kind, d, plane)
 
     def balls(self, q: np.ndarray):
-        """The capped balls N_x of ``q``'s rows: (ids, dists, lens) per chunk.
+        """The capped balls N_x of ``q``'s rows: (ids, dists, lens, plane) per chunk.
 
-        A chunk's entries, rows x ``width``, stay under the spatial budget
-        so memory does not grow with the cap.
+        ``plane`` holds each entry's tangent-plane distance for normal kinds,
+        else None.  A chunk's entries, rows x ``width``, fit the spatial
+        working budget, so memory does not grow with the cap.
         """
         p = self.params
-        step = min(_EVAL_CHUNK, spatial.chunk_rows(self.width))
+        step = spatial.chunk_rows(self.width)
         for lo in range(0, len(q), step):
-            yield spatial.capped_ball_batch(
-                self.index, q[lo : lo + step], p.neighbor_radius, p.max_neighbors
+            rows = q[lo : lo + step]
+            ids, dists, lens = spatial.capped_ball_batch(
+                self.index, rows, p.neighbor_radius, p.max_neighbors
             )
+            plane = None
+            if self.normals is not None:
+                plane = self._plane(self._diff(rows, ids, lens), ids)
+            yield ids, dists, lens, plane
 
     def recall(self, q: np.ndarray, balls: list):
         """What ``balls`` yields for ``q``, rebuilt from its stored (ids, lens).
 
-        ``canonical_distance`` works element by element, so the recomputed
-        distances are the bits the capped-ball query returned.
+        One difference x - p per entry gives both the distance and the plane
+        distance.  ``canonical_norm`` works element by element on the
+        differences ``canonical_distance`` takes, so the recomputed distances
+        are the bits the capped-ball query returned.
         """
         lo = 0
         for ids, lens in balls:
-            rows = np.repeat(q[lo : lo + len(lens)], lens, axis=0)
-            yield ids, spatial.canonical_distance(rows, self.positions[ids]), lens
+            diff = self._diff(q[lo : lo + len(lens)], ids, lens)
+            plane = self._plane(diff, ids) if self.normals is not None else None
+            yield ids, spatial.canonical_norm(*diff.T), lens, plane
             lo += len(lens)
 
-    def weighted(self, q: np.ndarray, balls) -> np.ndarray:
-        """A weighted kind's values at ``q`` from its rows' capped balls.
+    def weighted(self, n: int, balls) -> np.ndarray:
+        """A weighted kind's values at ``n`` rows from their capped balls.
 
-        ``balls`` gives (ids, dists, lens) per chunk of rows, in row order.
-        The rule is applied to Gaussian-weighted averages over N_x of the
-        Euclidean distance and, for normal kinds, of the point-to-plane
-        distance.  Rows with an empty N_x or an underflowing weight sum are
-        undefined (NaN).
+        ``balls`` gives (ids, dists, lens, plane) per chunk of rows, in row
+        order.  The rule is applied to Gaussian-weighted averages over N_x
+        of the Euclidean distance and, for normal kinds, of the
+        point-to-plane distance.  Rows with an empty N_x or an underflowing
+        weight sum are undefined (NaN).
         """
-        out = np.empty(len(q))
+        out = np.empty(n)
         lo = 0
-        for ids, dists, lens in balls:
-            rows = q[lo : lo + len(lens)]
+        for _, dists, lens, plane in balls:
             w = gaussian_weight(dists * dists, self.params.sigma)
             den = _segment_sums(w, lens)
             den[(lens == 0) | (den < _WEIGHT_SUM_FLOOR)] = np.nan
-            plane = None
-            if self.kind.requires_normals:
-                plane = _segment_sums(w * self._plane(rows, ids, lens), lens) / den
+            if plane is not None:
+                plane = _segment_sums(w * plane, lens) / den
             dist = _segment_sums(w * dists, lens) / den
             out[lo : lo + len(lens)] = _value(self.kind, dist, plane)
             lo += len(lens)
         return out
 
-    def _plane(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
-        """Distances to the tangent planes of support points ``ids``.
+    def _diff(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
+        """x - p per entry: row r of ``q`` against each of the next ``lens[r]`` (or ``lens``) ids.
 
-        Row r of ``q`` is measured against the next ``lens[r]`` (or ``lens``)
-        ids.  The difference is taken in place so that at most two
-        (len(ids), 3) arrays are alive at once.
+        Taken in place, so that at most two (len(ids), 3) arrays are alive
+        at once.
         """
         diff = self.positions[ids]
         np.subtract(np.repeat(q, lens, axis=0), diff, out=diff)
+        return diff
+
+    def _plane(self, diff: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Distances to the tangent planes of support points ``ids``, from ``_diff``."""
         return np.einsum("ij,ij->i", self.normals[ids], diff)
 
 
@@ -311,7 +328,8 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     the candidate chunks and their capped balls, so it makes no scan and no
     ball query.  Otherwise it scans, and once the scan has finished it
     publishes the entry it gathered, replacing the cloud's last one, if its
-    rows x ``ev.width`` ball entries fit the spatial entry budget.
+    rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.  Only the ids and
+    lengths are kept; distances and weights stay chunk-sized.
     """
     reach = 3.0 * spec.voxel_size + 1e-9
     if ev.kind in _NEAREST_KINDS or not len(ev.positions):
@@ -327,20 +345,28 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     entry = getattr(cloud, _ENTRY, None)
     if entry is not None and entry[0] == key:
         for nodes_idx, nodes_pos, balls in entry[1]:
-            yield nodes_idx, ev.weighted(nodes_pos, ev.recall(nodes_pos, balls))
+            yield nodes_idx, ev.weighted(len(nodes_pos), ev.recall(nodes_pos, balls))
         return
     chunks, rows = [], 0
     for nodes_idx, nodes_pos, _, _ in _candidates(ev.full_index, spec, reach):
         rows += len(nodes_pos)
         balls = ev.balls(nodes_pos)
-        if chunks is not None and rows * ev.width <= spatial._ENTRY_BUDGET:
-            balls = list(balls)
-            chunks.append((nodes_idx, nodes_pos, [(ids, lens) for ids, _, lens in balls]))
+        if chunks is not None and rows * ev.width <= _ENTRY_BOUND:
+            kept = []
+            chunks.append((nodes_idx, nodes_pos, kept))
+            balls = _keeping(balls, kept)
         else:
             chunks = None
-        yield nodes_idx, ev.weighted(nodes_pos, balls)
+        yield nodes_idx, ev.weighted(len(nodes_pos), balls)
     if chunks is not None:
         object.__setattr__(cloud, _ENTRY, (key, chunks))
+
+
+def _keeping(balls, kept: list):
+    """Yield ``balls`` unchanged, appending each chunk's (ids, lens) to ``kept``."""
+    for ball in balls:
+        kept.append((ball[0], ball[2]))
+        yield ball
 
 
 def compute_grid(
@@ -366,10 +392,10 @@ def compute_grid(
 
     The weighted kinds (UWED, IMLS, UIMLS, SWED) keep one neighbourhood
     entry on the cloud: the candidate chunks with their capped-ball ids and
-    lengths, at most 2**20 ball entries.  The next weighted call on the
-    same cloud with the same spec, support, sigma-derived radius and cap
-    reuses it instead of scanning and querying again; its weights and
-    values are computed afresh, to the same bits.
+    lengths, at most ``_ENTRY_BOUND`` = 2**20 ball entries.  The next
+    weighted call on the same cloud with the same spec, support,
+    sigma-derived radius and cap reuses it instead of scanning and querying
+    again; its weights and values are computed afresh, to the same bits.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")

@@ -21,8 +21,12 @@ and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
 within ``core.MAX_COORD``, integers >= 1, and lengths in (0, MAX_COORD].
 Anything else raises ContractError.
 Rows are independent, so a query whose rows x width entries would exceed
-a fixed budget runs in row chunks under it: peak memory then does not grow
-with k, and the results are the same bits.
+the working budget ``_ENTRY_BUDGET`` runs in row chunks under it: peak
+memory then does not grow with k, and the results are the same bits.  The
+library sizes every transient (row x neighbour) array by this one budget,
+through ``chunk_rows``: the kd gathers here, the PCA neighbourhoods in
+``normals``, the capped balls of the weighted kinds in ``dfield`` and the
+exhaustive scan of ``evaluation.chamfer_bruteforce``.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .core import PointCloud, as_count, as_length, as_rows
 from .errors import ContractError, EmptyCloudError
 
 _RADIUS_MARGIN = 1e-9
-# Most (row, neighbour) entries one query materialises at a time.
-_ENTRY_BUDGET = 2**20
+# Most (row, neighbour) entries materialised at a time: 0.5 MiB per float64 array.
+_ENTRY_BUDGET = 2**16
 
 _num_threads = -1
 
@@ -80,9 +84,11 @@ def canonical_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance with a fixed summation order (x, then y, then z)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    dx = a[..., 0] - b[..., 0]
-    dy = a[..., 1] - b[..., 1]
-    dz = a[..., 2] - b[..., 2]
+    return canonical_norm(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1], a[..., 2] - b[..., 2])
+
+
+def canonical_norm(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Length of the difference (dx, dy, dz), summed x, then y, then z."""
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -107,7 +113,11 @@ def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
 
 
 def chunk_rows(width: int) -> int:
-    """Rows per chunk so that rows x ``width`` entries fit the entry budget."""
+    """Rows per chunk so that rows x ``width`` entries fit the working budget.
+
+    Every transient (row x neighbour) array in the library is sized by this:
+    at least one row, else at most ``_ENTRY_BUDGET`` entries per array.
+    """
     return max(1, _ENTRY_BUDGET // width)
 
 

@@ -29,6 +29,7 @@ from udfgrid import (
     write_grid,
     write_ply,
 )
+from udfgrid import normals
 from udfgrid.cli import main
 
 SCENE_CFG = """
@@ -390,6 +391,30 @@ class TestRoundtripCommand:
         assert len(lines) == 6  # header, rule, four sigma rows
         ratios = [float(line.split()[2]) for line in lines[2:]]
         assert ratios == [1.0, 2.0, 3.0, 4.0]
+
+    def test_normals_estimated_once(self, tmp_path, scanned_cfg, capsys, monkeypatch):
+        """A noisy scan's kinds share one estimate and give each kind's own table row."""
+        scan = str(tmp_path / "scan.ply")
+        assert main(["synth", scanned_cfg, scan, "--seed", "3"]) == 0
+        calls = []
+        estimate = normals.estimate_normals
+
+        def spy(cloud, k=30):
+            calls.append(len(cloud))
+            return estimate(cloud, k)
+
+        monkeypatch.setattr(normals, "estimate_normals", spy)
+        capsys.readouterr()
+
+        def table(kinds: str) -> list[str]:
+            assert main(["roundtrip", scan, "--kind", kinds, *GEOMETRY]) == 0
+            # Every column but the wall time.
+            return [line.rsplit(None, 1)[0] for line in capsys.readouterr().out.splitlines()]
+
+        shared = table("imls,swed")
+        assert len(calls) == 1
+        alone = table("imls") + table("swed")[2:]
+        assert shared == alone and len(calls) == 3
 
 
 class TestPyramidCommand:

@@ -299,6 +299,27 @@ class TestComputeGrid:
             else:
                 assert ((grid.values >= 0.0) & (grid.values < 3.0)).all()
 
+    @pytest.mark.parametrize("nan_every", [None, 97])
+    @pytest.mark.parametrize("kind", [DFKind.UWED, DFKind.SWED])
+    def test_row_chunks_give_the_same_bits(self, kind, nan_every, monkeypatch):
+        """Moving the capped-ball chunk boundaries leaves the weighted sums' bits alone.
+
+        The unquantized values are compared too: rounding to float32 on
+        storage would hide a change in the last bits of a sum.
+        """
+        cloud = _noisy_desk_with_normals(nan_every)
+        spec, params = grid_spec_for(cloud, 4 * VOXEL_SIZE), DFParams(sigma=8 * VOXEL_SIZE)
+        grids, raw = [], []
+        for budget in (2**20, spatial._ENTRY_BUDGET, 64):  # 64: one row per ball chunk
+            monkeypatch.setattr(spatial, "_ENTRY_BUDGET", budget)
+            fresh = PointCloud(cloud.positions, cloud.normals)
+            grids.append(compute_grid(fresh, spec, kind, params))
+            raw.append(make_evaluator(fresh, kind, params).batch(
+                voxel_position(spec, grids[0].indices)).tobytes())
+        assert len(grids[0]) > 0
+        assert all(_same_bits(grids[0], g) for g in grids[1:])
+        assert raw[0] == raw[1] == raw[2]
+
     def test_far_cloud_warns_and_returns_empty(self):
         cloud = PointCloud([[10.0, 10.0, 10.0]])
         spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(4, 4, 4))
@@ -338,7 +359,7 @@ class TestNeighbourhoodEntry:
     @pytest.mark.parametrize("variant", ["shared", "nan_normals", "sigma", "spec", "no_room"])
     def test_grids_match_a_fresh_cloud(self, variant, monkeypatch):
         if variant == "no_room":
-            monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**16)
+            monkeypatch.setattr(dfield, "_ENTRY_BOUND", 2**16)
         cloud = _noisy_desk_with_normals(97 if variant == "nan_normals" else None)
         spec = grid_spec_for(cloud, self.VOXEL)
         moved = GridSpec(spec.origin + 0.5 * self.VOXEL, self.VOXEL, spec.dims)

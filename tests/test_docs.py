@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import udfgrid
-from udfgrid import load_scene_config
+from udfgrid import dfield, load_scene_config, spatial
 from udfgrid.core import MAX_COORD
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,6 +50,15 @@ def test_readme_states_the_coordinate_bound():
     match = re.search(r"`MAX_COORD` = 2\^(\d+)", text)
     assert match, "README conventions state no coordinate bound"
     assert 2.0 ** int(match.group(1)) == MAX_COORD
+
+
+def test_readme_states_the_memory_bounds():
+    text = README.read_text(encoding="utf-8").split("## Conventions worth knowing", 1)[1]
+    stated = {name: re.search(rf"{name} is 2\^(\d+)", text) for name in
+              ("working budget", "stored-entry bound")}
+    assert all(stated.values()), "README conventions state no memory bound"
+    assert 2 ** int(stated["working budget"].group(1)) == spatial._ENTRY_BUDGET
+    assert 2 ** int(stated["stored-entry bound"].group(1)) == dfield._ENTRY_BOUND
 
 
 def test_the_argument_contract_lives_in_core():

@@ -22,6 +22,7 @@ from udfgrid import (
     sigma_sweep,
     simulate_scans,
 )
+from udfgrid import normals
 
 
 class TestChamfer:
@@ -166,6 +167,22 @@ class TestSigmaSweep:
             [r.sigma for r in reports[:4]],
             [m * VOXEL_SIZE for m in (1.0, 2.0, 3.0, 4.0)],
         )
+
+    def test_normals_estimated_once(self, monkeypatch):
+        clean = plane_cloud(seed=3, density=500.0, side=0.5)
+        org = np.tile([0.25, 0.25, 2.0], (len(clean), 1))
+        cloud = PointCloud(clean.positions, sensor_origins=org)
+        calls = []
+        estimate = normals.estimate_normals
+
+        def spy(cloud, k=30):
+            calls.append(len(cloud))
+            return estimate(cloud, k)
+
+        monkeypatch.setattr(normals, "estimate_normals", spy)
+        reports = sigma_sweep(cloud, grid_spec_for(cloud), [DFKind.IMLS, DFKind.SWED],
+                              sigmas=[0.05, 0.1])
+        assert len(reports) == 4 and len(calls) == 1
 
     def test_custom_sigmas(self):
         cloud = plane_cloud(seed=3, density=500.0, side=0.5)

@@ -1,10 +1,11 @@
-"""Peak memory of the neighbour-count knobs does not grow with the count.
+"""Peak memory does not grow with the neighbour count or the cloud size.
 
-Rows of a neighbour query are independent, so ``spatial`` splits them into
-chunks whose rows x neighbours stay under one entry budget; normal
-estimation and the weighted kinds chunk their own per-row work the same
-way.  The bound below holds for every neighbour count, up to counts larger
-than the cloud.
+Rows of a neighbour query are independent, so every transient (row x
+neighbour) array in the library is sized by one working budget,
+``spatial._ENTRY_BUDGET`` entries (``spatial.chunk_rows``): the kd queries,
+normal estimation, the weighted kinds and the exhaustive Chamfer scan.  The
+bound below holds for every neighbour count, up to counts larger than the
+cloud, and for a brute-force Chamfer over 3,000 x 10,000 points.
 """
 
 import tracemalloc
@@ -13,9 +14,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udfgrid import DFKind, DFParams, PointCloud, estimate_normals, make_evaluator
+from udfgrid import (
+    DFKind, DFParams, PointCloud, chamfer_bruteforce, estimate_normals, make_evaluator,
+)
 
-PEAK_BOUND = 128 * 2**20
+PEAK_BOUND = 16 * 2**20
 
 
 def _slab(n: int, seed: int) -> PointCloud:
@@ -55,3 +58,8 @@ class TestPeakMemoryDoesNotGrowWithK:
         ev = make_evaluator(cloud, kind, DFParams(sigma=0.5, max_neighbors=k))
         queries = cloud.positions + [0.0, 0.0, 0.05]
         assert _peak(lambda: ev.batch(queries)) < PEAK_BOUND
+
+
+def test_chamfer_bruteforce():
+    a, b = _slab(3000, seed=1), _slab(10000, seed=2)
+    assert _peak(lambda: chamfer_bruteforce(a, b)) < PEAK_BOUND

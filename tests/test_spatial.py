@@ -478,18 +478,21 @@ class TestLatticeProperties:
     def test_row_chunks_give_the_same_bits(self, pts, q, k, budget):
         index = build_index(pts)
         r = float(canonical_distance(pts[0], q[0])) or 0.1
-        whole = (knn_batch(index, q, k), capped_ball_batch(index, q, r, k),
-                 nearest_batch(index, q), nearest_batch(index, q, r=r))
+        runs = []
         original = spatial._ENTRY_BUDGET
-        spatial._ENTRY_BUDGET = budget  # as small as one row per chunk
         try:
-            split = (knn_batch(index, q, k), capped_ball_batch(index, q, r, k),
-                     nearest_batch(index, q), nearest_batch(index, q, r=r))
+            # A large budget, the working one, and as small as one row per chunk.
+            for size in (2**20, original, budget):
+                spatial._ENTRY_BUDGET = size
+                runs.append((knn_batch(index, q, k), capped_ball_batch(index, q, r, k),
+                             nearest_batch(index, q), nearest_batch(index, q, r=r),
+                             [chamfer_bruteforce(PointCloud(pts), PointCloud(q))]))
         finally:
             spatial._ENTRY_BUDGET = original
-        for a, b in zip(whole, split):
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
+        for split in runs[1:]:
+            for a, b in zip(runs[0], split):
+                for x, y in zip(a, b):
+                    np.testing.assert_array_equal(x, y)
 
     @given(lattice, lattice)
     def test_chamfer_matches_bruteforce(self, a, b):
