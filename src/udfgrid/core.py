@@ -21,6 +21,9 @@ MAX_NODES = 2**63 - 1
 # Largest coordinate magnitude of a point, sensor origin or grid node: the
 # squared differences of three coordinates within it stay finite in float64.
 MAX_COORD = 2.0**500
+# Smallest positive length (voxel size, sigma, radius): its square is a normal
+# float64, and a coordinate span divided by it stays below about 2**1003.
+MIN_LENGTH = 2.0**-500
 
 
 def _shape_rows(a, name: str, dtype=np.float64) -> np.ndarray:
@@ -61,13 +64,15 @@ def as_count(n, name: str, least: int = 1) -> int:
 
 
 def as_length(x, name: str, zero: bool = False) -> float:
-    """``x`` as a float; anything but a number 0 < x <= MAX_COORD (0 <= x with
-    ``zero``) raises ContractError."""
+    """``x`` as a float; anything but a number MIN_LENGTH <= x <= MAX_COORD
+    (0 <= x with ``zero``) raises ContractError."""
     v = float(x) if isinstance(x, (int, float, np.integer, np.floating)) else np.nan
-    if not (0 <= v if zero else 0 < v) or not v <= MAX_COORD:
+    if not (0 <= v if zero else MIN_LENGTH <= v) or not v <= MAX_COORD:
         sign = "non-negative" if zero else "positive"
+        least = "" if zero else f" and at least MIN_LENGTH = {MIN_LENGTH:g}"
         raise ContractError(
-            f"{name} must be finite, {sign} and at most MAX_COORD = {MAX_COORD:g}, got {x!r}"
+            f"{name} must be finite, {sign} and at most MAX_COORD = {MAX_COORD:g}{least},"
+            f" got {x!r}"
         )
     return v
 
@@ -240,10 +245,9 @@ class GridSpec:
             raise EmptyCloudError("cannot cover an empty point set")
         voxel_size = as_length(voxel_size, "voxel_size")
         pad = TRUNCATION_VOXELS * voxel_size
-        with np.errstate(over="ignore"):
-            origin = positions.min(axis=0) - pad
-            top = positions.max(axis=0) + pad
-            dims = np.floor((top - origin) / voxel_size + 1e-9) + 1
+        origin = positions.min(axis=0) - pad
+        top = positions.max(axis=0) + pad
+        dims = np.floor((top - origin) / voxel_size + 1e-9) + 1
         if not (dims <= MAX_NODES).all():
             raise ContractError(f"covering grid at voxel_size {voxel_size} exceeds {MAX_NODES} nodes")
         return cls(origin=origin, voxel_size=voxel_size, dims=tuple(int(d) for d in dims))
@@ -276,15 +280,16 @@ def world_to_voxel(spec: GridSpec, p) -> np.ndarray:
 
     Positions more than half a voxel outside the node lattice raise
     OutOfBoundsError; positions within that margin clamp to the boundary
-    node.  Halfway points round away from zero per axis.
+    node.  Halfway points round away from zero per axis.  A (3,) position
+    gives one (3,) index, (M, 3) positions an (M, 3) array.
     """
-    p = np.asarray(p, dtype=np.float64)
-    f = (p - spec.origin) / spec.voxel_size
+    rows = as_rows(p, "position")
+    f = (rows - spec.origin) / spec.voxel_size
     hi = np.asarray(spec.dims) - 1
     if ((f < -0.5) | (f > hi + 0.5)).any():
         raise OutOfBoundsError(f"position {p} outside grid bounds by more than half a voxel")
-    idx = round_half_away_from_zero(f)
-    return np.clip(idx, 0, hi).astype(np.int64)
+    idx = np.clip(round_half_away_from_zero(f), 0, hi).astype(np.int64)
+    return idx[0] if np.ndim(p) == 1 else idx
 
 
 @dataclass(frozen=True)

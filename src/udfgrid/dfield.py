@@ -16,7 +16,8 @@ sign(plane) x distance      SED       SWED
 ==========================  ========  ========
 
 sign(0) counts as +1.  N_x is the ``max_neighbors`` nearest cloud points
-within the 3-sigma ball around x (weights beyond 3 sigma are below e**-9).
+within the 3-sigma ball around x (weights beyond 3 sigma are below e**-9),
+held as its point ids and lengths; every weighted value comes from those.
 Points with invalid (NaN) normals are excluded from the support of every
 normal-dependent kind.
 
@@ -144,7 +145,7 @@ class _Evaluator:
             return np.full(len(q), np.nan)
         if self.kind in _NEAREST_KINDS:
             return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
-        return self.weighted(len(q), self.balls(q))
+        return self.weighted(q, self.balls(q))
 
     def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
         """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
@@ -152,59 +153,44 @@ class _Evaluator:
         return _value(self.kind, d, plane)
 
     def balls(self, q: np.ndarray):
-        """The capped balls N_x of ``q``'s rows: (ids, dists, lens, plane) per chunk.
+        """The capped balls N_x of ``q``'s rows: (ids, lens) per chunk.
 
-        ``plane`` holds each entry's tangent-plane distance for normal kinds,
-        else None.  A chunk's entries, rows x ``width``, fit the spatial
-        working budget, so memory does not grow with the cap.
+        A chunk's entries, rows x ``width``, fit the spatial working budget,
+        so memory does not grow with the cap.
         """
         p = self.params
         step = spatial.chunk_rows(self.width)
         for lo in range(0, len(q), step):
-            rows = q[lo : lo + step]
-            ids, dists, lens = spatial.capped_ball_batch(
-                self.index, rows, p.neighbor_radius, p.max_neighbors
+            ids, _, lens = spatial.capped_ball_batch(
+                self.index, q[lo : lo + step], p.neighbor_radius, p.max_neighbors
             )
-            plane = None
-            if self.normals is not None:
-                plane = self._plane(self._diff(rows, ids, lens), ids)
-            yield ids, dists, lens, plane
+            yield ids, lens
 
-    def recall(self, q: np.ndarray, balls: list):
-        """What ``balls`` yields for ``q``, rebuilt from its stored (ids, lens).
+    def weighted(self, q: np.ndarray, balls) -> np.ndarray:
+        """A weighted kind's values at ``q``'s rows from their capped balls.
 
-        One difference x - p per entry gives both the distance and the plane
-        distance.  ``canonical_norm`` works element by element on the
-        differences ``canonical_distance`` takes, so the recomputed distances
-        are the bits the capped-ball query returned.
+        ``balls`` gives (ids, lens) per chunk of rows, in row order.  One
+        difference x - p per entry gives the plane distance of normal kinds
+        and the distance, the bits the capped-ball query returned, since
+        ``canonical_norm`` is ``canonical_distance`` element by element.  The
+        rule reads Gaussian-weighted averages of both over N_x; rows with an
+        empty N_x or an underflowing weight sum are undefined (NaN).
         """
+        out = np.empty(len(q))
         lo = 0
         for ids, lens in balls:
-            diff = self._diff(q[lo : lo + len(lens)], ids, lens)
-            plane = self._plane(diff, ids) if self.normals is not None else None
-            yield ids, spatial.canonical_norm(*diff.T), lens, plane
-            lo += len(lens)
-
-    def weighted(self, n: int, balls) -> np.ndarray:
-        """A weighted kind's values at ``n`` rows from their capped balls.
-
-        ``balls`` gives (ids, dists, lens, plane) per chunk of rows, in row
-        order.  The rule is applied to Gaussian-weighted averages over N_x
-        of the Euclidean distance and, for normal kinds, of the
-        point-to-plane distance.  Rows with an empty N_x or an underflowing
-        weight sum are undefined (NaN).
-        """
-        out = np.empty(n)
-        lo = 0
-        for _, dists, lens, plane in balls:
+            hi = lo + len(lens)
+            diff = self._diff(q[lo:hi], ids, lens)
+            dists = spatial.canonical_norm(*diff.T)
             w = gaussian_weight(dists * dists, self.params.sigma)
             den = _segment_sums(w, lens)
             den[(lens == 0) | (den < _WEIGHT_SUM_FLOOR)] = np.nan
-            if plane is not None:
-                plane = _segment_sums(w * plane, lens) / den
+            plane = None
+            if self.normals is not None:
+                plane = _segment_sums(w * self._plane(diff, ids), lens) / den
             dist = _segment_sums(w * dists, lens) / den
-            out[lo : lo + len(lens)] = _value(self.kind, dist, plane)
-            lo += len(lens)
+            out[lo:hi] = _value(self.kind, dist, plane)
+            lo = hi
         return out
 
     def _diff(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
@@ -280,9 +266,8 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
     """
     v = spec.voxel_size
     top = np.asarray(spec.dims) - 1
-    with np.errstate(over="ignore"):  # an overflow clips like any far edge
-        lo = np.ceil((index.positions.min(axis=0) - reach - spec.origin) / v)
-        hi = np.floor((index.positions.max(axis=0) + reach - spec.origin) / v)
+    lo = np.ceil((index.positions.min(axis=0) - reach - spec.origin) / v)
+    hi = np.floor((index.positions.max(axis=0) + reach - spec.origin) / v)
     lo, hi = np.clip(lo, 0, top + 1).astype(np.int64), np.clip(hi, -1, top).astype(np.int64)
     if (hi < lo).any():
         return
@@ -328,8 +313,7 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     the candidate chunks and their capped balls, so it makes no scan and no
     ball query.  Otherwise it scans, and once the scan has finished it
     publishes the entry it gathered, replacing the cloud's last one, if its
-    rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.  Only the ids and
-    lengths are kept; distances and weights stay chunk-sized.
+    rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
     """
     reach = 3.0 * spec.voxel_size + 1e-9
     if ev.kind in _NEAREST_KINDS or not len(ev.positions):
@@ -345,28 +329,20 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     entry = getattr(cloud, _ENTRY, None)
     if entry is not None and entry[0] == key:
         for nodes_idx, nodes_pos, balls in entry[1]:
-            yield nodes_idx, ev.weighted(len(nodes_pos), ev.recall(nodes_pos, balls))
+            yield nodes_idx, ev.weighted(nodes_pos, balls)
         return
     chunks, rows = [], 0
     for nodes_idx, nodes_pos, _, _ in _candidates(ev.full_index, spec, reach):
         rows += len(nodes_pos)
         balls = ev.balls(nodes_pos)
         if chunks is not None and rows * ev.width <= _ENTRY_BOUND:
-            kept = []
-            chunks.append((nodes_idx, nodes_pos, kept))
-            balls = _keeping(balls, kept)
+            balls = list(balls)
+            chunks.append((nodes_idx, nodes_pos, balls))
         else:
             chunks = None
-        yield nodes_idx, ev.weighted(len(nodes_pos), balls)
+        yield nodes_idx, ev.weighted(nodes_pos, balls)
     if chunks is not None:
         object.__setattr__(cloud, _ENTRY, (key, chunks))
-
-
-def _keeping(balls, kept: list):
-    """Yield ``balls`` unchanged, appending each chunk's (ids, lens) to ``kept``."""
-    for ball in balls:
-        kept.append((ball[0], ball[2]))
-        yield ball
 
 
 def compute_grid(
@@ -395,7 +371,8 @@ def compute_grid(
     lengths, at most ``_ENTRY_BOUND`` = 2**20 ball entries.  The next
     weighted call on the same cloud with the same spec, support,
     sigma-derived radius and cap reuses it instead of scanning and querying
-    again; its weights and values are computed afresh, to the same bits.
+    again.  Every weighted value comes from a ball's ids and lengths, stored
+    or just queried, so both give the same bits.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")

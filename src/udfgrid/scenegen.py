@@ -213,7 +213,8 @@ class SceneSpec:
 class ScanSpec:
     """Virtual scanning setup: sensors, per-point noise, scan dropout.
 
-    ``noise_sigma`` is a non-negative length (0 means no noise).
+    ``noise_sigma`` is a non-negative length (0 means no noise), and
+    ``dropout_fraction`` a number in [0, 1).
     """
 
     sensor_origins: np.ndarray
@@ -227,8 +228,16 @@ class ScanSpec:
         object.__setattr__(self, "sensor_origins", org)
         noise = as_length(self.noise_sigma, "noise_sigma", zero=True)
         object.__setattr__(self, "noise_sigma", noise)
-        if not (0.0 <= self.dropout_fraction < 1.0):
-            raise ContractError("dropout_fraction must be in [0, 1)")
+        object.__setattr__(self, "dropout_fraction",
+                           _as_fraction(self.dropout_fraction, "dropout_fraction"))
+
+
+def _as_fraction(f, name: str) -> float:
+    """``f`` as a float; anything but a number 0 <= f < 1 raises ContractError."""
+    v = float(f) if isinstance(f, (int, float, np.integer, np.floating)) else np.nan
+    if not 0.0 <= v < 1.0:
+        raise ContractError(f"{name} must be a number in [0, 1), got {f!r}")
+    return v
 
 
 def sample_scene(scene: SceneSpec, seed) -> PointCloud:
@@ -276,8 +285,7 @@ def apply_dropout(cloud: PointCloud, fraction: float, seed) -> PointCloud:
     """
     if cloud.sensor_origins is None:
         raise MissingDataError("dropout groups points by sensor origin; none present")
-    if not (0.0 <= fraction < 1.0):
-        raise ContractError("dropout fraction must be in [0, 1)")
+    fraction = _as_fraction(fraction, "dropout fraction")
     groups, inverse = np.unique(cloud.sensor_origins, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     n_groups = len(groups)

@@ -18,7 +18,7 @@ again, at twice the width, until the width covers the whole cloud.
 
 Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
 and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
-within ``core.MAX_COORD``, integers >= 1, and lengths in (0, MAX_COORD].
+within ``core.MAX_COORD``, integers >= 1, and lengths in [MIN_LENGTH, MAX_COORD].
 Anything else raises ContractError.
 Rows are independent, so a query whose rows x width entries would exceed
 the working budget ``_ENTRY_BUDGET`` runs in row chunks under it: peak

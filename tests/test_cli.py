@@ -213,7 +213,7 @@ class TestDataErrors:
         assert code == 2
         assert "finite" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("voxel_size", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("voxel_size", ["0", "nan", "inf", "1e-170"])
     def test_bad_voxel_size(self, clean_ply, tmp_path, capsys, voxel_size):
         code = main(["compute", clean_ply, str(tmp_path / "g.udfg"), "--kind", "ued",
                      "--voxel-size", voxel_size, "--auto-bounds"])
@@ -228,6 +228,14 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "sigma" in err and "Traceback" not in err
+
+    def test_sigma_below_the_bound(self, clean_ply, tmp_path, capsys):
+        """Sigma 1e-170 made every Gaussian weight 0 / 0, and compute exited 0."""
+        code = main(["compute", clean_ply, str(tmp_path / "g.udfg"), "--kind", "uwed",
+                     "--sigma", "1e-170", *GEOMETRY])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "MIN_LENGTH" in err and "Traceback" not in err
 
     def test_scan_limit(self, tmp_path, capsys):
         cube = tmp_path / "cube.ply"

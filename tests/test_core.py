@@ -29,7 +29,7 @@ from udfgrid import (
     world_to_voxel,
 )
 from udfgrid import core, spatial
-from udfgrid.core import MAX_COORD, linearize
+from udfgrid.core import MAX_COORD, MIN_LENGTH, linearize
 from udfgrid.spatial import canonical_distance
 
 
@@ -272,7 +272,7 @@ class TestGridSpec:
     def test_covering_refuses_dims_beyond_int64(self):
         """A box / voxel ratio that overflows float64 is a ContractError, not OverflowError."""
         with pytest.raises(ContractError, match="nodes"):
-            GridSpec.covering(np.array([[0.0, 0.0, 0.0], [1e10, 1.0, 1.0]]), 1e-300)
+            GridSpec.covering(np.array([[0.0, 0.0, 0.0], [1e10, 1.0, 1.0]]), 1e-140)
 
 
 class TestVoxelPosition:
@@ -337,6 +337,11 @@ class TestWorldToVoxel:
         np.testing.assert_array_equal(
             world_to_voxel(self.spec, p), [[0, 0, 0], [2, 5, 7]]
         )
+
+    def test_shape_is_kept(self):
+        assert world_to_voxel(self.spec, [1.2, 0.0, 4.4]).shape == (3,)
+        assert world_to_voxel(self.spec, [[1.2, 0.0, 4.4]]).shape == (1, 3)
+        assert world_to_voxel(self.spec, np.empty((0, 3))).shape == (0, 3)
 
 
 class TestDFParams:
@@ -498,6 +503,10 @@ def _index():
     return spatial.build_index(np.array(_TETRA))
 
 
+def _spec() -> GridSpec:
+    return GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.5, dims=(4, 4, 4))
+
+
 class TestArgumentContract:
     @pytest.mark.parametrize("call, match", [
         pytest.param(lambda: GridSpec.covering([[np.nan, 0, 0]], 0.1), _BOUND,
@@ -508,6 +517,11 @@ class TestArgumentContract:
                      .batch([[np.nan, 0, 0]]), _BOUND, id="batch NaN without support"),
         pytest.param(lambda: ScanSpec([[0, 0, 0, 1, 1, 1]]), _SHAPE, id="ScanSpec (1, 6)"),
         pytest.param(lambda: ScanSpec([0, 0]), _SHAPE, id="ScanSpec (2,)"),
+        pytest.param(lambda: world_to_voxel(_spec(), [np.nan, 0, 0]), _BOUND,
+                     id="world_to_voxel NaN"),
+        pytest.param(lambda: world_to_voxel(_spec(), (0, 0)), _SHAPE, id="world_to_voxel (2,)"),
+        pytest.param(lambda: world_to_voxel(_spec(), [[0, 0, 0], [0, 0]]), "numbers of shape",
+                     id="world_to_voxel ragged"),
     ])
     def test_rows(self, call, match):
         with pytest.raises(ContractError, match=match):
@@ -544,6 +558,10 @@ class TestArgumentContract:
         pytest.param(lambda: DFParams(sigma=np.inf), id="DFParams sigma inf"),
         pytest.param(lambda: DFParams(sigma=MAX_COORD / 2), id="DFParams 3 sigma beyond"),
         pytest.param(lambda: gaussian_weight(1.0, np.inf), id="gaussian_weight sigma inf"),
+        pytest.param(lambda: gaussian_weight(0.0, 1e-170), id="gaussian_weight sigma 1e-170"),
+        pytest.param(lambda: DFParams(sigma=1e-170), id="DFParams sigma 1e-170"),
+        pytest.param(lambda: spatial.nearest_batch(_index(), [0, 0, 0], r=1e-162),
+                     id="nearest_batch r 1e-162"),
         pytest.param(lambda: spatial.nearest_batch(_index(), [0, 0, 0], r=np.inf),
                      id="nearest_batch r inf"),
         pytest.param(lambda: spatial.radius_query_batch(_index(), [0, 0, 0], np.inf),
@@ -570,6 +588,8 @@ class TestArgumentContract:
         assert core.as_point([1, 2, 3], "p").shape == (3,)
         assert core.as_count(np.int64(3), "n", least=3) == 3
         assert core.as_length(MAX_COORD, "x") == MAX_COORD
+        assert core.as_length(MIN_LENGTH, "x") == MIN_LENGTH
+        assert core.as_length(MIN_LENGTH / 2, "x", zero=True) == MIN_LENGTH / 2
         for bad in ([[0, 0]], [[[0, 0, 0]]], 1.0, [[0, 0, 1], [0, 1]], "abc"):
             with pytest.raises(ContractError, match="p "):
                 core.as_rows(bad, "p")
@@ -580,7 +600,8 @@ class TestArgumentContract:
         for bad in (True, 2.0, "2", 2):
             with pytest.raises(ContractError, match=_COUNT):
                 core.as_count(bad, "n", least=3)
-        for bad in (0.0, -1.0, np.nan, np.inf, beyond, "x", None):
+        below = np.nextafter(MIN_LENGTH, 0)
+        for bad in (0.0, -1.0, np.nan, np.inf, beyond, below, 1e-170, "x", None):
             with pytest.raises(ContractError, match=_LENGTH):
                 core.as_length(bad, "x")
         with pytest.raises(ContractError, match="sphere radius " + _LENGTH):

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DENSITY, SENSORS, VOXEL_SIZE, desk_scene, grid_spec_for, plane_cloud
+from helpers import (
+    DENSITY, SENSORS, VOXEL_SIZE, canonical_dists, desk_scene, grid_spec_for, plane_cloud,
+    reference_rows,
+)
 from udfgrid import (
     ContractError,
     DFKind,
@@ -33,7 +36,7 @@ from udfgrid import (
     voxel_position,
 )
 from udfgrid import dfield, spatial
-from udfgrid.core import MAX_COORD
+from udfgrid.core import MAX_COORD, MIN_LENGTH, linearize
 from udfgrid.dfield import quantize_values
 from udfgrid.spatial import canonical_distance
 
@@ -162,6 +165,14 @@ class TestWeighted:
         expect = (0.02 * w1 + 0.04 * w2) / (w1 + w2)
         np.testing.assert_allclose(got, expect, rtol=1e-14)
         np.testing.assert_allclose(got, 0.026416426016492136, rtol=1e-12)
+
+    def test_smallest_sigma(self):
+        """At sigma 1e-170 the weights were 0 / 0, and a point on the cloud got NaN."""
+        cloud = PointCloud([[0.0, 0.0, 0.0], [MIN_LENGTH, 0.0, 0.0]])
+        got = evaluate((0.0, 0.0, 0.0), cloud, DFKind.UWED, DFParams(sigma=MIN_LENGTH))
+        np.testing.assert_allclose(got, MIN_LENGTH * np.exp(-1.0) / (1.0 + np.exp(-1.0)),
+                                   rtol=1e-14)
+        assert gaussian_weight(0.0, MIN_LENGTH) == 1.0
 
     def test_imls_plane_is_exact_height(self):
         """With coplanar points and a shared normal, every neighbor votes the
@@ -518,6 +529,88 @@ class TestCandidateSet:
         cloud = PointCloud([[0.2, 0.2, 0.2], [x, 0.2, 0.2]])
         spec = GridSpec(origin=(0, 0, 0), voxel_size=0.05, dims=(10, 10, 10))
         self._check(cloud, spec, DFKind.UED)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A cloud of up to 40 points, some with NaN normals, with a sigma, a cap and queries.
+
+    On the coarse dyadic lattices distances are exact, so distance ties and
+    points exactly 3 sigma away are common; the fine one gives no ties.
+    Sigma runs from a ball that holds one or two points, where the cap does
+    not bind, to one that holds the whole cloud.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    step = draw(st.sampled_from([0.125, 0.0625, 2.0**-30]))
+    pos = np.round(rng.random((n, 3)) * 0.5 / step) * step
+    nrm = rng.normal(size=(n, 3))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    nrm[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = np.nan
+    queries = np.concatenate([np.round(rng.random((10, 3)) * 0.5 / step) * step,
+                              rng.random((10, 3)) * 0.7 - 0.1])
+    sigma = draw(st.sampled_from([0.0625, 0.125, 0.25]))
+    return PointCloud(pos, nrm), sigma, draw(st.integers(1, 12)), queries
+
+
+class TestValueOracle:
+    """Every kind's values against ``helpers.reference_rows``, computed from scratch.
+
+    Values agree within 1e-13 sigma, stored grid values within that plus one
+    float32 ulp.  SED and SWED signs are compared only where the reference
+    plane distance exceeds the tolerance.  The defined/undefined pattern
+    agrees, except where the weight sum lies within a few ulps of the floor
+    or, for a grid, the value within the tolerance of the truncation at 3.
+    """
+
+    @staticmethod
+    def _errors(got, ref, plane, kind, tol):
+        err = np.abs(got - ref)
+        if kind in (DFKind.SED, DFKind.SWED):
+            err = np.where(np.abs(plane) <= tol, np.abs(np.abs(got) - np.abs(ref)), err)
+        return err
+
+    @staticmethod
+    def _near_floor(den):
+        return np.abs(den - dfield._WEIGHT_SUM_FLOOR) <= 4 * np.spacing(dfield._WEIGHT_SUM_FLOOR)
+
+    @settings(max_examples=40)
+    @given(oracle_cases(), st.sampled_from(list(DFKind)), st.sampled_from([0.125, 0.25]))
+    def test_values_match_the_reference(self, case, kind, voxel):
+        cloud, sigma, cap, queries = case
+        params, tol = DFParams(sigma=sigma, max_neighbors=cap), 1e-13 * sigma
+        ref, plane, den = reference_rows(cloud, kind, sigma, cap, queries)
+        got = make_evaluator(cloud, kind, params).batch(queries)
+        sure = ~self._near_floor(den)
+        np.testing.assert_array_equal(np.isnan(got)[sure], np.isnan(ref)[sure])
+        both = ~np.isnan(got) & ~np.isnan(ref)
+        assert (self._errors(got, ref, plane, kind, tol)[both] <= tol).all()
+
+        spec = GridSpec(origin=(-0.25, -0.25, -0.25), voxel_size=voxel, dims=(6, 6, 6))
+        idx = np.stack(np.meshgrid(*[np.arange(d) for d in spec.dims], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        pos = voxel_position(spec, idx)
+        near = np.array([canonical_dists(cloud.positions, x).min() for x in pos])
+        idx, pos = idx[near <= 3.0 * voxel + 1e-9], pos[near <= 3.0 * voxel + 1e-9]
+        ref, plane, den = reference_rows(cloud, kind, sigma, cap, pos)
+        ref_v, tol_v = ref / voxel, tol / voxel
+        expected = np.isfinite(ref_v) & (np.abs(quantize_values(ref_v)) < 3.0)
+        edge = np.abs(np.abs(ref_v) - 3.0) <= tol_v + np.spacing(np.float32(3.0))
+        unsure = self._near_floor(den) | edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty grids warn
+            grids = [compute_grid(cloud, spec, kind, params) for _ in range(2)]
+        if kind not in dfield._NEAREST_KINDS and (
+                not kind.requires_normals or not np.isnan(cloud.normals).all()):
+            assert getattr(cloud, dfield._ENTRY, None) is not None
+        for grid in grids:  # a weighted kind's first call stores the entry, its second reads it
+            stored = np.isin(linearize(spec.dims, idx), grid.codes())
+            assert not (stored != expected)[~unsure].any()
+            g, _ = grid.values_at(idx[stored & expected])
+            r, p = ref_v[stored & expected], plane[stored & expected] / voxel
+            ulp = np.spacing(np.abs(r).astype(np.float32)).astype(np.float64)
+            err = self._errors(g, r, p, kind, tol_v)
+            assert ((err <= tol_v + ulp) | ((g == 0) & (np.abs(r) < dfield._ZERO_SNAP))).all()
 
 
 class TestScanLimit:

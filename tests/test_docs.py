@@ -5,7 +5,7 @@ from pathlib import Path
 
 import udfgrid
 from udfgrid import dfield, load_scene_config, spatial
-from udfgrid.core import MAX_COORD
+from udfgrid.core import MAX_COORD, MIN_LENGTH
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SOURCES = Path(udfgrid.__file__).resolve().parent
@@ -50,6 +50,13 @@ def test_readme_states_the_coordinate_bound():
     match = re.search(r"`MAX_COORD` = 2\^(\d+)", text)
     assert match, "README conventions state no coordinate bound"
     assert 2.0 ** int(match.group(1)) == MAX_COORD
+
+
+def test_readme_states_the_length_bound():
+    text = README.read_text(encoding="utf-8").split("## Conventions worth knowing", 1)[1]
+    match = re.search(r"`MIN_LENGTH` = 2\^(-\d+)", text)
+    assert match, "README conventions state no length bound"
+    assert 2.0 ** int(match.group(1)) == MIN_LENGTH
 
 
 def test_readme_states_the_memory_bounds():

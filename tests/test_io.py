@@ -23,7 +23,7 @@ from udfgrid import (
     write_grid,
     write_ply,
 )
-from udfgrid.core import MAX_COORD, MAX_NODES
+from udfgrid.core import MAX_COORD, MAX_NODES, MIN_LENGTH
 
 
 def _full_cloud(n=25, seed=42):
@@ -716,7 +716,7 @@ def grids(draw):
     u32 = st.integers(1, 2**32 - 1)
     dims = draw(st.tuples(u32, u32, u32).filter(lambda d: d[0] * d[1] * d[2] <= MAX_NODES))
     longest = max(dims) - 1
-    voxel_size = draw(st.floats(min_value=0.0, exclude_min=True,
+    voxel_size = draw(st.floats(min_value=MIN_LENGTH,
                                 max_value=min(MAX_COORD, 2 * MAX_COORD / max(longest, 1))))
     origin = [draw(st.floats(-MAX_COORD, max(-MAX_COORD, MAX_COORD - (d - 1) * voxel_size)))
               for d in dims]
@@ -746,6 +746,17 @@ class TestGridProperties:
         data[46:54] = struct.pack("<d", beyond)
         (tmp_path / "b").write_bytes(bytes(data))
         with pytest.raises(ParseError) as err:
+            read_grid(tmp_path / "b")
+        assert err.value.offset == 46
+
+    def test_voxel_size_below_the_bound(self, tmp_path):
+        spec = GridSpec(origin=(0, 0, 0), voxel_size=MIN_LENGTH, dims=(2, 1, 1))
+        write_grid(SparseDFGrid(spec, DFKind.UED, False, [[1, 0, 0]], [1.0]), tmp_path / "a")
+        assert read_grid(tmp_path / "a").spec.voxel_size == MIN_LENGTH
+        data = bytearray((tmp_path / "a").read_bytes())
+        data[46:54] = struct.pack("<d", 1e-170)
+        (tmp_path / "b").write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="MIN_LENGTH") as err:
             read_grid(tmp_path / "b")
         assert err.value.offset == 46
 

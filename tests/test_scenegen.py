@@ -326,6 +326,14 @@ class TestApplyDropout:
         with pytest.raises(MissingDataError):
             apply_dropout(PointCloud(np.zeros((3, 3))), 0.5, 42)
 
+    @pytest.mark.parametrize("fraction", ["0.5", None, [0.5], np.nan, 1.0, -0.1])
+    def test_one_fraction_rule(self, fraction):
+        """The dropout fraction is a number in [0, 1), for ScanSpec as for apply_dropout."""
+        with pytest.raises(ContractError, match=r"fraction must be a number in \[0, 1\)"):
+            ScanSpec([[0.0, 0.0, 1.0]], dropout_fraction=fraction)
+        with pytest.raises(ContractError, match=r"fraction must be a number in \[0, 1\)"):
+            apply_dropout(self._cloud(4), fraction, 42)
+
 
 class TestAugment:
     def _cloud(self):

@@ -24,6 +24,7 @@ from udfgrid import (
     set_num_threads,
 )
 from udfgrid import spatial
+from udfgrid.core import MIN_LENGTH
 from udfgrid.spatial import (
     canonical_distance,
     capped_ball_batch,
@@ -92,6 +93,16 @@ class TestNearest:
         # points at exactly 1.0, beyond r; row 3 is far from every point.
         assert ids.tolist() == [0, 3, 1, 3]
         assert dists.tolist() == [0.5, np.inf, 0.25, np.inf]
+
+    def test_smallest_bound_finds_a_point_at_distance_zero(self):
+        """Below about 1.4e-162 the kd bound's square was 0: no point, not even at distance 0."""
+        idx = build_index(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        ids, dists = nearest_batch(idx, [[0.0, 0.0, 0.0]], r=MIN_LENGTH)
+        assert (ids.tolist(), dists.tolist()) == ([0], [0.0])
+        ids, dists, lens = capped_ball_batch(idx, [[0.0, 0.0, 0.0]], MIN_LENGTH, 2)
+        assert (ids.tolist(), dists.tolist(), lens.tolist()) == ([0], [0.0], [1])
+        with pytest.raises(ContractError, match="MIN_LENGTH"):
+            nearest_batch(idx, [[0.0, 0.0, 0.0]], r=1e-162)
 
     @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
     def test_bound_must_be_positive(self, r):
