@@ -29,7 +29,10 @@ to float32-representable doubles on storage so file round-trips and the
 flip involution are exact.  A weighted kind's ``compute_grid`` leaves its
 candidate nodes and capped balls on the (immutable) cloud, so the next
 weighted kind with the same spec, support, sigma and cap skips the scan and
-the ball query.
+the ball query.  The entry also keeps the per-row weighted sums each kind
+computed (the weight sum, and the weighted sums of the distance and of the
+plane distance: at most 24 B per candidate row), so a later kind computes
+only the sums it lacks.
 
 Two bounds keep memory small.  Every transient (row x neighbour) array is
 sized by the spatial working budget (``spatial.chunk_rows``): the capped
@@ -54,6 +57,10 @@ from .core import (
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
+# The per-row sums a weighted kind reads: the weight sum "w" and the weighted
+# sums of the distance "d" and of the plane distance "plane".
+_SUMS = {DFKind.UWED: ("w", "d"), DFKind.IMLS: ("w", "plane"), DFKind.UIMLS: ("w", "plane"),
+         DFKind.SWED: ("w", "d", "plane")}
 # Candidate scan: cubes of _BLOCK**3 nodes, culled _CULL_BATCH blocks at a
 # time, at most _NODE_CHUNK node rows per bounded nearest query, and at most
 # _MAX_SCAN_NODES nodes in the scanned box.
@@ -61,7 +68,6 @@ _BLOCK = 4
 _CULL_BATCH = 4096
 _NODE_CHUNK = 32768
 _MAX_SCAN_NODES = 2**32
-_WEIGHT_SUM_FLOOR = 1e-300
 # The PointCloud attribute that holds compute_grid's neighbourhood entry, and
 # the most capped-ball entries (rows x width) it stores: 8 MiB of ids.
 _ENTRY = "_neighbourhood"
@@ -153,10 +159,11 @@ class _Evaluator:
         return _value(self.kind, d, plane)
 
     def balls(self, q: np.ndarray):
-        """The capped balls N_x of ``q``'s rows: (ids, lens) per chunk.
+        """The capped balls N_x of ``q``'s rows: (ids, lens, sums) per chunk.
 
         A chunk's entries, rows x ``width``, fit the spatial working budget,
-        so memory does not grow with the cap.
+        so memory does not grow with the cap.  ``sums`` starts empty (see
+        ``weighted``).
         """
         p = self.params
         step = spatial.chunk_rows(self.width)
@@ -164,31 +171,44 @@ class _Evaluator:
             ids, _, lens = spatial.capped_ball_batch(
                 self.index, q[lo : lo + step], p.neighbor_radius, p.max_neighbors
             )
-            yield ids, lens
+            yield ids, lens, {}
 
     def weighted(self, q: np.ndarray, balls) -> np.ndarray:
         """A weighted kind's values at ``q``'s rows from their capped balls.
 
-        ``balls`` gives (ids, lens) per chunk of rows, in row order.  One
-        difference x - p per entry gives the plane distance of normal kinds
-        and the distance, the bits the capped-ball query returned, since
-        ``canonical_norm`` is ``canonical_distance`` element by element.  The
-        rule reads Gaussian-weighted averages of both over N_x; rows with an
-        empty N_x or an underflowing weight sum are undefined (NaN).
+        ``balls`` gives (ids, lens, sums) per chunk of rows, in row order.
+        The rule reads Gaussian-weighted averages over N_x of the distance
+        and, for normal kinds, the plane distance: per row, the weight sum
+        ``"w"`` and the weighted sums ``"d"`` and ``"plane"``.  Those already
+        in a chunk's ``sums`` dict are read; the rest are computed and added
+        to it.  One difference x - p per entry gives the plane distance and
+        the distance, the bits the capped-ball query returned, since
+        ``canonical_norm`` is ``canonical_distance`` element by element.  Each
+        sum is the same ``_segment_sums`` call whichever kind makes it.  Rows
+        with an empty N_x are undefined (NaN): every weight in N_x is at
+        least e**-9, so a non-empty weight sum is positive.
         """
+        needs = _SUMS[self.kind]
         out = np.empty(len(q))
         lo = 0
-        for ids, lens in balls:
+        for ids, lens, sums in balls:
             hi = lo + len(lens)
-            diff = self._diff(q[lo:hi], ids, lens)
-            dists = spatial.canonical_norm(*diff.T)
-            w = gaussian_weight(dists * dists, self.params.sigma)
-            den = _segment_sums(w, lens)
-            den[(lens == 0) | (den < _WEIGHT_SUM_FLOOR)] = np.nan
-            plane = None
-            if self.normals is not None:
-                plane = _segment_sums(w * self._plane(diff, ids), lens) / den
-            dist = _segment_sums(w * dists, lens) / den
+            missing = [name for name in needs if name not in sums]
+            if missing:
+                diff = self._diff(q[lo:hi], ids, lens)
+                dists = spatial.canonical_norm(*diff.T)
+                w = gaussian_weight(dists * dists, self.params.sigma)
+                for name in missing:
+                    if name == "w":
+                        term = w
+                    elif name == "d":
+                        term = w * dists
+                    else:
+                        term = w * self._plane(diff, ids)
+                    sums[name] = _segment_sums(term, lens)
+            den = np.where(lens > 0, sums["w"], np.nan)
+            dist = sums["d"] / den if "d" in needs else None
+            plane = sums["plane"] / den if "plane" in needs else None
             out[lo:hi] = _value(self.kind, dist, plane)
             lo = hi
         return out
@@ -309,11 +329,12 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     """(node indices, values) of ``ev``'s kind for each chunk of candidate nodes.
 
     A weighted kind over a non-empty support reads the cloud's neighbourhood
-    entry when its key (spec values, support, 3-sigma radius, cap) matches:
-    the candidate chunks and their capped balls, so it makes no scan and no
-    ball query.  Otherwise it scans, and once the scan has finished it
-    publishes the entry it gathered, replacing the cloud's last one, if its
-    rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
+    entry when its key (spec values, support, sigma, cap) matches: the
+    candidate chunks, their capped balls and the per-row sums that earlier
+    kinds computed over them, so it makes no scan and no ball query, and
+    computes only the sums it lacks.  Otherwise it scans, and once the scan
+    has finished it publishes the entry it gathered, replacing the cloud's
+    last one, if its rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
     """
     reach = 3.0 * spec.voxel_size + 1e-9
     if ev.kind in _NEAREST_KINDS or not len(ev.positions):
@@ -325,7 +346,7 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
         return
     p = ev.params
     key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
-           p.neighbor_radius, p.max_neighbors)
+           p.sigma, p.max_neighbors)
     entry = getattr(cloud, _ENTRY, None)
     if entry is not None and entry[0] == key:
         for nodes_idx, nodes_pos, balls in entry[1]:
@@ -368,11 +389,12 @@ def compute_grid(
 
     The weighted kinds (UWED, IMLS, UIMLS, SWED) keep one neighbourhood
     entry on the cloud: the candidate chunks with their capped-ball ids and
-    lengths, at most ``_ENTRY_BOUND`` = 2**20 ball entries.  The next
-    weighted call on the same cloud with the same spec, support,
-    sigma-derived radius and cap reuses it instead of scanning and querying
-    again.  Every weighted value comes from a ball's ids and lengths, stored
-    or just queried, so both give the same bits.
+    lengths, at most ``_ENTRY_BOUND`` = 2**20 ball entries, and the per-row
+    weighted sums taken over them so far.  The next weighted call on the
+    same cloud with the same spec, support, sigma and cap reuses it instead
+    of scanning and querying again, and sums only what it lacks.  Every
+    weighted value comes from a ball's ids and lengths, stored or just
+    queried, through the same sums, so both give the same bits.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")

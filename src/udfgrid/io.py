@@ -32,6 +32,9 @@ import numpy as np
 from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point, linearize
 from .errors import ContractError, ParseError
 
+# Rows of an ASCII PLY body formatted per write, so that the text and the
+# Python floats held at once stay a few MiB whatever the cloud size.
+_ASCII_ROWS = 4096
 _MAGIC = b"UDFG"
 _HEADER_STRUCT = struct.Struct("<4sIBB3I3ddQ")
 _RECORD_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("k", "<u4"), ("v", "<f4")])
@@ -73,9 +76,11 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
         if binary:
             fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
         else:
-            body = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in data)
-            if body:
-                fh.write(body.encode("ascii") + b"\n")
+            # One format call per row; "%.17g" formats a float as format(v, ".17g").
+            line = " ".join(["%.17g"] * data.shape[1]) + "\n"
+            for lo in range(0, len(data), _ASCII_ROWS):
+                rows = data[lo : lo + _ASCII_ROWS].tolist()
+                fh.write("".join([line % tuple(row) for row in rows]).encode("ascii"))
 
 
 def _header_lines(data: bytes, path) -> tuple[list[tuple[int, str]], int]:

@@ -35,7 +35,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     pos = cloud.positions
     index = spatial.build_index(pos)
     kk = min(k, len(pos))
-    # Rows are independent: chunking bounds the (rows, kk, 3) neighbourhood
+    # Rows are independent: chunking bounds the (kk, rows, 3) neighbourhood
     # so peak memory does not grow with k.
     normals = np.empty((len(pos), 3))
     step = spatial.chunk_rows(kk + 1)
@@ -48,9 +48,16 @@ def _pca_normals(index: spatial.SpatialIndex, q: np.ndarray, kk: int) -> np.ndar
     """Sign-fixed PCA normals of the cloud points ``q``; NaN where degenerate."""
     ids, _, _ = spatial.knn_batch(index, q, kk)
     # Every query point is a cloud member, so each row has exactly kk hits.
-    neigh = index.positions[ids.reshape(len(q), kk)]
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / kk
+    # Neighbour-major, (kk, rows, 3): a sum over the leading axis adds whole
+    # (rows, 3) slices, neighbour after neighbour, so the mean and the
+    # covariance are the additions, in the same order, of
+    # ``neigh.mean(axis=1)`` and ``einsum("nki,nkj->nij")`` over (rows, kk, 3).
+    centered = index.positions[ids.reshape(len(q), kk).T]
+    centered -= centered.sum(axis=0) / kk
+    cov = np.empty((len(q), 3, 3))
+    for i in range(3):
+        cov[:, i] = (centered[:, :, i : i + 1] * centered).sum(axis=0)
+    cov /= kk
     eigvals, eigvecs = np.linalg.eigh(cov)
     normals = eigvecs[:, :, 0]
     norms = np.linalg.norm(normals, axis=1, keepdims=True)

@@ -4,17 +4,21 @@ Wraps a kd-tree but pins down the parts a kd-tree leaves loose, so results
 are reproducible and match a brute-force scan exactly:
 
 - every returned distance is recomputed with one canonical formula,
-  ``sqrt(dx*dx + dy*dy + dz*dz)`` in float64;
+  ``sqrt(dx*dx + dy*dy + dz*dz)`` in float64, summed in that order; the
+  exact kernel gathers each coordinate from its own column;
 - exact distance ties break toward the lowest point id;
 - radius queries are boundary-inclusive (distance == r is returned).
 
 Nearest, k-nearest and capped-ball selection share one mechanism, a kd
 query for more than k neighbours (capped balls bound it by r plus a 1e-9
 relative margin) whose canonical distances are recomputed and whose rows
-are ordered by (distance, id).  A point the kd query left out is at least
-as far as the last one it returned, so a row is exact unless its last
-distance lies within the margin of its k-th.  Only such rows are asked
-again, at twice the width, until the width covers the whole cloud.
+are ordered by (distance, id).  The kd query orders a row by its own
+distances, so most rows arrive in that order already: only the rows with
+an adjacent pair out of (distance, id) order are sorted.  A point the kd
+query left out is at least as far as the last one it returned, so a row is
+exact unless its last distance lies within the margin of its k-th.  Only
+such rows are asked again, at twice the width, until the width covers the
+whole cloud.
 
 Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
 and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
@@ -146,11 +150,19 @@ def _exact_neighbours(
     bound = np.inf if r is None else r * (1.0 + _RADIUS_MARGIN)
     _, ids = index.tree.query(q, k=width, distance_upper_bound=bound, workers=get_num_threads())
     ids = ids.reshape(len(q), width)
-    found = index.positions[np.minimum(ids, n - 1)]
-    dists = np.where(ids < n, canonical_distance(q[:, None, :], found), np.inf)
-    order = np.lexsort((ids, dists), axis=-1)
-    ids = np.take_along_axis(ids, order, axis=-1)
-    dists = np.take_along_axis(dists, order, axis=-1)
+    # Only a bounded query pads its rows, with id n at distance inf.
+    found = ids if r is None else np.minimum(ids, n - 1)
+    dists = _gathered_distances(index.positions, q, found)
+    if r is not None:
+        dists[ids == n] = np.inf
+    # The kd query's order is its own distances'; a row whose canonical
+    # distances tie or swap out of (distance, id) order is sorted again.
+    d0, d1, i0, i1 = dists[:, :-1], dists[:, 1:], ids[:, :-1], ids[:, 1:]
+    unsorted = np.flatnonzero(((d1 < d0) | ((d1 == d0) & (i1 < i0))).any(axis=1))
+    if len(unsorted):
+        order = np.lexsort((ids[unsorted], dists[unsorted]), axis=-1)
+        ids[unsorted] = np.take_along_axis(ids[unsorted], order, axis=-1)
+        dists[unsorted] = np.take_along_axis(dists[unsorted], order, axis=-1)
     if width < n:
         kth, last = dists[:, k - 1], dists[:, -1]
         wide = np.flatnonzero(np.isfinite(last) & (last <= kth * (1.0 + _RADIUS_MARGIN)))
@@ -161,6 +173,24 @@ def _exact_neighbours(
         beyond = dists > r
         ids[beyond], dists[beyond] = n, np.inf
     return ids, dists
+
+
+def _gathered_distances(positions: np.ndarray, q: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Canonical distances from row r of ``q`` to the points ``ids[r]``.
+
+    Each coordinate is gathered from its own column of ``positions``; the
+    sums run x, then y, then z, as in ``canonical_norm``, so the bits are
+    the same.
+    """
+    d = positions[:, 0][ids]
+    np.subtract(q[:, :1], d, out=d)
+    d *= d
+    for c in (1, 2):
+        dc = positions[:, c][ids]
+        np.subtract(q[:, c : c + 1], dc, out=dc)
+        dc *= dc
+        d += dc
+    return np.sqrt(d, out=d)
 
 
 def nearest_batch(

@@ -5,7 +5,9 @@ truncation band) is the standard integration scene; the brute-force spatial
 oracles recompute distances with the same canonical formula the library
 uses, ``sqrt(dx*dx + dy*dy + dz*dz)`` in float64, so set comparisons and
 exact-equality checks against the accelerated paths are meaningful.
-``reference_rows`` is the value oracle of the eight distance kinds.
+``brute_neighbours`` is the exact kernel's oracle, ``reference_pca_normals``
+the PCA's, and ``reference_rows`` the value oracle of the eight distance
+kinds.
 """
 
 import math
@@ -24,11 +26,13 @@ from udfgrid import (
     sample_scene,
     simulate_scans,
 )
-from udfgrid.dfield import _WEIGHT_SUM_FLOOR
 
 VOXEL_SIZE = 0.05
 # 16 points per voxel face: 16 / (0.05 m)^2.
 DENSITY = 16.0 / (VOXEL_SIZE * VOXEL_SIZE)
+# The reference's own weight-sum floor: a row whose weights sum below it is
+# undefined.  The library needs none, since every weight in N_x is at least e**-9.
+WEIGHT_SUM_FLOOR = 1e-300
 SENSORS = np.array([
     [0.8, 0.8, 1.6],
     [-0.3, 0.8, 1.0],
@@ -101,6 +105,44 @@ def brute_radius(points: np.ndarray, q: np.ndarray, r: float) -> list[tuple[int,
     return [(int(i), float(dist[i])) for i in ids]
 
 
+def brute_neighbours(points: np.ndarray, q: np.ndarray, k: int, r: float | None = None):
+    """(ids, dists) as ``spatial._exact_neighbours`` returns them, by exhaustive scan.
+
+    Every row sorts all its canonical distances by (distance, id) with a
+    full ``lexsort`` and keeps the first min(k, n); with ``r``, entries
+    beyond r become id n and distance inf.
+    """
+    n = len(points)
+    ids = np.empty((len(q), min(k, n)), dtype=np.int64)
+    dists = np.empty((len(q), min(k, n)))
+    for row, x in enumerate(q):
+        dist = canonical_dists(points, x)
+        order = np.lexsort((np.arange(n), dist))[: min(k, n)]
+        ids[row], dists[row] = order, dist[order]
+    if r is not None:
+        beyond = dists > r
+        ids[beyond], dists[beyond] = n, np.inf
+    return ids, dists
+
+
+def reference_pca_normals(positions: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """PCA normals from (rows, k) neighbour ids: ``mean`` and ``einsum`` over (rows, k, 3).
+
+    ``normals._pca_normals`` must reproduce these covariance additions bit
+    for bit; the eigenvector, sign and degeneracy rules are the library's.
+    """
+    neigh = positions[ids]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / ids.shape[1]
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    normals = eigvecs[:, :, 0]
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    lead = np.take_along_axis(normals, np.argmax(np.abs(normals), axis=1)[:, None], axis=1)[:, 0]
+    normals = np.where((lead < 0)[:, None], -normals, normals)
+    normals[(eigvals[:, 1] - eigvals[:, 0]) < 1e-9] = np.nan
+    return normals
+
+
 def patch_distance(points: np.ndarray, side: float = 1.0) -> np.ndarray:
     """Exact distance from each point to the closed unit patch [0,side]^2 x {0}."""
     p = np.asarray(points, dtype=np.float64)
@@ -119,7 +161,7 @@ def reference_rows(cloud: PointCloud, kind: DFKind, sigma: float, cap: int, quer
     weighted kind averages over N_x, the ``cap`` first points within
     3 sigma (boundary inclusive), with weights exp(-d**2 / sigma**2) summed
     by ``math.fsum``; a nearest kind reads the first point, with weight 1.
-    An empty N_x or a weight sum below the library's floor is undefined
+    An empty N_x or a weight sum below ``WEIGHT_SUM_FLOOR`` is undefined
     (NaN), and sign(0) = +1.  Kinds without normals have NaN planes.
     """
     pos, nrm = cloud.positions, cloud.normals
@@ -138,7 +180,7 @@ def reference_rows(cloud: PointCloud, kind: DFKind, sigma: float, cap: int, quer
             ball, w = order[:1], [1.0] * len(order[:1])
         den = math.fsum(w)
         dist = plane = math.nan
-        if ball and den >= _WEIGHT_SUM_FLOOR:
+        if ball and den >= WEIGHT_SUM_FLOOR:
             dist = math.fsum(wi * d[i] for wi, i in zip(w, ball)) / den
             if nrm is not None:
                 plane = math.fsum(

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    DENSITY, SENSORS, VOXEL_SIZE, canonical_dists, desk_scene, grid_spec_for, plane_cloud,
-    reference_rows,
+    DENSITY, SENSORS, VOXEL_SIZE, WEIGHT_SUM_FLOOR, canonical_dists, desk_scene, grid_spec_for,
+    plane_cloud, reference_rows,
 )
 from udfgrid import (
     ContractError,
@@ -401,6 +401,60 @@ class TestNeighbourhoodEntry:
             compute_grid(cloud, spec, kind, params)
         assert one_kind and calls == one_kind
 
+    # (kind, sigma) per call.  The last order's two sigmas differ by one ulp
+    # and have the same 3-sigma radius.
+    ORDERS = {
+        "swed_first": ((DFKind.SWED, 2 * VOXEL), (DFKind.UWED, 2 * VOXEL), (DFKind.IMLS, 2 * VOXEL)),
+        "imls_swed": ((DFKind.IMLS, 2 * VOXEL), (DFKind.SWED, 2 * VOXEL)),
+        "uwed_swed": ((DFKind.UWED, 2 * VOXEL), (DFKind.SWED, 2 * VOXEL)),
+        "sigma_between": ((DFKind.UWED, 2 * VOXEL), (DFKind.IMLS, VOXEL), (DFKind.SWED, 2 * VOXEL),
+                          (DFKind.UIMLS, VOXEL)),
+        "same_radius": ((DFKind.UWED, 2 * VOXEL), (DFKind.SWED, np.nextafter(2 * VOXEL, 1.0))),
+    }
+
+    @pytest.mark.parametrize("nan_every", [None, 97])
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_stored_sums_in_any_order(self, order, nan_every):
+        """Whichever kinds summed first, each call gives a fresh cloud's grid and ``batch``'s values.
+
+        The values a call computes, before quantization, equal ``batch`` on a
+        fresh cloud bit for bit; the grid of the next call, which reads the
+        sums this one stored, equals a fresh cloud's.
+        """
+        cloud = _noisy_desk_with_normals(nan_every)
+        spec = grid_spec_for(cloud, self.VOXEL)
+        radii = {sigma: DFParams(sigma=sigma).neighbor_radius for _, sigma in self.ORDERS[order]}
+        assert len(set(radii.values())) == len(radii) - (order == "same_radius")
+        for kind, sigma in self.ORDERS[order]:
+            params = DFParams(sigma=sigma)
+            fresh = PointCloud(cloud.positions, cloud.normals, cloud.sensor_origins)
+            chunks = list(dfield._node_values(cloud, spec, dfield._Evaluator(cloud, kind, params)))
+            values = np.concatenate([vals for _, vals in chunks])
+            nodes = voxel_position(spec, np.concatenate([idx for idx, _ in chunks]))
+            want = make_evaluator(fresh, kind, params).batch(nodes)
+            assert values.tobytes() == want.tobytes(), (order, kind)
+            assert _same_bits(compute_grid(cloud, spec, kind, params),
+                              compute_grid(fresh, spec, kind, params)), (order, kind)
+
+    def test_swed_after_uwed_and_imls_takes_no_differences(self, monkeypatch):
+        cloud = _noisy_desk_with_normals()
+        spec, params = grid_spec_for(cloud, self.VOXEL), DFParams(sigma=2.0 * self.VOXEL)
+        for kind in (DFKind.UWED, DFKind.IMLS):
+            compute_grid(cloud, spec, kind, params)
+        calls = []
+        diff = dfield._Evaluator._diff
+
+        def spy(self, q, ids, lens):
+            calls.append(len(ids))
+            return diff(self, q, ids, lens)
+
+        monkeypatch.setattr(dfield._Evaluator, "_diff", spy)
+        grid = compute_grid(cloud, spec, DFKind.SWED, params)
+        assert calls == []
+        fresh = PointCloud(cloud.positions, cloud.normals)
+        assert _same_bits(grid, compute_grid(fresh, spec, DFKind.SWED, params))
+        assert calls  # the fresh cloud's call takes them
+
     def test_concurrent_calls_see_whole_entries(self):
         """Threads alternating kinds and sigmas on one cloud get a fresh cloud's grids."""
         cloud = plane_cloud(seed=5, density=1000.0)
@@ -572,7 +626,7 @@ class TestValueOracle:
 
     @staticmethod
     def _near_floor(den):
-        return np.abs(den - dfield._WEIGHT_SUM_FLOOR) <= 4 * np.spacing(dfield._WEIGHT_SUM_FLOOR)
+        return np.abs(den - WEIGHT_SUM_FLOOR) <= 4 * np.spacing(WEIGHT_SUM_FLOOR)
 
     @settings(max_examples=40)
     @given(oracle_cases(), st.sampled_from(list(DFKind)), st.sampled_from([0.125, 0.25]))

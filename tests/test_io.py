@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from udfgrid import (
     ContractError,
@@ -23,6 +24,7 @@ from udfgrid import (
     write_grid,
     write_ply,
 )
+from udfgrid import io as udfg_io
 from udfgrid.core import MAX_COORD, MAX_NODES, MIN_LENGTH
 
 
@@ -90,6 +92,33 @@ class TestPlyRoundtrip:
             f"property double {n}"
             for n in ("x", "y", "z", "nx", "ny", "nz", "sx", "sy", "sz")
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(3)),
+                  elements=st.floats(-MAX_COORD, MAX_COORD)),
+           st.lists(st.sampled_from([(0.0, 0.0, 1.0), (-0.0, -1.0, 0.0), (0.6, -0.8, -0.0),
+                                     (3**-0.5,) * 3, (np.nan,) * 3]), max_size=12),
+           st.integers(1, 6))
+    def test_ascii_body_formats_each_value_as_17g(self, pos, normals, rows_per_write):
+        """The body is format(v, ".17g") per value: subnormals, -0.0, NaN and the bound too.
+
+        The same bytes whatever the number of rows formatted per write.
+        """
+        pos = np.concatenate([pos, [[5e-324, -0.0, MAX_COORD], [-MAX_COORD, 1e-310, 0.0]]])
+        nrm = np.resize(np.array(normals or [(0.0, 0.0, 1.0)]), (len(pos), 3))
+        cloud = PointCloud(pos, nrm, pos[::-1])
+        original = udfg_io._ASCII_ROWS
+        try:
+            udfg_io._ASCII_ROWS = rows_per_write
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "c.ply"
+                write_ply(cloud, path, binary=False)
+                body = path.read_bytes().split(b"end_header\n", 1)[1]
+        finally:
+            udfg_io._ASCII_ROWS = original
+        rows = np.concatenate([cloud.positions, cloud.normals, cloud.sensor_origins], axis=1)
+        want = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
+        assert body == want.encode("ascii")
 
     def test_extreme_values_survive_ascii(self, tmp_path):
         pos = np.array([[1e-300, 1.0 + 2**-52, 12345678.987654321]])

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import plane_cloud
+from helpers import plane_cloud, reference_pca_normals
 from udfgrid import (
     ContractError,
     InsufficientDataError,
@@ -16,6 +18,7 @@ from udfgrid import (
     sample_scene,
     spatial,
 )
+from udfgrid.normals import _pca_normals
 
 
 class TestEstimateNormals:
@@ -89,6 +92,30 @@ class TestEstimateNormals:
         whole = estimate_normals(cloud, k=12).normals
         monkeypatch.setattr(spatial, "_ENTRY_BUDGET", budget)
         np.testing.assert_array_equal(estimate_normals(cloud, k=12).normals, whole)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 64), st.floats(1e-3, 1e3),
+           st.sampled_from(["spread", "coplanar", "collinear", "duplicates"]),
+           st.integers(0, 2**32 - 1), st.integers(1, 8))
+    def test_neighbour_sums_match_mean_and_einsum(self, k, scale, shape, seed, rows):
+        """Bit for bit, NaN rows included, in one chunk and in chunks of a few rows."""
+        rng = np.random.default_rng(seed)
+        n = k + int(rng.integers(0, 20))
+        pos = rng.normal(size=(n, 3))
+        if shape == "coplanar":
+            pos[:, 2] = 0.25
+        elif shape == "collinear":
+            pos = rng.normal(size=(n, 1)) * [[1.0, -2.0, 0.5]]
+        elif shape == "duplicates":
+            pos = pos[rng.integers(0, max(1, n // 3), size=n)]
+        pos = (pos + rng.normal(size=3)) * scale
+        index = spatial.build_index(pos)
+        want = reference_pca_normals(pos, spatial.knn_batch(index, pos, k)[0].reshape(n, k))
+        assert _pca_normals(index, pos, k).tobytes() == want.tobytes()
+        few = np.concatenate([_pca_normals(index, pos[lo : lo + rows], k)
+                              for lo in range(0, n, rows)])
+        assert few.tobytes() == want.tobytes()
 
 
 class TestOrientNormals:

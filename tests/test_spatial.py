@@ -1,5 +1,6 @@
 """Tests for the accelerated spatial queries against brute-force oracles."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import brute_knn, brute_nearest, brute_radius
+from helpers import brute_knn, brute_nearest, brute_neighbours, brute_radius
 from udfgrid import (
     ContractError,
     EmptyCloudError,
@@ -122,6 +123,19 @@ class TestKnn:
         idx = build_index(pts)
         got = knn(idx, (0.0, 0.0, 0.0), 3)
         assert [i for i, _ in got] == [0, 2, 3]  # ids 2 and 3 tie at d=1
+
+    def test_kd_ties_out_of_id_order_are_sorted(self):
+        """The kd query returns a cube's 8 tied corners with id 0 last; the kernel sorts them."""
+        axis = np.array([1.0, 2.0])
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        centre = np.array([[1.5, 1.5, 1.5]])
+        index = build_index(pts)
+        kd_dists, kd_ids = index.tree.query(centre, k=8)
+        assert len(set(kd_dists[0].tolist())) == 1 and (np.diff(kd_ids[0]) < 0).any()
+        for r in (None, 1.0):
+            ids, dists = spatial._exact_neighbours(index, centre, 8, r)
+            assert ids.tolist() == [list(range(8))]
+            assert (dists == canonical_distance(pts[0], centre[0])).all()
 
     def test_k_larger_than_cloud(self):
         idx = build_index(np.zeros((2, 3)) + [[0, 0, 0], [1, 0, 0]])
@@ -504,6 +518,31 @@ class TestLatticeProperties:
             for a, b in zip(runs[0], split):
                 for x, y in zip(a, b):
                     np.testing.assert_array_equal(x, y)
+
+    @settings(max_examples=40)
+    @given(lattice, lattice, st.integers(1, 130), st.integers(0, 10**6), st.integers(0, 10**6),
+           st.integers(1, 40))
+    @example(pts=np.full((40, 3), 0.1), q=np.zeros((3, 3)), k=3, i=0, j=0, budget=1)
+    def test_kernel_matches_a_full_sort(self, pts, q, k, i, j, budget):
+        """``_exact_neighbours`` equals a full (distance, id) sort of every row.
+
+        Nearest (k = 1) and k nearest, unbounded and bounded by an actual
+        point-query distance, at the working budget and as few as one row
+        per chunk: the rows the kernel leaves unsorted were in order.
+        """
+        index = build_index(pts)
+        r = float(canonical_distance(pts[i % len(pts)], q[j % len(q)])) or 0.1
+        original = spatial._ENTRY_BUDGET
+        try:
+            for size in (2**16, budget):
+                spatial._ENTRY_BUDGET = size
+                for kk, bound in itertools.product((1, k), (None, r)):
+                    ids, dists = spatial._exact_neighbours(index, q, kk, bound)
+                    want_ids, want_dists = brute_neighbours(pts, q, kk, bound)
+                    np.testing.assert_array_equal(ids, want_ids)
+                    np.testing.assert_array_equal(dists, want_dists)
+        finally:
+            spatial._ENTRY_BUDGET = original
 
     @given(lattice, lattice)
     def test_chamfer_matches_bruteforce(self, a, b):
