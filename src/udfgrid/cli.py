@@ -38,7 +38,10 @@ def _kind_arg(text: str) -> DFKind:
 
 
 def _kinds_arg(text: str) -> list[DFKind]:
-    return [_kind_arg(part) for part in text.split(",") if part.strip()]
+    kinds = [_kind_arg(part) for part in text.split(",") if part.strip()]
+    if not kinds:
+        raise argparse.ArgumentTypeError("expected at least one kind")
+    return kinds
 
 
 def _triple(text: str, cast, noun: str) -> tuple:

@@ -27,18 +27,15 @@ builds the spatial indices once for many queries against one cloud.
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
 flip involution are exact.  A weighted kind's ``compute_grid`` leaves its
-candidate nodes and capped balls on the (immutable) cloud, so the next
-weighted kind with the same spec, support, sigma and cap skips the scan and
-the ball query.  The entry also keeps the per-row weighted sums each kind
-computed (the weight sum, and the weighted sums of the distance and of the
-plane distance: at most 24 B per candidate row), so a later kind computes
-only the sums it lacks.
+candidate chunks on the (immutable) cloud as one flat list of records: node
+indices and positions, capped balls, and the per-row weighted sums each kind
+computed (at most 24 B per row).  The next weighted kind with the same spec,
+support, sigma and cap skips the scan and the ball query, and computes only
+the sums it lacks.
 
-Two bounds keep memory small.  Every transient (row x neighbour) array is
-sized by the spatial working budget (``spatial.chunk_rows``): the capped
-balls are queried, weighted and summed a few thousand rows at a time.  The
-stored neighbourhood is bounded on its own, by ``_ENTRY_BOUND`` ball
-entries; a grid with more streams and stores nothing.
+Every chunk fits the spatial working budget (``spatial.chunk_rows``); a
+weighted chunk takes one capped-ball query.  The stored entry has its own
+bound, ``_ENTRY_BOUND`` ball entries; a grid with more streams and stores nothing.
 """
 
 from __future__ import annotations
@@ -61,12 +58,9 @@ _NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
 # sums of the distance "d" and of the plane distance "plane".
 _SUMS = {DFKind.UWED: ("w", "d"), DFKind.IMLS: ("w", "plane"), DFKind.UIMLS: ("w", "plane"),
          DFKind.SWED: ("w", "d", "plane")}
-# Candidate scan: cubes of _BLOCK**3 nodes, culled _CULL_BATCH blocks at a
-# time, at most _NODE_CHUNK node rows per bounded nearest query, and at most
-# _MAX_SCAN_NODES nodes in the scanned box.
+# Candidate scan: cubes of _BLOCK**3 nodes, and at most _MAX_SCAN_NODES
+# nodes in the scanned box.
 _BLOCK = 4
-_CULL_BATCH = 4096
-_NODE_CHUNK = 32768
 _MAX_SCAN_NODES = 2**32
 # The PointCloud attribute that holds compute_grid's neighbourhood entry, and
 # the most capped-ball entries (rows x width) it stores: 8 MiB of ids.
@@ -151,67 +145,60 @@ class _Evaluator:
             return np.full(len(q), np.nan)
         if self.kind in _NEAREST_KINDS:
             return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
-        return self.weighted(q, self.balls(q))
+        step = spatial.chunk_rows(self.width)
+        out = np.empty(len(q))
+        for lo in range(0, len(q), step):
+            out[lo : lo + step] = self.weighted(q[lo : lo + step], self.balls(q[lo : lo + step]))
+        return out
 
     def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
         """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
         plane = self._plane(self._diff(q, ids, 1), ids) if self.normals is not None else None
         return _value(self.kind, d, plane)
 
-    def balls(self, q: np.ndarray):
-        """The capped balls N_x of ``q``'s rows: (ids, lens, sums) per chunk.
+    def balls(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The capped balls N_x of ``q``'s rows: (ids, lens, sums), ``sums`` empty.
 
-        A chunk's entries, rows x ``width``, fit the spatial working budget,
-        so memory does not grow with the cap.  ``sums`` starts empty (see
-        ``weighted``).
+        Callers pass at most ``spatial.chunk_rows(width)`` rows, so that the
+        rows x ``width`` entries fit the working budget whatever the cap.
         """
         p = self.params
-        step = spatial.chunk_rows(self.width)
-        for lo in range(0, len(q), step):
-            ids, _, lens = spatial.capped_ball_batch(
-                self.index, q[lo : lo + step], p.neighbor_radius, p.max_neighbors
-            )
-            yield ids, lens, {}
+        ids, _, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
+        return ids, lens, {}
 
-    def weighted(self, q: np.ndarray, balls) -> np.ndarray:
+    def weighted(self, q: np.ndarray, ball: tuple[np.ndarray, np.ndarray, dict]) -> np.ndarray:
         """A weighted kind's values at ``q``'s rows from their capped balls.
 
-        ``balls`` gives (ids, lens, sums) per chunk of rows, in row order.
-        The rule reads Gaussian-weighted averages over N_x of the distance
-        and, for normal kinds, the plane distance: per row, the weight sum
-        ``"w"`` and the weighted sums ``"d"`` and ``"plane"``.  Those already
-        in a chunk's ``sums`` dict are read; the rest are computed and added
-        to it.  One difference x - p per entry gives the plane distance and
-        the distance, the bits the capped-ball query returned, since
-        ``canonical_norm`` is ``canonical_distance`` element by element.  Each
-        sum is the same ``_segment_sums`` call whichever kind makes it.  Rows
-        with an empty N_x are undefined (NaN): every weight in N_x is at
-        least e**-9, so a non-empty weight sum is positive.
+        ``ball`` is ``balls(q)``.  The rule reads Gaussian-weighted averages
+        over N_x of the distance and, for normal kinds, the plane distance:
+        per row, the weight sum ``"w"`` and the weighted sums ``"d"`` and
+        ``"plane"``.  Those already in ``sums`` are read; the rest are
+        computed and added to it.  One difference x - p per entry gives the
+        plane distance and the distance, the bits the capped-ball query
+        returned, since ``canonical_norm`` is ``canonical_distance`` element
+        by element.  Each sum is the same ``_segment_sums`` call whichever
+        kind makes it.  Rows with an empty N_x are undefined (NaN): every
+        weight in N_x is at least e**-9, so a non-empty weight sum is positive.
         """
+        ids, lens, sums = ball
         needs = _SUMS[self.kind]
-        out = np.empty(len(q))
-        lo = 0
-        for ids, lens, sums in balls:
-            hi = lo + len(lens)
-            missing = [name for name in needs if name not in sums]
-            if missing:
-                diff = self._diff(q[lo:hi], ids, lens)
-                dists = spatial.canonical_norm(*diff.T)
-                w = gaussian_weight(dists * dists, self.params.sigma)
-                for name in missing:
-                    if name == "w":
-                        term = w
-                    elif name == "d":
-                        term = w * dists
-                    else:
-                        term = w * self._plane(diff, ids)
-                    sums[name] = _segment_sums(term, lens)
-            den = np.where(lens > 0, sums["w"], np.nan)
-            dist = sums["d"] / den if "d" in needs else None
-            plane = sums["plane"] / den if "plane" in needs else None
-            out[lo:hi] = _value(self.kind, dist, plane)
-            lo = hi
-        return out
+        missing = [name for name in needs if name not in sums]
+        if missing:
+            diff = self._diff(q, ids, lens)
+            dists = spatial.canonical_norm(*diff.T)
+            w = gaussian_weight(dists * dists, self.params.sigma)
+            for name in missing:
+                if name == "w":
+                    term = w
+                elif name == "d":
+                    term = w * dists
+                else:
+                    term = w * self._plane(diff, ids)
+                sums[name] = _segment_sums(term, lens)
+        den = np.where(lens > 0, sums["w"], np.nan)
+        dist = sums["d"] / den if "d" in needs else None
+        plane = sums["plane"] / den if "plane" in needs else None
+        return _value(self.kind, dist, plane)
 
     def _diff(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
         """x - p per entry: row r of ``q`` against each of the next ``lens[r]`` (or ``lens``) ids.
@@ -267,22 +254,23 @@ def quantize_values(v: np.ndarray) -> np.ndarray:
     return v32.astype(np.float64)
 
 
-def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
+def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows: int):
     """Grid nodes within ``reach`` of an index point, with that nearest point.
 
-    Yields (node indices, node positions, nearest ids, distances) in chunks.
-    The scanned box is the points' bounding box padded by the reach, clipped
-    to the grid in float space so that a far point cannot overflow the
-    int64 indices; a box of more than _MAX_SCAN_NODES nodes raises
-    ContractError.  The box is split into cubes of _BLOCK**3 nodes, culled
-    _CULL_BATCH blocks at a time in row-major order.  Each block centre gets
-    one nearest query bounded by reach + h, h being the half-diagonal of a
-    full block, plus a margin for the rounding of positions and distances.
-    If a node lies within reach of a point p, the triangle inequality puts p
-    within reach + h of the block's centre; so a block whose centre finds no
-    point holds no candidate, and dropping it leaves the candidates
-    unchanged.  The surviving blocks' nodes get one nearest query bounded by
-    the reach, in chunks of at most _NODE_CHUNK rows.
+    Yields (node indices, node positions, nearest ids, distances) in chunks
+    of at most ``rows`` nodes.  The scanned box is the points' bounding box
+    padded by the reach, clipped to the grid in float space so that a far
+    point cannot overflow the int64 indices; a box of more than
+    _MAX_SCAN_NODES nodes raises ContractError.  The box is split into cubes
+    of _BLOCK**3 nodes, culled in row-major order ``spatial.chunk_rows(2)``
+    blocks (the rows of one nearest query) at a time.  Each block centre
+    gets one nearest query bounded by reach + h, h being the half-diagonal
+    of a full block, plus a margin for the rounding of positions and
+    distances.  If a node lies within reach of a point p, the triangle
+    inequality puts p within reach + h of the block's centre; so a block
+    whose centre finds no point holds no candidate, and dropping it leaves
+    the candidates unchanged.  The surviving blocks' nodes get one nearest
+    query bounded by the reach, ``rows`` nodes at a time.
     """
     v = spec.voxel_size
     top = np.asarray(spec.dims) - 1
@@ -302,9 +290,9 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
     offsets = np.stack(np.unravel_index(np.arange(_BLOCK**3), (_BLOCK,) * 3), axis=1)
     nb = tuple(int(n) for n in (hi - lo) // _BLOCK + 1)
     n_blocks = nb[0] * nb[1] * nb[2]
-    per_chunk = _NODE_CHUNK // len(offsets)
-    for b0 in range(0, n_blocks, _CULL_BATCH):
-        flat = np.arange(b0, min(b0 + _CULL_BATCH, n_blocks))
+    cull = spatial.chunk_rows(2)
+    for b0 in range(0, n_blocks, cull):
+        flat = np.arange(b0, min(b0 + cull, n_blocks))
         corners = lo + _BLOCK * np.stack(np.unravel_index(flat, nb), axis=1)
         # A partial block's centre may lie beyond the far corner, and so
         # beyond MAX_COORD; clipped back, it is still within h of every node.
@@ -314,56 +302,62 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float):
         # huge voxels needs one, and an unbounded query finds the same candidates.
         _, d_centre = spatial.nearest_batch(index, centres, r=None if bound > MAX_COORD else bound)
         corners = corners[np.isfinite(d_centre)]
-        for c0 in range(0, len(corners), per_chunk):
-            nodes = (corners[c0 : c0 + per_chunk, None, :] + offsets).reshape(-1, 3)
-            nodes = nodes[(nodes <= hi).all(axis=1)]
-            pos = spec.origin + nodes * v
-            ids, d = spatial.nearest_batch(index, pos, r=None if reach > MAX_COORD else reach)
-            near = d <= reach
-            if near.any():
-                nodes, pos, ids, d = nodes[near], pos[near], ids[near], d[near]
-                yield nodes, pos, ids, d
+        # Whole blocks at a time; below one block's nodes, slices of ``rows``.
+        per = max(1, rows // len(offsets))
+        for c0 in range(0, len(corners), per):
+            block_nodes = (corners[c0 : c0 + per, None, :] + offsets).reshape(-1, 3)
+            for n0 in range(0, len(block_nodes), rows):
+                nodes = block_nodes[n0 : n0 + rows]
+                nodes = nodes[(nodes <= hi).all(axis=1)]
+                pos = spec.origin + nodes * v
+                ids, d = spatial.nearest_batch(index, pos, r=None if reach > MAX_COORD else reach)
+                near = d <= reach
+                if near.any():
+                    yield nodes[near], pos[near], ids[near], d[near]
 
 
 def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     """(node indices, values) of ``ev``'s kind for each chunk of candidate nodes.
 
-    A weighted kind over a non-empty support reads the cloud's neighbourhood
-    entry when its key (spec values, support, sigma, cap) matches: the
-    candidate chunks, their capped balls and the per-row sums that earlier
-    kinds computed over them, so it makes no scan and no ball query, and
-    computes only the sums it lacks.  Otherwise it scans, and once the scan
-    has finished it publishes the entry it gathered, replacing the cloud's
-    last one, if its rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
+    A chunk holds ``spatial.chunk_rows(2)`` nodes for the nearest kinds and
+    ``spatial.chunk_rows(ev.width)`` for a weighted kind over a non-empty
+    support: one capped-ball query.  Such a kind reads the cloud's
+    neighbourhood entry when its key (spec values, support, sigma, cap)
+    matches, a flat list of (node indices, node positions, ball) records
+    whose balls hold the per-row sums earlier kinds computed; it then makes
+    no scan and no ball query, and computes only the sums it lacks.
+    Otherwise it scans, and at the end publishes its records, replacing the
+    cloud's last entry, if their rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
     """
     reach = 3.0 * spec.voxel_size + 1e-9
-    if ev.kind in _NEAREST_KINDS or not len(ev.positions):
-        for nodes_idx, nodes_pos, ids, d in _candidates(ev.full_index, spec, reach):
+    nearest = ev.kind in _NEAREST_KINDS or not len(ev.positions)
+    p = ev.params
+    key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
+           p.sigma, p.max_neighbors)
+    entry = getattr(cloud, _ENTRY, None)
+    if not nearest and entry is not None and entry[0] == key:
+        for nodes_idx, nodes_pos, ball in entry[1]:
+            yield nodes_idx, ev.weighted(nodes_pos, ball)
+        return
+    scan = _candidates(ev.full_index, spec, reach, spatial.chunk_rows(2 if nearest else ev.width))
+    if nearest:
+        for nodes_idx, nodes_pos, ids, d in scan:
             if ev.reuses_nearest:
                 yield nodes_idx, ev.from_nearest(nodes_pos, ids, d)
             else:
                 yield nodes_idx, ev.batch(nodes_pos)
         return
-    p = ev.params
-    key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
-           p.sigma, p.max_neighbors)
-    entry = getattr(cloud, _ENTRY, None)
-    if entry is not None and entry[0] == key:
-        for nodes_idx, nodes_pos, balls in entry[1]:
-            yield nodes_idx, ev.weighted(nodes_pos, balls)
-        return
-    chunks, rows = [], 0
-    for nodes_idx, nodes_pos, _, _ in _candidates(ev.full_index, spec, reach):
+    records, rows = [], 0
+    for nodes_idx, nodes_pos, _, _ in scan:
         rows += len(nodes_pos)
-        balls = ev.balls(nodes_pos)
-        if chunks is not None and rows * ev.width <= _ENTRY_BOUND:
-            balls = list(balls)
-            chunks.append((nodes_idx, nodes_pos, balls))
+        ball = ev.balls(nodes_pos)
+        if records is not None and rows * ev.width <= _ENTRY_BOUND:
+            records.append((nodes_idx, nodes_pos, ball))
         else:
-            chunks = None
-        yield nodes_idx, ev.weighted(nodes_pos, balls)
-    if chunks is not None:
-        object.__setattr__(cloud, _ENTRY, (key, chunks))
+            records = None
+        yield nodes_idx, ev.weighted(nodes_pos, ball)
+    if records is not None:
+        object.__setattr__(cloud, _ENTRY, (key, records))
 
 
 def compute_grid(
@@ -378,19 +372,18 @@ def compute_grid(
     cloud entirely outside the grid yields an empty grid and a warning.
 
     ``_candidates`` finds them: it culls 4x4x4 blocks of nodes that cannot
-    hold one, then gives each remaining node one bounded nearest query.  It
-    scans the cloud's bounding box padded by the reach and clipped to the
-    grid, and raises ContractError naming the node count when that box
-    holds more than 2**32 nodes.  UED, SED, Hoppe and UHoppe take their
-    values straight from the scan's nearest ids and distances when every
-    normal is valid (the query runs over the support they read); normal
-    kinds with some NaN normals evaluate the candidates through their own
-    queries.
+    hold one, then gives each remaining node one bounded nearest query, in
+    chunks sized by the working budget.  It scans the cloud's bounding box
+    padded by the reach and clipped to the grid, and raises ContractError
+    naming the node count when that box holds more than 2**32 nodes.  UED,
+    SED, Hoppe and UHoppe take their values straight from the scan's
+    nearest ids and distances when every normal is valid; normal kinds with
+    some NaN normals evaluate the candidates through their own queries.
 
     The weighted kinds (UWED, IMLS, UIMLS, SWED) keep one neighbourhood
-    entry on the cloud: the candidate chunks with their capped-ball ids and
-    lengths, at most ``_ENTRY_BOUND`` = 2**20 ball entries, and the per-row
-    weighted sums taken over them so far.  The next weighted call on the
+    entry on the cloud: a flat list of candidate chunks, each with its
+    capped-ball ids and lengths and the per-row weighted sums taken so far,
+    at most ``_ENTRY_BOUND`` = 2**20 ball entries.  The next weighted call on the
     same cloud with the same spec, support, sigma and cap reuses it instead
     of scanning and querying again, and sums only what it lacks.  Every
     weighted value comes from a ball's ids and lengths, stored or just
@@ -425,13 +418,7 @@ def flip(grid: SparseDFGrid) -> SparseDFGrid:
     """
     v = grid.values
     flipped_vals = np.where(v >= 0, TRUNCATION_VOXELS - v, -(TRUNCATION_VOXELS + v))
-    return SparseDFGrid(
-        spec=grid.spec,
-        kind=grid.kind,
-        flipped=not grid.flipped,
-        indices=grid.indices,
-        values=flipped_vals,
-    )
+    return dataclasses.replace(grid, flipped=not grid.flipped, values=flipped_vals)
 
 
 def build_pyramid(

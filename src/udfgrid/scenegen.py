@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spatial
 from .core import PointCloud, as_length, as_point, as_rows
 from .errors import ContractError, MissingDataError, ParseError
 
@@ -263,12 +264,17 @@ def simulate_scans(cloud: PointCloud, scan: ScanSpec, seed) -> PointCloud:
     from the noise-free positions; ties go to the lowest sensor id.  The
     result carries sensor origins but no normals: analytic normals are
     stale once noise moves points off their surfaces, so scans re-enter
-    the pipeline normal-less (estimate from the scan when needed).
+    the pipeline normal-less (estimate from the scan when needed).  The
+    (point x sensor) distances are taken ``spatial.chunk_rows(len(sensors))``
+    points at a time, so memory does not grow with the sensor count.
     """
     sensors = scan.sensor_origins
-    diff = cloud.positions[:, None, :] - sensors[None, :, :]
-    d2 = np.einsum("nsi,nsi->ns", diff, diff)
-    assigned = sensors[np.argmin(d2, axis=1)]
+    step = spatial.chunk_rows(len(sensors))
+    nearest = np.empty(len(cloud), dtype=np.int64)
+    for lo in range(0, len(cloud), step):
+        diff = cloud.positions[lo : lo + step, None, :] - sensors[None, :, :]
+        nearest[lo : lo + step] = np.argmin(np.einsum("nsi,nsi->ns", diff, diff), axis=1)
+    assigned = sensors[nearest]
     positions = cloud.positions
     if scan.noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -281,7 +287,8 @@ def apply_dropout(cloud: PointCloud, fraction: float, seed) -> PointCloud:
 
     Scans are grouped by identical sensor origin.  The ceiling is taken
     with a 1e-9 slack so that an exact fraction k/n removes exactly k
-    groups despite float rounding.
+    groups despite float rounding.  A fraction that would remove every group
+    raises ContractError naming the fraction and the group count.
     """
     if cloud.sensor_origins is None:
         raise MissingDataError("dropout groups points by sensor origin; none present")
@@ -292,6 +299,8 @@ def apply_dropout(cloud: PointCloud, fraction: float, seed) -> PointCloud:
     n_remove = math.ceil(fraction * n_groups - 1e-9)
     if n_remove <= 0:
         return cloud
+    if n_remove >= n_groups:
+        raise ContractError(f"dropout fraction {fraction} would remove all {n_groups} scan groups")
     rng = np.random.default_rng(seed)
     removed = rng.choice(n_groups, size=n_remove, replace=False)
     keep = ~np.isin(inverse, removed)

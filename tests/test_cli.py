@@ -116,6 +116,13 @@ class TestUsageErrors:
                   "--origin", "0 0", "--dims", "8 8 8"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("kinds", [",", " , "])
+    def test_empty_kind_list(self, clean_ply, capsys, kinds):
+        with pytest.raises(SystemExit) as err:
+            main(["roundtrip", clean_ply, "--kind", kinds, *GEOMETRY])
+        assert err.value.code == 1
+        assert "expected at least one kind" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_bad_thread_count(self, clean_ply, tmp_path, capsys, threads):
         with pytest.raises(SystemExit) as err:
@@ -311,6 +318,16 @@ class TestSynth:
                      "--dropout", "0.5"]) == 0
         # One of the two scan groups is dropped.
         assert len(read_ply(b)) < len(read_ply(a))
+
+    def test_dropout_of_every_scan_group_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "four.cfg"
+        # One sensor above each quarter of the floor: four scan groups.
+        cfg.write_text(SCENE_CFG + "\n[scan]\ndropout = 0.8\n"
+                       "sensors = 0.1, 0.1, 1; 0.3, 0.1, 1; 0.1, 0.3, 1; 0.3, 0.3, 1\n")
+        out = tmp_path / "scan.ply"
+        assert main(["synth", str(cfg), str(out), "--seed", "3"]) == 2
+        assert "all 4 scan groups" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_changes_output(self, tmp_path, scene_cfg):
         a, b = tmp_path / "a.ply", tmp_path / "b.ply"

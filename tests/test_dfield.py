@@ -401,6 +401,45 @@ class TestNeighbourhoodEntry:
             compute_grid(cloud, spec, kind, params)
         assert one_kind and calls == one_kind
 
+    def test_a_hit_builds_no_index_and_makes_no_query(self, monkeypatch):
+        cloud = _noisy_desk_with_normals()
+        spec, params = grid_spec_for(cloud, self.VOXEL), DFParams(sigma=2.0 * self.VOXEL)
+        compute_grid(cloud, spec, DFKind.UWED, params)
+        calls = []
+        for name in ("build_index", "nearest_batch", "capped_ball_batch"):
+            monkeypatch.setattr(spatial, name, lambda *a, _name=name, **k: calls.append(_name))
+        assert len(compute_grid(cloud, spec, DFKind.IMLS, params)) > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("cap", [1, 30, 63, 64, 200])
+    def test_each_chunk_takes_one_budget_sized_ball_query(self, cap, monkeypatch):
+        """No chunk holds more than ``chunk_rows(width)`` rows, even below one 4**3 block.
+
+        At a budget of 2**12, caps of 64 and up leave fewer rows per chunk
+        than a block has nodes.  The entry holds one record per ball query,
+        and the grid is the default budget's, bit for bit.
+        """
+        rng = np.random.default_rng(cap)
+        cloud = PointCloud(np.column_stack([rng.random(300), rng.random(300), np.zeros(300)]))
+        spec = GridSpec(origin=(-0.2, -0.2, -0.1), voxel_size=0.1, dims=(15, 15, 3))
+        params = DFParams(sigma=0.1, max_neighbors=cap)
+        want = compute_grid(PointCloud(cloud.positions), spec, DFKind.UWED, params)
+        monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**12)
+        rows = spatial.chunk_rows(min(cap + 1, len(cloud)))
+        calls = []
+        query = spatial.capped_ball_batch
+
+        def spy(index, queries, r, cap):
+            calls.append(len(queries))
+            return query(index, queries, r, cap)
+
+        monkeypatch.setattr(spatial, "capped_ball_batch", spy)
+        got = compute_grid(cloud, spec, DFKind.UWED, params)
+        records = getattr(cloud, dfield._ENTRY)[1]
+        assert max(calls) <= rows and len(calls) == len(records)
+        assert [len(nodes) for nodes, _, _ in records] == calls
+        assert _same_bits(got, want)
+
     # (kind, sigma) per call.  The last order's two sigmas differ by one ulp
     # and have the same 3-sigma radius.
     ORDERS = {
@@ -566,15 +605,16 @@ class TestCandidateSet:
         self._check(*scene, kind)
 
     @pytest.mark.parametrize("kind", list(DFKind))
-    def test_sparse_box_spanning_slabs(self, kind):
+    def test_sparse_box_spanning_slabs(self, kind, monkeypatch):
         """A sparse box whose blocks take more than one cull batch."""
+        monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**12)
         cloud, spec = sparse_scene(seed=11)
         reach = 3.0 * spec.voxel_size
         top = spec.origin + (np.array(spec.dims) - 1) * spec.voxel_size
         assert (cloud.positions.min(axis=0) - reach <= spec.origin).all()  # the whole grid
         assert (cloud.positions.max(axis=0) + reach >= top).all()
         blocks = -(-np.array(spec.dims) // dfield._BLOCK)
-        assert blocks.prod() > dfield._CULL_BATCH
+        assert blocks.prod() > spatial.chunk_rows(2)
         self._check(cloud, spec, kind)
 
     @pytest.mark.parametrize("x", [1e18, -1e18])

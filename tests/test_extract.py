@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import VOXEL_SIZE, grid_spec_for
 from udfgrid import (
@@ -16,6 +18,7 @@ from udfgrid import (
     extract_udf,
     flip,
     udf_candidates,
+    voxel_position,
 )
 
 UP = [0.0, 0.0, 1.0]
@@ -203,3 +206,97 @@ class TestExtractUdf:
         grid = SparseDFGrid(spec, DFKind.UED, False,
                             np.empty((0, 3), np.int64), np.empty(0))
         assert len(extract_udf(grid)) == 0
+
+
+# 0, and values at and within an ulp of 1, 2 and 3: the band and range edges.
+EDGES = [0.0] + [x for v in (1.0, 2.0, 3.0)
+                 for x in (np.nextafter(v, 0.0), v, np.nextafter(v, 4.0))]
+
+
+def _in_range(v: np.ndarray, signed: bool, flipped: bool) -> np.ndarray:
+    """The values a grid of this kind and flip state may store."""
+    if signed:
+        return (np.abs(v) <= 3.0) if flipped else (np.abs(v) < 3.0)
+    return ((v > 0) & (v <= 3.0)) if flipped else ((v >= 0) & (v < 3.0))
+
+
+@st.composite
+def sparse_grids(draw, signed: bool):
+    """A random sparse grid of up to 7**3 nodes, flipped or not.
+
+    Dims of 1 are common, a fill of 1 stores every face, and a third of the
+    values are 0 or at or within an ulp of 1, 2 or 3 (either sign, when
+    signed).  A flipped grid holds only values that un-flip into range:
+    a flipped signed 0, say, un-flips to 3.0, and ``flip`` refuses it.
+    """
+    dims = tuple(draw(st.sampled_from([1, 2, 3, 7])) for _ in range(3))
+    fill = draw(st.sampled_from([0.4, 0.8, 1.0]))
+    flipped = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.argwhere(rng.random(dims) < fill)
+    v = rng.uniform(-3.0 if signed else 0.0, 3.0, len(idx))
+    edge = rng.random(len(idx)) < 1 / 3
+    v[edge] = rng.choice(EDGES, edge.sum())
+    if signed:
+        v[edge] *= rng.choice([-1.0, 1.0], edge.sum())
+    ok = _in_range(v, signed, flipped)
+    if flipped:
+        ok &= _in_range(_unflip(v), signed, False)
+    kind = DFKind.SED if signed else DFKind.UWED
+    spec = GridSpec(origin=(-0.5, 0.25, 1.0), voxel_size=0.1, dims=dims)
+    return SparseDFGrid(spec, kind, flipped, idx[ok], v[ok])
+
+
+def _unflip(v: np.ndarray) -> np.ndarray:
+    return np.where(v >= 0, 3.0 - v, -(3.0 + v))
+
+
+def _dense(grid: SparseDFGrid) -> np.ndarray:
+    """The un-flipped values as an array over the whole grid, NaN where none is stored."""
+    dense = np.full(grid.spec.dims, np.nan)
+    dense[tuple(grid.indices.T)] = _unflip(grid.values) if grid.flipped else grid.values
+    return dense
+
+
+def _shift(dense: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """dense[i + step] along ``axis`` at every node, NaN beyond the grid."""
+    padded = np.pad(dense, 1, constant_values=np.nan)
+    return np.roll(padded, -step, axis=axis)[1:-1, 1:-1, 1:-1]
+
+
+class TestDenseOracle:
+    """Extraction against slicing a dense copy of the grid, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(sparse_grids(signed=True))
+    @example(SparseDFGrid(GridSpec((0, 0, 0), 0.1, (1, 1, 2)), DFKind.SED, True,
+                          [[0, 0, 0], [0, 0, 1]], [3.0, -3.0]))
+    def test_extract_sdf(self, grid):
+        dense, points = _dense(grid), []
+        for axis in range(3):
+            va, vb = dense, _shift(dense, axis, 1)
+            cross = ~np.isnan(va) & ~np.isnan(vb) & ((va >= 0) != (vb >= 0))
+            a, b = va[cross], vb[cross]
+            p = voxel_position(grid.spec, np.argwhere(cross)).astype(np.float64)
+            p[:, axis] += a / (a - b) * grid.spec.voxel_size
+            points.append(p)
+        want = np.concatenate(points)
+        assert extract_sdf(grid).positions.tobytes() == want.tobytes()
+
+    @settings(max_examples=150)
+    @given(sparse_grids(signed=False))
+    @example(SparseDFGrid(GridSpec((0, 0, 0), 0.1, (3, 3, 3)), DFKind.UED, False,
+                          np.argwhere(np.ones((3, 3, 3))), np.full(27, np.nextafter(1.0, 2.0))))
+    def test_udf_candidates(self, grid):
+        dense = _dense(grid)
+        grad = np.stack([_shift(dense, axis, 1) - _shift(dense, axis, -1) for axis in range(3)],
+                        axis=-1)
+        keep = (dense > 1.0) & (dense < 3.0) & ~np.isnan(grad).any(axis=-1)
+        g = grad[keep]
+        norms = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2])
+        sloped = norms >= 1e-9
+        keep[keep] = sloped
+        idx, directions, udf = udf_candidates(grid)
+        assert idx.tobytes() == np.argwhere(keep).astype(idx.dtype).tobytes()
+        assert directions.tobytes() == (g[sloped] / norms[sloped][:, None]).tobytes()
+        assert udf.tobytes() == dense[keep].tobytes()

@@ -3,7 +3,8 @@
 Rows of a neighbour query are independent, so every transient (row x
 neighbour) array in the library is sized by one working budget,
 ``spatial._ENTRY_BUDGET`` entries (``spatial.chunk_rows``): the kd queries,
-normal estimation, the weighted kinds and the exhaustive Chamfer scan.  The
+normal estimation, the weighted kinds (evaluated pointwise or over a grid),
+the exhaustive Chamfer scan and the sensor assignment of simulated scans.  The
 bound below holds for every neighbour count, up to counts larger than the
 cloud, and for a brute-force Chamfer over 3,000 x 10,000 points.
 """
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udfgrid import (
-    DFKind, DFParams, PointCloud, chamfer_bruteforce, estimate_normals, make_evaluator,
+    DFKind, DFParams, GridSpec, PointCloud, ScanSpec, chamfer_bruteforce, compute_grid,
+    estimate_normals, make_evaluator, simulate_scans,
 )
 
 PEAK_BOUND = 16 * 2**20
@@ -55,9 +57,22 @@ class TestPeakMemoryDoesNotGrowWithK:
     def test_weighted_kinds(self, k, n, kind):
         cloud = _slab(n, seed=n)
         # 3 sigma covers the whole square, so every ball holds min(k, n) points.
-        ev = make_evaluator(cloud, kind, DFParams(sigma=0.5, max_neighbors=k))
+        params = DFParams(sigma=0.5, max_neighbors=k)
+        ev = make_evaluator(cloud, kind, params)
         queries = cloud.positions + [0.0, 0.0, 0.05]
         assert _peak(lambda: ev.batch(queries)) < PEAK_BOUND
+        # Every node of this grid is a candidate; at k = 10**9 a chunk holds
+        # fewer rows than one 4**3 block of nodes.
+        spec = GridSpec(origin=(0.0, 0.0, 0.05), voxel_size=0.25, dims=(5, 5, 2))
+        assert _peak(lambda: compute_grid(cloud, spec, kind, params)) < PEAK_BOUND
+
+
+def test_simulate_scans():
+    """50,000 points x 64 sensors would take 73 MiB as one difference array."""
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.random((50_000, 3)))
+    scan = ScanSpec(rng.random((64, 3)) + [0.0, 0.0, 1.0])
+    assert _peak(lambda: simulate_scans(cloud, scan, 7)) < PEAK_BOUND
 
 
 def test_chamfer_bruteforce():

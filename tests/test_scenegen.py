@@ -20,6 +20,7 @@ from udfgrid import (
     sample_scene,
     simulate_scans,
 )
+from udfgrid import spatial
 from udfgrid.scenegen import _PRIMITIVES, MAX_POINTS
 
 
@@ -251,6 +252,20 @@ class TestSimulateScans:
         out = simulate_scans(cloud, scan, 42)
         np.testing.assert_array_equal(out.sensor_origins, [[0.0, 0.0, 10.0]])
 
+    @pytest.mark.parametrize("n, sensors", [(1, 1), (5000, 3), (3001, 64), (2000, 7)])
+    def test_chunked_assignment_matches_unchunked(self, n, sensors, monkeypatch):
+        """Chunk boundaries leave every assignment alone, ties included."""
+        rng = np.random.default_rng(n + sensors)
+        # Points and sensors on a coarse lattice: many exact distance ties.
+        pos = rng.integers(-4, 5, size=(n, 3)) * 0.25
+        org = rng.integers(-4, 5, size=(sensors, 3)) * 0.5
+        org[-1] = org[0]  # a repeated sensor ties on every point
+        diff = pos[:, None, :] - org[None, :, :]
+        want = org[np.argmin(np.einsum("nsi,nsi->ns", diff, diff), axis=1)]
+        monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**10)
+        out = simulate_scans(PointCloud(pos), ScanSpec(org), 42)
+        np.testing.assert_array_equal(out.sensor_origins, want)
+
     def test_zero_noise_keeps_positions(self):
         scan = ScanSpec([[0.0, 0.0, 10.0]], noise_sigma=0.0)
         cloud = self._two_sided()
@@ -321,6 +336,11 @@ class TestApplyDropout:
     def test_fraction_one_rejected(self):
         with pytest.raises(ContractError):
             apply_dropout(self._cloud(4), 1.0, 42)
+
+    def test_removing_every_group_rejected(self):
+        """0.8 of 4 groups would remove ceil(3.2) = 4 of them, leaving no point."""
+        with pytest.raises(ContractError, match=r"0\.8 .* all 4 scan groups"):
+            apply_dropout(self._cloud(4), 0.8, 42)
 
     def test_requires_sensor_origins(self):
         with pytest.raises(MissingDataError):
