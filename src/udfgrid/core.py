@@ -351,6 +351,9 @@ class SparseDFGrid:
     unsigned        [0, 3)       (0, 3]
     signed          (-3, 3)      [-3, 3]
     ==============  ===========  ===========
+
+    A flipped value must also un-flip (3 - |v|, signed like v) into the
+    non-flipped range: 0 and magnitudes up to 2**-52 un-flip to 3.
     """
 
     spec: GridSpec
@@ -381,6 +384,8 @@ class SparseDFGrid:
                 ok = (np.abs(val) <= t) if self.flipped else ((val > -t) & (val < t))
             else:
                 ok = ((val > 0) & (val <= t)) if self.flipped else ((val >= 0) & (val < t))
+            if self.flipped:
+                ok &= t - np.abs(val) < t
             if not ok.all():
                 raise ContractError(
                     f"values outside the valid range for {self.kind.value}"

@@ -17,9 +17,10 @@ sign(plane) x distance      SED       SWED
 
 sign(0) counts as +1.  N_x is the ``max_neighbors`` nearest cloud points
 within the 3-sigma ball around x (weights beyond 3 sigma are below e**-9),
-held as its point ids and lengths; every weighted value comes from those.
-Points with invalid (NaN) normals are excluded from the support of every
-normal-dependent kind.
+held as its point ids and lengths.  The capped-ball query's own distances
+give each row's weight sum and weighted distance sum; only the plane sum of
+the normal kinds takes x - p, when a kind first needs it.  Points with invalid
+(NaN) normals are excluded from the support of every normal-dependent kind.
 
 ``evaluate`` gives one kind's value at one point; ``make_evaluator``
 builds the spatial indices once for many queries against one cloud.
@@ -28,10 +29,10 @@ voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
 flip involution are exact.  A weighted kind's ``compute_grid`` leaves its
 candidate chunks on the (immutable) cloud as one flat list of records: node
-indices and positions, capped balls, and the per-row weighted sums each kind
-computed (at most 24 B per row).  The next weighted kind with the same spec,
-support, sigma and cap skips the scan and the ball query, and computes only
-the sums it lacks.
+indices and positions, capped balls, and their per-row weighted sums (at most
+24 B per row).  The next weighted kind with the same spec, support, sigma and
+cap skips the scan and the ball query; a normal kind adds the plane sum if no
+earlier kind did.
 
 Every chunk fits the spatial working budget (``spatial.chunk_rows``); a
 weighted chunk takes one capped-ball query.  The stored entry has its own
@@ -54,10 +55,6 @@ from .core import (
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
-# The per-row sums a weighted kind reads: the weight sum "w" and the weighted
-# sums of the distance "d" and of the plane distance "plane".
-_SUMS = {DFKind.UWED: ("w", "d"), DFKind.IMLS: ("w", "plane"), DFKind.UIMLS: ("w", "plane"),
-         DFKind.SWED: ("w", "d", "plane")}
 # Candidate scan: cubes of _BLOCK**3 nodes, and at most _MAX_SCAN_NODES
 # nodes in the scanned box.
 _BLOCK = 4
@@ -157,48 +154,39 @@ class _Evaluator:
         return _value(self.kind, d, plane)
 
     def balls(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The capped balls N_x of ``q``'s rows: (ids, lens, sums), ``sums`` empty.
+        """The capped balls N_x of ``q``'s rows: (ids, lens, sums).
 
-        Callers pass at most ``spatial.chunk_rows(width)`` rows, so that the
-        rows x ``width`` entries fit the working budget whatever the cap.
+        ``sums`` holds each row's weight sum ``"w"`` and weighted distance
+        sum ``"d"``, from the distances the query returns in id order.
+        Callers pass at most ``spatial.chunk_rows(width)`` rows, so that
+        the rows x ``width`` entries fit the working budget whatever the cap.
         """
         p = self.params
-        ids, _, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
-        return ids, lens, {}
+        ids, dists, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
+        w = gaussian_weight(dists * dists, p.sigma)
+        return ids, lens, {"w": _segment_sums(w, lens), "d": _segment_sums(w * dists, lens)}
 
     def weighted(self, q: np.ndarray, ball: tuple[np.ndarray, np.ndarray, dict]) -> np.ndarray:
         """A weighted kind's values at ``q``'s rows from their capped balls.
 
         ``ball`` is ``balls(q)``.  The rule reads Gaussian-weighted averages
-        over N_x of the distance and, for normal kinds, the plane distance:
-        per row, the weight sum ``"w"`` and the weighted sums ``"d"`` and
-        ``"plane"``.  Those already in ``sums`` are read; the rest are
-        computed and added to it.  One difference x - p per entry gives the
-        plane distance and the distance, the bits the capped-ball query
-        returned, since ``canonical_norm`` is ``canonical_distance`` element
-        by element.  Each sum is the same ``_segment_sums`` call whichever
-        kind makes it.  Rows with an empty N_x are undefined (NaN): every
-        weight in N_x is at least e**-9, so a non-empty weight sum is positive.
+        over N_x of the distance and, for normal kinds, the plane distance.
+        A normal kind adds the weighted plane sum ``"plane"`` to ``sums``
+        when it is missing, from one difference x - p per entry; the norm
+        of that difference is the query's distance, bit for bit, so its
+        weights are those ``balls`` summed.  Rows with an empty N_x are
+        undefined (NaN): every weight in N_x is at least e**-9, so a
+        non-empty weight sum is positive.
         """
         ids, lens, sums = ball
-        needs = _SUMS[self.kind]
-        missing = [name for name in needs if name not in sums]
-        if missing:
+        if self.normals is not None and "plane" not in sums:
             diff = self._diff(q, ids, lens)
             dists = spatial.canonical_norm(*diff.T)
             w = gaussian_weight(dists * dists, self.params.sigma)
-            for name in missing:
-                if name == "w":
-                    term = w
-                elif name == "d":
-                    term = w * dists
-                else:
-                    term = w * self._plane(diff, ids)
-                sums[name] = _segment_sums(term, lens)
+            sums["plane"] = _segment_sums(w * self._plane(diff, ids), lens)
         den = np.where(lens > 0, sums["w"], np.nan)
-        dist = sums["d"] / den if "d" in needs else None
-        plane = sums["plane"] / den if "plane" in needs else None
-        return _value(self.kind, dist, plane)
+        plane = sums["plane"] / den if self.normals is not None else None
+        return _value(self.kind, sums["d"] / den, plane)
 
     def _diff(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
         """x - p per entry: row r of ``q`` against each of the next ``lens[r]`` (or ``lens``) ids.
@@ -324,8 +312,8 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     support: one capped-ball query.  Such a kind reads the cloud's
     neighbourhood entry when its key (spec values, support, sigma, cap)
     matches, a flat list of (node indices, node positions, ball) records
-    whose balls hold the per-row sums earlier kinds computed; it then makes
-    no scan and no ball query, and computes only the sums it lacks.
+    whose balls hold their per-row sums; it then makes no scan and no ball
+    query, and a normal kind adds the plane sum if no earlier kind did.
     Otherwise it scans, and at the end publishes its records, replacing the
     cloud's last entry, if their rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
     """
@@ -385,9 +373,9 @@ def compute_grid(
     capped-ball ids and lengths and the per-row weighted sums taken so far,
     at most ``_ENTRY_BOUND`` = 2**20 ball entries.  The next weighted call on the
     same cloud with the same spec, support, sigma and cap reuses it instead
-    of scanning and querying again, and sums only what it lacks.  Every
-    weighted value comes from a ball's ids and lengths, stored or just
-    queried, through the same sums, so both give the same bits.
+    of scanning and querying again.  The ball query's distances give the
+    weight and distance sums; the plane sum, from x - p, gives the same
+    weights, so a stored entry and a fresh query give the same bits.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
@@ -413,8 +401,9 @@ def flip(grid: SparseDFGrid) -> SparseDFGrid:
     """Value transform v -> 3 - v (unsigned) / sign(v) * (3 - |v|) (signed).
 
     sign(0) counts as +1, so a surface voxel (v = 0) flips to the maximal
-    response 3.  Occupancy is unchanged, the flipped flag toggles, and
-    applying flip twice restores every value exactly.
+    response 3.  Occupancy is unchanged and the flipped flag toggles.
+    Flipping twice restores every value ``quantize_values`` gives; others
+    may not come back (a UED 1e-20 returns as 0.0, a signed -0.0 as +0.0).
     """
     v = grid.values
     flipped_vals = np.where(v >= 0, TRUNCATION_VOXELS - v, -(TRUNCATION_VOXELS + v))

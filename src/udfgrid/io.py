@@ -266,8 +266,9 @@ def write_grid(grid: SparseDFGrid, path) -> None:
     """Write a sparse grid as canonical UDFG bytes (records index-sorted).
 
     Values are stored as float32.  A value that leaves the kind's range
-    in float32 (3 - 1e-9 rounds to 3, 1e-50 to 0) raises ContractError
-    before any byte is written, since ``read_grid`` would reject the file.
+    in float32 (3 - 1e-9 rounds to 3; a flipped 2**-52 * (1 + 2**-30)
+    rounds to 2**-52, which un-flips to 3) raises ContractError before any
+    byte is written, since ``read_grid`` would reject the file.
     """
     spec = grid.spec
     v32 = grid.values.astype(np.float32)

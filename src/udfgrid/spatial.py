@@ -272,9 +272,10 @@ def capped_ball_batch(
 
     The selection rule is: among points with canonical distance <= r,
     keep the ``cap`` smallest by (distance, id).  Returned segments are
-    re-sorted by point id ascending so downstream weighted sums always
-    accumulate in the same order.  Returns flat (ids, dists, lengths);
-    rows with no point in the ball have length 0.
+    re-sorted by point id ascending, distances with their ids, so the
+    weighted kinds' weight and distance sums, taken from these distances,
+    always accumulate in the same order.  Returns flat (ids, dists,
+    lengths); rows with no point in the ball have length 0.
     """
     q = as_rows(queries, "query points")
     ids, dists = _exact_neighbours(index, q, as_count(cap, "cap"), as_length(r, "radius"))

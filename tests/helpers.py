@@ -11,6 +11,8 @@ kinds.
 """
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +25,10 @@ from udfgrid import (
     ScanSpec,
     SceneSpec,
     Sphere,
+    SparseDFGrid,
     sample_scene,
     simulate_scans,
+    write_grid,
 )
 
 VOXEL_SIZE = 0.05
@@ -123,6 +127,16 @@ def brute_neighbours(points: np.ndarray, q: np.ndarray, k: int, r: float | None 
         beyond = dists > r
         ids[beyond], dists[beyond] = n, np.inf
     return ids, dists
+
+
+def write_flipped_grid(path, kind: DFKind, value: float):
+    """A one-voxel flipped UDFG file storing ``value`` as float32, past any range check."""
+    spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.125, dims=(4, 4, 4))
+    write_grid(SparseDFGrid(spec, kind, True, [[1, 2, 3]], [1.0]), path)
+    data = bytearray(Path(path).read_bytes())
+    data[-4:] = struct.pack("<f", value)
+    Path(path).write_bytes(bytes(data))
+    return path
 
 
 def reference_pca_normals(positions: np.ndarray, ids: np.ndarray) -> np.ndarray:

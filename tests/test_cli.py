@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_flipped_grid
 from udfgrid import (
     DFKind,
     DFParams,
@@ -156,6 +157,14 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "points" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, value", [(DFKind.SED, 0.0), (DFKind.UED, 2.0**-60)])
+    def test_flipped_grid_that_cannot_unflip(self, tmp_path, capsys, kind, value):
+        grid = write_flipped_grid(tmp_path / "flipped.udfg", kind, value)
+        code = main(["extract", str(grid), str(tmp_path / "out.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "flipped.udfg" in err and "Traceback" not in err
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["chamfer", str(tmp_path / "a.ply"), str(tmp_path / "b.ply")])

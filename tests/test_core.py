@@ -22,6 +22,7 @@ from udfgrid import (
     build_pyramid,
     estimate_normals,
     evaluate,
+    flip,
     gaussian_weight,
     make_evaluator,
     round_half_away_from_zero,
@@ -452,6 +453,21 @@ class TestSparseDFGrid:
         SparseDFGrid(self.spec, DFKind.HOPPE, True, [[0, 0, 0]], [-3.0])
         with pytest.raises(ContractError):
             SparseDFGrid(self.spec, DFKind.HOPPE, True, [[0, 0, 0]], [3.001])
+
+    @pytest.mark.parametrize("kind, value", [
+        (DFKind.SED, 0.0), (DFKind.SED, -0.0), (DFKind.UED, 2.0**-60),
+        (DFKind.UED, 2.0**-52), (DFKind.HOPPE, -(2.0**-52)),
+    ])
+    def test_flipped_values_that_cannot_unflip_rejected(self, kind, value):
+        """3 - |v| rounds to 3 for these, outside the non-flipped range."""
+        with pytest.raises(ContractError):
+            SparseDFGrid(self.spec, kind, True, [[0, 0, 0]], [value])
+
+    def test_smallest_flipped_magnitude_that_unflips(self):
+        v = np.nextafter(2.0**-52, 1.0)
+        for kind, value in ((DFKind.UED, v), (DFKind.SED, v), (DFKind.SED, -v)):
+            grid = SparseDFGrid(self.spec, kind, True, [[0, 0, 0]], [value])
+            assert abs(flip(grid).values[0]) < 3.0
 
     def test_nonfinite_values_rejected(self):
         with pytest.raises(ContractError):

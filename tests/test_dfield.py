@@ -226,6 +226,26 @@ class TestWeighted:
             evaluate(q, cloud, DFKind.UED), np.sqrt(0.01**2 + 0.005**2), rtol=1e-12
         )
 
+    def test_uwed_takes_no_differences(self, monkeypatch):
+        """UWED's sums come from the capped-ball distances, on a miss and in ``batch``."""
+        cloud = _noisy_desk_with_normals()
+        spec, params = grid_spec_for(cloud, 2 * VOXEL_SIZE), DFParams(sigma=4 * VOXEL_SIZE)
+        calls = []
+        diff = dfield._Evaluator._diff
+
+        def spy(self, q, ids, lens):
+            calls.append(len(ids))
+            return diff(self, q, ids, lens)
+
+        monkeypatch.setattr(dfield._Evaluator, "_diff", spy)
+        grid = compute_grid(cloud, spec, DFKind.UWED, params)
+        nodes = voxel_position(spec, grid.indices)
+        values = make_evaluator(cloud, DFKind.UWED, params).batch(nodes)
+        assert len(grid) > 0 and np.isfinite(values).all()
+        assert calls == []
+        compute_grid(PointCloud(cloud.positions, cloud.normals), spec, DFKind.IMLS, params)
+        assert calls  # a normal kind takes them for its plane sum
+
 
 class TestEvaluatorBatch:
     def test_batch_matches_singles(self):

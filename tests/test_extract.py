@@ -227,7 +227,7 @@ def sparse_grids(draw, signed: bool):
     Dims of 1 are common, a fill of 1 stores every face, and a third of the
     values are 0 or at or within an ulp of 1, 2 or 3 (either sign, when
     signed).  A flipped grid holds only values that un-flip into range:
-    a flipped signed 0, say, un-flips to 3.0, and ``flip`` refuses it.
+    a flipped signed 0, say, un-flips to 3.0, and ``SparseDFGrid`` refuses it.
     """
     dims = tuple(draw(st.sampled_from([1, 2, 3, 7])) for _ in range(3))
     fill = draw(st.sampled_from([0.4, 0.8, 1.0]))

@@ -11,6 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import write_flipped_grid
 from udfgrid import (
     ContractError,
     DFKind,
@@ -502,9 +503,15 @@ class TestUdfgWriteErrors:
         assert np.float32(grid.values[0]) == 3.0
         self._refused(tmp_path, grid)
 
-    def test_flipped_value_rounding_down_to_zero(self, tmp_path):
-        grid = SparseDFGrid(self._spec(), DFKind.UED, True, [[1, 2, 3]], [1e-50])
-        assert np.float32(grid.values[0]) == 0.0
+    def test_flipped_value_rounding_down_to_zero(self):
+        """Construction refuses it: a flipped value that un-flips below 3 exceeds 2**-52."""
+        with pytest.raises(ContractError):
+            SparseDFGrid(self._spec(), DFKind.UED, True, [[1, 2, 3]], [1e-50])
+
+    def test_flipped_value_rounding_to_one_that_cannot_unflip(self, tmp_path):
+        grid = SparseDFGrid(self._spec(), DFKind.UED, True, [[1, 2, 3]],
+                            [2.0**-52 * (1 + 2.0**-30)])
+        assert np.float32(grid.values[0]) == 2.0**-52
         self._refused(tmp_path, grid)
 
     def test_existing_file_left_untouched(self, tmp_path):
@@ -553,6 +560,12 @@ class TestUdfgReadErrors:
             return d
         err = self._write_and_corrupt(tmp_path, mutate)
         assert "kind code" in str(err) and err.offset == 8
+
+    @pytest.mark.parametrize("kind, value", [(DFKind.SED, 0.0), (DFKind.UED, 2.0**-60)])
+    def test_flipped_value_that_cannot_unflip(self, tmp_path, kind, value):
+        path = write_flipped_grid(tmp_path / "g.udfg", kind, value)
+        with pytest.raises(ParseError, match="g.udfg"):
+            read_grid(path)
 
     def test_bad_flipped_flag(self, tmp_path):
         def mutate(d):
@@ -757,8 +770,10 @@ def grids(draw):
     flipped = draw(st.booleans())
     node = st.tuples(*[st.integers(0, d - 1) for d in dims])
     ijk = draw(st.lists(node, unique=True, max_size=20))
-    bounds = _VALUE_RANGES[kind.signed, flipped]
-    values = draw(st.lists(st.floats(width=32, **bounds), min_size=len(ijk), max_size=len(ijk)))
+    value = st.floats(width=32, **_VALUE_RANGES[kind.signed, flipped])
+    if flipped:  # only values that un-flip into range: 0 and |v| <= 2**-52 un-flip to 3
+        value = value.filter(lambda v: 3.0 - abs(v) < 3.0)
+    values = draw(st.lists(value, min_size=len(ijk), max_size=len(ijk)))
     return SparseDFGrid(spec, kind, flipped, np.array(ijk, dtype=np.int64).reshape(-1, 3), values)
 
 

@@ -1,0 +1,108 @@
+"""Units must not matter: a scene scaled by 2**e gives the same grids.
+
+Multiplying by a power of two is exact in floating point.  Scaling the
+positions, sensor origins, grid origin, voxel size and sigma by 2**e should
+therefore give byte-identical grids for every kind, and extraction and
+Chamfer distances scaled by exactly 2**e.  Two absolute thresholds break
+it at small scales; their tests are strict xfails until the thresholds
+become relative.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from helpers import DENSITY, SENSORS, VOXEL_SIZE, desk_scene, grid_spec_for
+from udfgrid import (
+    DFKind,
+    DFParams,
+    GridSpec,
+    PointCloud,
+    ScanSpec,
+    chamfer,
+    compute_grid,
+    estimate_normals,
+    extract_udf,
+    orient_normals,
+    sample_scene,
+    simulate_scans,
+)
+
+VOXEL = 2 * VOXEL_SIZE
+PLANE_KINDS = (DFKind.HOPPE, DFKind.IMLS, DFKind.UHOPPE, DFKind.UIMLS)
+
+
+@functools.cache
+def _scan() -> PointCloud:
+    """A quarter-density noisy desk scan, 6,605 points, without normals."""
+    clean = sample_scene(desk_scene(DENSITY / 4), 3)
+    return simulate_scans(clean, ScanSpec(SENSORS, noise_sigma=0.5 * VOXEL_SIZE), 1003)
+
+
+@functools.cache
+def _cloud() -> PointCloud:
+    return orient_normals(estimate_normals(_scan()))
+
+
+def _scene(e: int):
+    """(cloud, spec, params) scaled by 2**e, with the normals estimated at scale 1."""
+    s = 2.0**e
+    cloud = _cloud()
+    spec = grid_spec_for(cloud, VOXEL)
+    return (PointCloud(cloud.positions * s, cloud.normals, cloud.sensor_origins * s),
+            GridSpec(spec.origin * s, spec.voxel_size * s, spec.dims),
+            DFParams(sigma=2 * VOXEL * s))
+
+
+@functools.cache
+def _grids(e: int) -> dict:
+    cloud, spec, params = _scene(e)
+    return {kind: compute_grid(cloud, spec, kind, params) for kind in DFKind}
+
+
+def _same_grids(e: int, kinds) -> None:
+    for kind in kinds:
+        want, got = _grids(0)[kind], _grids(e)[kind]
+        assert len(want) > 0
+        same = (got.indices.tobytes(), got.values.tobytes()) == \
+            (want.indices.tobytes(), want.values.tobytes())
+        assert same, f"{kind.value}: {len(want)} voxels at scale 1, {len(got)} at 2**{e}"
+
+
+@pytest.mark.parametrize("e", [-8, -3, 5, 60])
+def test_grids_extraction_and_chamfer_scale_exactly(e):
+    _same_grids(e, DFKind)
+    s = 2.0**e
+    want, got = extract_udf(_grids(0)[DFKind.UWED]), extract_udf(_grids(e)[DFKind.UWED])
+    assert len(want) > 0
+    assert got.positions.tobytes() == (want.positions * s).tobytes()
+    cloud, unscaled = _scene(e)[0], _scene(0)[0]
+    assert chamfer(got, cloud) == chamfer(want, unscaled) * s
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="compute_grid's reach guard is 1e-9 m, not relative to the voxel")
+@pytest.mark.parametrize("e", [-16, -20])
+def test_plane_kinds_keep_the_same_voxels_at_small_scales(e):
+    _same_grids(e, PLANE_KINDS)
+
+
+@functools.cache
+def _normals(e: int) -> np.ndarray:
+    s = 2.0**e
+    scan = _scan()
+    return estimate_normals(PointCloud(scan.positions * s, None, scan.sensor_origins * s)).normals
+
+
+@pytest.mark.parametrize("e", [-3, 5, 60])
+def test_normals_are_the_same_bits(e):
+    assert _normals(e).tobytes() == _normals(0).tobytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="estimate_normals' degenerate eigengap is 1e-9 m**2, not relative")
+@pytest.mark.parametrize("e", [-8, -12])
+def test_normals_mark_the_same_degenerate_rows_at_small_scales(e):
+    np.testing.assert_array_equal(np.isnan(_normals(e)).any(axis=1),
+                                  np.isnan(_normals(0)).any(axis=1))

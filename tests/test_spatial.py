@@ -285,6 +285,17 @@ class TestCappedBall:
         fi, fd, lens = capped_ball_batch(idx, q, 0.5, 2)
         assert fi.tolist() == [0] and fd.tolist() == [0.5] and lens.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distances_are_the_norm_of_x_minus_p(self, seed):
+        """The weighted kinds sum these distances as if from ``canonical_norm`` of x - p."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-6, 6)
+        pts = (rng.random((400, 3)) + rng.normal(size=3)) * scale
+        q = pts[:60] + rng.normal(size=(60, 3)) * 0.05 * scale
+        ids, dists, lens = capped_ball_batch(build_index(pts), q, 0.2 * scale, 30)
+        assert lens.sum() > 0
+        assert dists.tobytes() == _norm_of_x_minus_p(pts, q, ids, lens).tobytes()
+
     def test_validation(self):
         idx = build_index(np.ones((3, 3)))
         with pytest.raises(ContractError):
@@ -453,6 +464,12 @@ lattice = arrays(
 ).map(lambda a: a * 0.1)
 
 
+def _norm_of_x_minus_p(pts, q, ids, lens):
+    """``canonical_norm`` of each query row minus its ball's points, as ``dfield`` takes it."""
+    diff = np.repeat(q, lens, axis=0) - pts[ids]
+    return spatial.canonical_norm(*diff.T)
+
+
 def _segments(ids, dists, lens):
     ends = np.cumsum(lens)
     return [
@@ -481,6 +498,14 @@ class TestLatticeProperties:
             for x in q
         ]
         assert got == want
+
+    @given(lattice, lattice, st.integers(1, 130), st.integers(0, 10**6), st.integers(0, 10**6))
+    # Every point ties with every other, so each row widens up to the whole cloud.
+    @example(pts=np.full((40, 3), 0.1), q=np.zeros((3, 3)), cap=3, i=0, j=0)
+    def test_capped_ball_distances_are_the_norm_of_x_minus_p(self, pts, q, cap, i, j):
+        r = float(canonical_distance(pts[i % len(pts)], q[j % len(q)])) or 0.1
+        ids, dists, lens = capped_ball_batch(build_index(pts), q, r, cap)
+        assert dists.tobytes() == _norm_of_x_minus_p(pts, q, ids, lens).tobytes()
 
     @given(lattice, lattice, st.integers(0, 10**6), st.integers(0, 10**6))
     def test_bounded_nearest_matches_unbounded(self, pts, q, i, j):
