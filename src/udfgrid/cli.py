@@ -195,15 +195,8 @@ def _cmd_chamfer(args) -> int:
 def _cmd_roundtrip(args) -> int:
     cloud = io.read_ply(args.input)
     spec = _resolve_spec(args, cloud.positions)
-    cloud = evaluation.with_normals(cloud, args.kind)
-    if args.sigma_sweep:
-        reports = evaluation.sigma_sweep(cloud, spec, args.kind, flipped=args.flip)
-    else:
-        params = _params_from(args)
-        reports = [
-            evaluation.roundtrip(cloud, spec, kind, args.flip, params)
-            for kind in args.kind
-        ]
+    sigmas = None if args.sigma_sweep else [_params_from(args).sigma]
+    reports = evaluation.sigma_sweep(cloud, spec, args.kind, sigmas, args.flip, args.max_neighbors)
     print(evaluation.format_report_table(reports))
     return 0
 
@@ -258,6 +251,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "origin", None) is not None and getattr(args, "dims", None) is None:
         parser.error("--origin requires --dims")
+    if getattr(args, "auto_bounds", False) and args.dims is not None:
+        parser.error("--dims applies only with --origin, not with --auto-bounds")
+    if getattr(args, "sigma_sweep", False) and args.sigma is not None:
+        parser.error("--sigma-sweep sweeps sigma itself; drop --sigma")
     try:
         spatial.set_num_threads(args.threads)
     except ContractError as exc:

@@ -22,21 +22,32 @@ give each row's weight sum and weighted distance sum; only the plane sum of
 the normal kinds takes x - p, when a kind first needs it.  Points with invalid
 (NaN) normals are excluded from the support of every normal-dependent kind.
 
+Every evaluation takes two steps per chunk of query rows: ``near`` finds
+the rows' neighbourhoods (the support's nearest ids and distances, or the
+capped balls with their weighted sums), and ``values`` applies the kind's
+rule to them.  A chunk holds ``spatial.chunk_rows(width)`` rows, so that its
+rows x ``width`` entries fit the spatial working budget; ``width`` is 2 for
+a nearest kind (k + 1) and min(cap + 1, n) for a capped ball.  ``batch``,
+the candidate scan of ``compute_grid`` and a stored entry all run these
+steps.
+
 ``evaluate`` gives one kind's value at one point; ``make_evaluator``
 builds the spatial indices once for many queries against one cloud.
 ``compute_grid`` evaluates a kind at candidate lattice nodes, converts to
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
-flip involution are exact.  A weighted kind's ``compute_grid`` leaves its
-candidate chunks on the (immutable) cloud as one flat list of records: node
-indices and positions, capped balls, and their per-row weighted sums (at most
-24 B per row).  The next weighted kind with the same spec, support, sigma and
-cap skips the scan and the ball query; a normal kind adds the plane sum if no
-earlier kind did.
+flip involution are exact.  A nearest kind whose support is the whole
+cloud takes its neighbourhoods from the scan's own nearest query.
 
-Every chunk fits the spatial working budget (``spatial.chunk_rows``); a
-weighted chunk takes one capped-ball query.  The stored entry has its own
-bound, ``_ENTRY_BOUND`` ball entries; a grid with more streams and stores nothing.
+A weighted kind's ``compute_grid`` leaves its candidate chunks on the
+(immutable) cloud as one flat list of records, each its node indices and
+its capped balls with their per-row weighted sums (at most 24 B per row):
+the neighbourhood entry.  The next weighted kind with the same spec,
+support, sigma and cap replays it: it derives the node positions from the
+indices as the scan does, makes no scan and no ball query, and a normal
+kind adds the plane sum if no earlier kind did.  The entry has its own
+bound, ``_ENTRY_BOUND`` ball entries; a grid with more streams and stores
+nothing.  The nearest kinds store nothing and scan on every call.
 """
 
 from __future__ import annotations
@@ -103,8 +114,9 @@ class _Evaluator:
     the points with valid normals for normal kinds, the whole cloud
     otherwise (``whole`` says which).  ``full_index`` covers the whole
     cloud for the candidate scan; it is also the support's index when the
-    support is the whole cloud, and then a nearest kind's value follows
-    from that scan's nearest ids and distances (``reuses_nearest``).
+    support is the whole cloud.  Evaluation takes the module docstring's
+    two steps, ``near`` and ``values``, over chunks of
+    ``spatial.chunk_rows(width)`` rows.
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
@@ -120,9 +132,8 @@ class _Evaluator:
             valid = ~np.isnan(cloud.normals).any(axis=1)
             self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
             self.whole = bool(valid.all())
-        self.reuses_nearest = kind in _NEAREST_KINDS and self.whole
-        # Entries per capped-ball row, min(cap + 1, n).
-        self.width = min(params.max_neighbors + 1, len(self.positions))
+        self.nearest = kind in _NEAREST_KINDS
+        self.width = 2 if self.nearest else min(params.max_neighbors + 1, len(self.positions))
 
     @functools.cached_property
     def full_index(self) -> spatial.SpatialIndex:
@@ -140,45 +151,45 @@ class _Evaluator:
         q = as_rows(queries, "query points")
         if self.index is None:
             return np.full(len(q), np.nan)
-        if self.kind in _NEAREST_KINDS:
-            return self.from_nearest(q, *spatial.nearest_batch(self.index, q))
         step = spatial.chunk_rows(self.width)
         out = np.empty(len(q))
         for lo in range(0, len(q), step):
-            out[lo : lo + step] = self.weighted(q[lo : lo + step], self.balls(q[lo : lo + step]))
+            out[lo : lo + step] = self.values(q[lo : lo + step], self.near(q[lo : lo + step]))
         return out
 
-    def from_nearest(self, q: np.ndarray, ids: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """A nearest kind's values at ``q`` from the support's nearest ids and distances."""
-        plane = self._plane(self._diff(q, ids, 1), ids) if self.normals is not None else None
-        return _value(self.kind, d, plane)
+    def near(self, q: np.ndarray, scan: tuple | None = None) -> tuple:
+        """N_x of ``q``'s rows: nearest (ids, dists), or capped balls (ids, lens, sums).
 
-    def balls(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The capped balls N_x of ``q``'s rows: (ids, lens, sums).
-
-        ``sums`` holds each row's weight sum ``"w"`` and weighted distance
-        sum ``"d"``, from the distances the query returns in id order.
-        Callers pass at most ``spatial.chunk_rows(width)`` rows, so that
-        the rows x ``width`` entries fit the working budget whatever the cap.
+        ``scan`` is the candidate scan's nearest (ids, dists) over the whole
+        cloud at these rows; a nearest kind whose support is the whole cloud
+        takes them as they are.  A capped ball's ``sums`` hold each row's
+        weight sum ``"w"`` and weighted distance sum ``"d"``, from the
+        distances the query returns in id order.
         """
+        if self.nearest:
+            return scan if scan is not None and self.whole else spatial.nearest_batch(self.index, q)
         p = self.params
         ids, dists, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
         w = gaussian_weight(dists * dists, p.sigma)
         return ids, lens, {"w": _segment_sums(w, lens), "d": _segment_sums(w * dists, lens)}
 
-    def weighted(self, q: np.ndarray, ball: tuple[np.ndarray, np.ndarray, dict]) -> np.ndarray:
-        """A weighted kind's values at ``q``'s rows from their capped balls.
+    def values(self, q: np.ndarray, near: tuple) -> np.ndarray:
+        """The kind's values at ``q``'s rows from their neighbourhoods ``near(q)``.
 
-        ``ball`` is ``balls(q)``.  The rule reads Gaussian-weighted averages
-        over N_x of the distance and, for normal kinds, the plane distance.
-        A normal kind adds the weighted plane sum ``"plane"`` to ``sums``
-        when it is missing, from one difference x - p per entry; the norm
-        of that difference is the query's distance, bit for bit, so its
-        weights are those ``balls`` summed.  Rows with an empty N_x are
-        undefined (NaN): every weight in N_x is at least e**-9, so a
-        non-empty weight sum is positive.
+        A weighted kind reads Gaussian-weighted averages over N_x of the
+        distance and, for normal kinds, the plane distance.  A normal kind
+        adds the weighted plane sum ``"plane"`` to ``sums`` when it is
+        missing, from one difference x - p per entry; the norm of that
+        difference is the query's distance, bit for bit, so its weights are
+        those ``near`` summed.  Rows with an empty N_x are undefined (NaN):
+        every weight in N_x is at least e**-9, so a non-empty weight sum is
+        positive.
         """
-        ids, lens, sums = ball
+        if self.nearest:
+            ids, d = near
+            plane = self._plane(self._diff(q, ids, 1), ids) if self.normals is not None else None
+            return _value(self.kind, d, plane)
+        ids, lens, sums = near
         if self.normals is not None and "plane" not in sums:
             diff = self._diff(q, ids, lens)
             dists = spatial.canonical_norm(*diff.T)
@@ -245,10 +256,10 @@ def quantize_values(v: np.ndarray) -> np.ndarray:
 def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows: int):
     """Grid nodes within ``reach`` of an index point, with that nearest point.
 
-    Yields (node indices, node positions, nearest ids, distances) in chunks
-    of at most ``rows`` nodes.  The scanned box is the points' bounding box
-    padded by the reach, clipped to the grid in float space so that a far
-    point cannot overflow the int64 indices; a box of more than
+    Yields (node indices, node positions, (nearest ids, distances)) in
+    chunks of at most ``rows`` nodes.  The scanned box is the points'
+    bounding box padded by the reach, clipped to the grid in float space so
+    that a far point cannot overflow the int64 indices; a box of more than
     _MAX_SCAN_NODES nodes raises ContractError.  The box is split into cubes
     of _BLOCK**3 nodes, culled in row-major order ``spatial.chunk_rows(2)``
     blocks (the rows of one nearest query) at a time.  Each block centre
@@ -301,49 +312,38 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows:
                 ids, d = spatial.nearest_batch(index, pos, r=None if reach > MAX_COORD else reach)
                 near = d <= reach
                 if near.any():
-                    yield nodes[near], pos[near], ids[near], d[near]
+                    yield nodes[near], pos[near], (ids[near], d[near])
 
 
 def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     """(node indices, values) of ``ev``'s kind for each chunk of candidate nodes.
 
-    A chunk holds ``spatial.chunk_rows(2)`` nodes for the nearest kinds and
-    ``spatial.chunk_rows(ev.width)`` for a weighted kind over a non-empty
-    support: one capped-ball query.  Such a kind reads the cloud's
-    neighbourhood entry when its key (spec values, support, sigma, cap)
-    matches, a flat list of (node indices, node positions, ball) records
-    whose balls hold their per-row sums; it then makes no scan and no ball
-    query, and a normal kind adds the plane sum if no earlier kind did.
-    Otherwise it scans, and at the end publishes its records, replacing the
-    cloud's last entry, if their rows x ``ev.width`` ball entries fit ``_ENTRY_BOUND``.
+    Each chunk is one ``near`` and one ``values`` step over at most
+    ``spatial.chunk_rows(ev.width)`` nodes, or a replay of the cloud's
+    neighbourhood entry (see the module docstring).  An empty support
+    yields nothing, before any index is built or any node scanned.
     """
-    reach = 3.0 * spec.voxel_size + 1e-9
-    nearest = ev.kind in _NEAREST_KINDS or not len(ev.positions)
+    if not len(ev.positions):
+        return
     p = ev.params
     key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
            p.sigma, p.max_neighbors)
     entry = getattr(cloud, _ENTRY, None)
-    if not nearest and entry is not None and entry[0] == key:
-        for nodes_idx, nodes_pos, ball in entry[1]:
-            yield nodes_idx, ev.weighted(nodes_pos, ball)
+    if not ev.nearest and entry is not None and entry[0] == key:
+        for nodes_idx, near in entry[1]:
+            yield nodes_idx, ev.values(spec.origin + nodes_idx * spec.voxel_size, near)
         return
-    scan = _candidates(ev.full_index, spec, reach, spatial.chunk_rows(2 if nearest else ev.width))
-    if nearest:
-        for nodes_idx, nodes_pos, ids, d in scan:
-            if ev.reuses_nearest:
-                yield nodes_idx, ev.from_nearest(nodes_pos, ids, d)
-            else:
-                yield nodes_idx, ev.batch(nodes_pos)
-        return
-    records, rows = [], 0
-    for nodes_idx, nodes_pos, _, _ in scan:
+    reach = 3.0 * spec.voxel_size * (1.0 + spatial._RADIUS_MARGIN)
+    records, rows = (None if ev.nearest else []), 0
+    chunks = _candidates(ev.full_index, spec, reach, spatial.chunk_rows(ev.width))
+    for nodes_idx, nodes_pos, scan in chunks:
+        near = ev.near(nodes_pos, scan)
         rows += len(nodes_pos)
-        ball = ev.balls(nodes_pos)
         if records is not None and rows * ev.width <= _ENTRY_BOUND:
-            records.append((nodes_idx, nodes_pos, ball))
+            records.append((nodes_idx, near))
         else:
             records = None
-        yield nodes_idx, ev.weighted(nodes_pos, ball)
+        yield nodes_idx, ev.values(nodes_pos, near)
     if records is not None:
         object.__setattr__(cloud, _ENTRY, (key, records))
 
@@ -353,29 +353,21 @@ def compute_grid(
 ) -> SparseDFGrid:
     """Evaluate ``kind`` at candidate lattice nodes; store |v| < 3 voxel units.
 
-    Candidate nodes are those within reach = 3 * voxel_size (+1e-9 guard)
+    Candidate nodes are those within reach = 3 * voxel_size * (1 + 1e-9)
     of some cloud point, by canonical distance; each is evaluated
     pointwise, divided by voxel_size, and kept only where defined and
     strictly inside the truncation band.  The result is never flipped.  A
-    cloud entirely outside the grid yields an empty grid and a warning.
+    cloud entirely outside the grid, or a normal kind over a cloud whose
+    every normal is NaN, yields an empty grid and a warning.
 
     ``_candidates`` finds them: it culls 4x4x4 blocks of nodes that cannot
     hold one, then gives each remaining node one bounded nearest query, in
     chunks sized by the working budget.  It scans the cloud's bounding box
     padded by the reach and clipped to the grid, and raises ContractError
-    naming the node count when that box holds more than 2**32 nodes.  UED,
-    SED, Hoppe and UHoppe take their values straight from the scan's
-    nearest ids and distances when every normal is valid; normal kinds with
-    some NaN normals evaluate the candidates through their own queries.
-
-    The weighted kinds (UWED, IMLS, UIMLS, SWED) keep one neighbourhood
-    entry on the cloud: a flat list of candidate chunks, each with its
-    capped-ball ids and lengths and the per-row weighted sums taken so far,
-    at most ``_ENTRY_BOUND`` = 2**20 ball entries.  The next weighted call on the
-    same cloud with the same spec, support, sigma and cap reuses it instead
-    of scanning and querying again.  The ball query's distances give the
-    weight and distance sums; the plane sum, from x - p, gives the same
-    weights, so a stored entry and a fresh query give the same bits.
+    naming the node count when that box holds more than 2**32 nodes; an
+    empty support makes no scan, so it returns the empty grid instead.
+    Each chunk then takes the kind's two steps, and a weighted kind keeps
+    or replays the neighbourhood entry, as the module docstring states.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")

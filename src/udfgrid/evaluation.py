@@ -148,11 +148,14 @@ def sigma_sweep(
     kinds: list[DFKind],
     sigmas: list[float] | None = None,
     flipped: bool = False,
+    max_neighbors: int = 36,
 ) -> list[RoundtripReport]:
     """One roundtrip per (kind, sigma); default sigmas are 1..4 voxel sizes.
 
-    Normals are estimated at most once (``with_normals``), before the
-    roundtrips, so the reported wall times leave that estimate out.
+    Every roundtrip averages over at most ``max_neighbors`` points, as in
+    ``DFParams``.  Normals are estimated at most once (``with_normals``),
+    before the roundtrips, so the reported wall times leave that estimate
+    out.
     """
     if sigmas is None:
         sigmas = [m * spec.voxel_size for m in (1.0, 2.0, 3.0, 4.0)]
@@ -162,7 +165,7 @@ def sigma_sweep(
     reports = []
     for kind in kinds:
         for sigma in sigmas:
-            params = DFParams(sigma=float(sigma))
+            params = DFParams(sigma=float(sigma), max_neighbors=max_neighbors)
             reports.append(roundtrip(cloud, spec, kind, flipped, params))
     return reports
 

@@ -2,9 +2,11 @@
 
 A normal is the unit eigenvector for the smallest eigenvalue of the
 neighborhood covariance.  Neighborhoods whose two smallest covariance
-eigenvalues coincide within 1e-9 (collinear or otherwise rank-deficient
-samples) have no well-defined normal; those rows are emitted as NaN and
-treated as absent by every normal-dependent distance function.
+eigenvalues coincide within 1e-9 of the largest, lambda1 - lambda0 <=
+1e-9 * lambda2 (collinear, coincident or otherwise rank-deficient
+samples), have no well-defined normal; those rows are emitted as NaN and
+treated as absent by every normal-dependent distance function.  The rule
+is relative, so a scene scaled by a power of two marks the same rows.
 
 Eigenvector signs are made deterministic (largest-magnitude component
 positive) so estimation is reproducible; ``orient_normals`` then flips
@@ -67,7 +69,7 @@ def _pca_normals(index: spatial.SpatialIndex, q: np.ndarray, kk: int) -> np.ndar
         normals, np.argmax(np.abs(normals), axis=1)[:, None], axis=1
     )[:, 0]
     normals = np.where((lead < 0)[:, None], -normals, normals)
-    degenerate = (eigvals[:, 1] - eigvals[:, 0]) < _DEGENERATE_EIGENGAP
+    degenerate = (eigvals[:, 1] - eigvals[:, 0]) <= _DEGENERATE_EIGENGAP * eigvals[:, 2]
     normals[degenerate] = np.nan
     return normals
 

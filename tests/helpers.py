@@ -153,7 +153,7 @@ def reference_pca_normals(positions: np.ndarray, ids: np.ndarray) -> np.ndarray:
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     lead = np.take_along_axis(normals, np.argmax(np.abs(normals), axis=1)[:, None], axis=1)[:, 0]
     normals = np.where((lead < 0)[:, None], -normals, normals)
-    normals[(eigvals[:, 1] - eigvals[:, 0]) < 1e-9] = np.nan
+    normals[(eigvals[:, 1] - eigvals[:, 0]) <= 1e-9 * eigvals[:, 2]] = np.nan
     return normals
 
 

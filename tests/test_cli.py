@@ -30,7 +30,7 @@ from udfgrid import (
     write_grid,
     write_ply,
 )
-from udfgrid import normals
+from udfgrid import evaluation, normals
 from udfgrid.cli import main
 
 SCENE_CFG = """
@@ -109,6 +109,20 @@ class TestUsageErrors:
                   "--kind", "ued", "--voxel-size", "0.02", "--auto-bounds",
                   "--origin", "0 0 0", "--dims", "8 8 8"])
         assert err.value.code == 1
+
+    def test_dims_excludes_auto_bounds(self, clean_ply, tmp_path, capsys):
+        out = tmp_path / "g.udfg"
+        with pytest.raises(SystemExit) as err:
+            main(["compute", clean_ply, str(out), "--kind", "ued", *GEOMETRY, "--dims", "8 8 8"])
+        assert err.value.code == 1
+        assert "--auto-bounds" in capsys.readouterr().err and not out.exists()
+
+    def test_sigma_excludes_sigma_sweep(self, clean_ply, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["roundtrip", clean_ply, "--kind", "uwed", "--sigma-sweep",
+                  "--sigma", "0.04", *GEOMETRY])
+        assert err.value.code == 1
+        assert "--sigma" in capsys.readouterr().err
 
     def test_bad_vector(self, clean_ply, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -425,6 +439,21 @@ class TestRoundtripCommand:
         assert len(lines) == 6  # header, rule, four sigma rows
         ratios = [float(line.split()[2]) for line in lines[2:]]
         assert ratios == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("sweep", [[], ["--sigma-sweep"]], ids=["single", "sweep"])
+    def test_max_neighbors_reaches_every_sigma(self, clean_ply, capsys, sweep):
+        """The table's CDs are ``sigma_sweep``'s at the given cap, with and without a sweep."""
+        def cds(argv: list[str]) -> list[str]:
+            assert main(["roundtrip", clean_ply, "--kind", "uwed", *sweep, *argv, *GEOMETRY]) == 0
+            return [line.split()[3] for line in capsys.readouterr().out.splitlines()[2:]]
+
+        capped = cds(["--max-neighbors", "2"])
+        cloud = read_ply(clean_ply)
+        spec = GridSpec.covering(cloud.positions, 0.02)
+        sigmas = None if sweep else [0.04]
+        want = evaluation.sigma_sweep(cloud, spec, [DFKind.UWED], sigmas, max_neighbors=2)
+        assert capped == [f"{r.cd:.6f}" for r in want]
+        assert capped != cds([])
 
     def test_normals_estimated_once(self, tmp_path, scanned_cfg, capsys, monkeypatch):
         """A noisy scan's kinds share one estimate and give each kind's own table row."""

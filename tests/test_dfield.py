@@ -331,9 +331,9 @@ class TestComputeGrid:
                 assert ((grid.values >= 0.0) & (grid.values < 3.0)).all()
 
     @pytest.mark.parametrize("nan_every", [None, 97])
-    @pytest.mark.parametrize("kind", [DFKind.UWED, DFKind.SWED])
+    @pytest.mark.parametrize("kind", [DFKind.UWED, DFKind.SWED, DFKind.HOPPE, DFKind.UED])
     def test_row_chunks_give_the_same_bits(self, kind, nan_every, monkeypatch):
-        """Moving the capped-ball chunk boundaries leaves the weighted sums' bits alone.
+        """Moving the chunk boundaries of ``near`` leaves the values' bits alone.
 
         The unquantized values are compared too: rounding to float32 on
         storage would hide a change in the last bits of a sum.
@@ -357,6 +357,18 @@ class TestComputeGrid:
         with pytest.warns(UserWarning):
             grid = compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(0.05))
         assert len(grid) == 0
+
+    @pytest.mark.parametrize("kind", [DFKind.IMLS, DFKind.HOPPE])
+    def test_no_valid_normal_makes_no_scan(self, kind, monkeypatch):
+        """An empty support warns and returns an empty grid before any index or query."""
+        cloud = PointCloud([[0.1, 0.1, 0.1], [0.2, 0.1, 0.1]], normals=np.full((2, 3), np.nan))
+        spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(8, 8, 8))
+        calls = []
+        for name in ("build_index", "nearest_batch", "capped_ball_batch"):
+            monkeypatch.setattr(spatial, name, lambda *a, _name=name, **k: calls.append(_name))
+        with pytest.warns(UserWarning):
+            grid = compute_grid(cloud, spec, kind, DFParams.for_voxel_size(0.05))
+        assert len(grid) == 0 and calls == []
 
     def test_empty_cloud_rejected(self):
         spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(4, 4, 4))
@@ -457,7 +469,7 @@ class TestNeighbourhoodEntry:
         got = compute_grid(cloud, spec, DFKind.UWED, params)
         records = getattr(cloud, dfield._ENTRY)[1]
         assert max(calls) <= rows and len(calls) == len(records)
-        assert [len(nodes) for nodes, _, _ in records] == calls
+        assert [len(nodes) for nodes, _ in records] == calls
         assert _same_bits(got, want)
 
     # (kind, sigma) per call.  The last order's two sigmas differ by one ulp
@@ -604,7 +616,7 @@ class TestCandidateSet:
                        axis=-1).reshape(-1, 3)
         pos = voxel_position(spec, idx)
         dist = canonical_distance(pos[:, None, :], cloud.positions[None, :, :]).min(axis=1)
-        near = dist <= 3.0 * spec.voxel_size + 1e-9
+        near = dist <= 3.0 * spec.voxel_size * (1.0 + 1e-9)
         vals = make_evaluator(cloud, kind, params).batch(pos[near]) / spec.voxel_size
         vals = quantize_values(vals)
         keep = np.isfinite(vals) & (np.abs(vals) < 3.0)
@@ -705,7 +717,8 @@ class TestValueOracle:
                        axis=-1).reshape(-1, 3)
         pos = voxel_position(spec, idx)
         near = np.array([canonical_dists(cloud.positions, x).min() for x in pos])
-        idx, pos = idx[near <= 3.0 * voxel + 1e-9], pos[near <= 3.0 * voxel + 1e-9]
+        within = near <= 3.0 * voxel * (1.0 + 1e-9)
+        idx, pos = idx[within], pos[within]
         ref, plane, den = reference_rows(cloud, kind, sigma, cap, pos)
         ref_v, tol_v = ref / voxel, tol / voxel
         expected = np.isfinite(ref_v) & (np.abs(quantize_values(ref_v)) < 3.0)

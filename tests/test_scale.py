@@ -3,15 +3,18 @@
 Multiplying by a power of two is exact in floating point.  Scaling the
 positions, sensor origins, grid origin, voxel size and sigma by 2**e should
 therefore give byte-identical grids for every kind, and extraction and
-Chamfer distances scaled by exactly 2**e.  Two absolute thresholds break
-it at small scales; their tests are strict xfails until the thresholds
-become relative.
+Chamfer distances scaled by exactly 2**e.  The two thresholds that would
+break this at small scales, ``compute_grid``'s reach guard and the
+degenerate eigengap of ``estimate_normals``, are relative: the property
+below holds over e in [-60, 60].
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import DENSITY, SENSORS, VOXEL_SIZE, desk_scene, grid_spec_for
 from udfgrid import (
@@ -81,8 +84,6 @@ def test_grids_extraction_and_chamfer_scale_exactly(e):
     assert chamfer(got, cloud) == chamfer(want, unscaled) * s
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="compute_grid's reach guard is 1e-9 m, not relative to the voxel")
 @pytest.mark.parametrize("e", [-16, -20])
 def test_plane_kinds_keep_the_same_voxels_at_small_scales(e):
     _same_grids(e, PLANE_KINDS)
@@ -100,9 +101,20 @@ def test_normals_are_the_same_bits(e):
     assert _normals(e).tobytes() == _normals(0).tobytes()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="estimate_normals' degenerate eigengap is 1e-9 m**2, not relative")
 @pytest.mark.parametrize("e", [-8, -12])
 def test_normals_mark_the_same_degenerate_rows_at_small_scales(e):
     np.testing.assert_array_equal(np.isnan(_normals(e)).any(axis=1),
                                   np.isnan(_normals(0)).any(axis=1))
+
+
+@settings(max_examples=10)
+@example(-60)
+@example(-20)
+@example(-8)
+@example(60)
+@given(st.integers(-60, 60))
+def test_every_output_scales_exactly(e):
+    """Grids, extraction, Chamfer and normals, NaN rows included, at any scale in range."""
+    test_grids_extraction_and_chamfer_scale_exactly(e)
+    test_normals_mark_the_same_degenerate_rows_at_small_scales(e)
+    test_normals_are_the_same_bits(e)
