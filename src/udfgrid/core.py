@@ -245,8 +245,9 @@ class GridSpec:
             raise EmptyCloudError("cannot cover an empty point set")
         voxel_size = as_length(voxel_size, "voxel_size")
         pad = TRUNCATION_VOXELS * voxel_size
-        origin = positions.min(axis=0) - pad
-        top = positions.max(axis=0) + pad
+        # Column by column: the same values as an axis-0 reduction, several times faster.
+        origin = np.array([c.min() for c in positions.T]) - pad
+        top = np.array([c.max() for c in positions.T]) + pad
         dims = np.floor((top - origin) / voxel_size + 1e-9) + 1
         if not (dims <= MAX_NODES).all():
             raise ContractError(f"covering grid at voxel_size {voxel_size} exceeds {MAX_NODES} nodes")
@@ -367,30 +368,29 @@ class SparseDFGrid:
         val = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if len(idx) != len(val):
             raise ContractError("indices and values must have equal length")
-        if len(idx):
-            if idx.min() < 0 or (idx >= np.asarray(self.spec.dims)).any():
-                raise ContractError("voxel indices outside grid dims")
-            codes = linearize(self.spec.dims, idx)
-            if not (np.diff(codes) > 0).all():
-                order = np.argsort(codes, kind="stable")
-                codes = codes[order]
-                if (np.diff(codes) == 0).any():
-                    raise ContractError("duplicate voxel indices")
-                idx, val = idx[order], val[order]
-            if not np.isfinite(val).all():
-                raise ContractError("grid values must be finite")
-            t = TRUNCATION_VOXELS
-            if self.kind.signed:
-                ok = (np.abs(val) <= t) if self.flipped else ((val > -t) & (val < t))
-            else:
-                ok = ((val > 0) & (val <= t)) if self.flipped else ((val >= 0) & (val < t))
-            if self.flipped:
-                ok &= t - np.abs(val) < t
-            if not ok.all():
-                raise ContractError(
-                    f"values outside the valid range for {self.kind.value}"
-                    f" (flipped={self.flipped})"
-                )
+        if (idx < 0).any() or (idx >= np.asarray(self.spec.dims)).any():
+            raise ContractError("voxel indices outside grid dims")
+        codes = linearize(self.spec.dims, idx)
+        if not (np.diff(codes) > 0).all():
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
+            if (np.diff(codes) == 0).any():
+                raise ContractError("duplicate voxel indices")
+            idx, val = idx[order], val[order]
+        if not np.isfinite(val).all():
+            raise ContractError("grid values must be finite")
+        t = TRUNCATION_VOXELS
+        if self.kind.signed:
+            ok = (np.abs(val) <= t) if self.flipped else ((val > -t) & (val < t))
+        else:
+            ok = ((val > 0) & (val <= t)) if self.flipped else ((val >= 0) & (val < t))
+        if self.flipped:
+            ok &= t - np.abs(val) < t
+        if not ok.all():
+            raise ContractError(
+                f"values outside the valid range for {self.kind.value}"
+                f" (flipped={self.flipped})"
+            )
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 

@@ -100,9 +100,7 @@ def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(len(lens))
     nonempty = lens > 0
-    if values.size:
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        out[nonempty] = np.add.reduceat(values, starts[nonempty])
+    out[nonempty] = np.add.reduceat(values, (np.cumsum(lens) - lens)[nonempty])
     return out
 
 
@@ -257,24 +255,25 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows:
     """Grid nodes within ``reach`` of an index point, with that nearest point.
 
     Yields (node indices, node positions, (nearest ids, distances)) in
-    chunks of at most ``rows`` nodes.  The scanned box is the points'
-    bounding box padded by the reach, clipped to the grid in float space so
-    that a far point cannot overflow the int64 indices; a box of more than
-    _MAX_SCAN_NODES nodes raises ContractError.  The box is split into cubes
-    of _BLOCK**3 nodes, culled in row-major order ``spatial.chunk_rows(2)``
-    blocks (the rows of one nearest query) at a time.  Each block centre
-    gets one nearest query bounded by reach + h, h being the half-diagonal
-    of a full block, plus a margin for the rounding of positions and
-    distances.  If a node lies within reach of a point p, the triangle
-    inequality puts p within reach + h of the block's centre; so a block
-    whose centre finds no point holds no candidate, and dropping it leaves
-    the candidates unchanged.  The surviving blocks' nodes get one nearest
-    query bounded by the reach, ``rows`` nodes at a time.
+    chunks of at most ``rows`` nodes, some of them empty.  The scanned box
+    is the points' bounding box padded by the reach, clipped to the grid in
+    float space so that a far point cannot overflow the int64 indices; a box
+    of more than _MAX_SCAN_NODES nodes raises ContractError.  The box is
+    split into cubes of _BLOCK**3 nodes, culled in row-major order
+    ``spatial.chunk_rows(2)`` blocks (the rows of one nearest query) at a
+    time.  Each block centre gets one nearest query bounded by reach + h, h
+    being the half-diagonal of a full block, plus a margin for the rounding
+    of positions and distances.  If a node lies within reach of a point p,
+    the triangle inequality puts p within reach + h of the block's centre;
+    so a block whose centre finds no point holds no candidate, and dropping
+    it leaves the candidates unchanged.  The surviving blocks' nodes get one
+    nearest query bounded by the reach, ``rows`` nodes at a time.
     """
     v = spec.voxel_size
     top = np.asarray(spec.dims) - 1
-    lo = np.ceil((index.positions.min(axis=0) - reach - spec.origin) / v)
-    hi = np.floor((index.positions.max(axis=0) + reach - spec.origin) / v)
+    # Column by column: the same values as an axis-0 reduction, several times faster.
+    lo = np.ceil((np.array([c.min() for c in index.positions.T]) - reach - spec.origin) / v)
+    hi = np.floor((np.array([c.max() for c in index.positions.T]) + reach - spec.origin) / v)
     lo, hi = np.clip(lo, 0, top + 1).astype(np.int64), np.clip(hi, -1, top).astype(np.int64)
     if (hi < lo).any():
         return
@@ -311,8 +310,7 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows:
                 pos = spec.origin + nodes * v
                 ids, d = spatial.nearest_batch(index, pos, r=None if reach > MAX_COORD else reach)
                 near = d <= reach
-                if near.any():
-                    yield nodes[near], pos[near], (ids[near], d[near])
+                yield nodes[near], pos[near], (ids[near], d[near])
 
 
 def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):

@@ -42,15 +42,11 @@ def extract_sdf(grid: SparseDFGrid) -> PointCloud:
         pos_a = (va >= 0)
         pos_b = (vb >= 0)
         cross = found & (pos_a != pos_b)
-        if not cross.any():
-            continue
         a, b = va[cross], vb[cross]
         t = a / (a - b)
         p = voxel_position(grid.spec, idx[cross]).astype(np.float64)
         p[:, axis] += t * grid.spec.voxel_size
         points.append(p)
-    if not points:
-        return PointCloud(np.empty((0, 3)))
     return PointCloud(np.concatenate(points))
 
 

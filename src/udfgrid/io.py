@@ -65,7 +65,7 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
     if cloud.sensor_origins is not None:
         columns.append(cloud.sensor_origins)
         names += ["sx", "sy", "sz"]
-    data = np.concatenate(columns, axis=1) if len(cloud) else np.empty((0, len(names)))
+    data = np.concatenate(columns, axis=1)
     fmt = "binary_little_endian" if binary else "ascii"
     header_lines = ["ply", f"format {fmt} 1.0", f"element vertex {len(cloud)}"]
     header_lines += [f"property double {n}" for n in names]

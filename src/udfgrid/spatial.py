@@ -10,15 +10,15 @@ are reproducible and match a brute-force scan exactly:
 - radius queries are boundary-inclusive (distance == r is returned).
 
 Nearest, k-nearest and capped-ball selection share one mechanism, a kd
-query for more than k neighbours (capped balls bound it by r plus a 1e-9
-relative margin) whose canonical distances are recomputed and whose rows
-are ordered by (distance, id).  The kd query orders a row by its own
-distances, so most rows arrive in that order already: only the rows with
-an adjacent pair out of (distance, id) order are sorted.  A point the kd
-query left out is at least as far as the last one it returned, so a row is
-exact unless its last distance lies within the margin of its k-th.  Only
-such rows are asked again, at twice the width, until the width covers the
-whole cloud.
+query for more than k neighbours, bounded by r plus a 1e-9 relative margin,
+whose canonical distances are recomputed and whose rows are ordered by
+(distance, id); an unbounded query is the bounded one at r = inf.  The kd
+query orders a row by its own distances, so most rows arrive in that order
+already: only the rows with an adjacent pair out of (distance, id) order
+are sorted.  A point the kd query left out is at least as far as the last
+one it returned, so a row is exact unless its last distance lies within
+the margin of its k-th.  Only such rows are asked again, at twice the
+width, until the width covers the whole cloud.
 
 Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
 and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
@@ -131,9 +131,9 @@ def _exact_neighbours(
     """The k smallest points by (canonical distance, id) for each row of ``q``.
 
     Returns (ids, dists), both of shape (len(q), min(k, len(index))), each
-    row ordered by (distance, id).  With ``r``, only points within r count:
-    a row with fewer than k of them is padded with id ``len(index)`` and
-    distance inf.
+    row ordered by (distance, id).  Only points within ``r`` count: a row
+    with fewer than k of them is padded with id ``len(index)`` and distance
+    inf.  No ``r`` is r = inf, a bound no row falls short of.
 
     One kd query asks for ``width`` (default k + 1) neighbours per row.  A
     row whose last one lies within the margin of its k-th may hide a tie
@@ -141,37 +141,34 @@ def _exact_neighbours(
     at ``len(index)`` the kd query returns every point and the row is exact.
     """
     n = len(index)
+    r = np.inf if r is None else r
     width = min(k + 1 if width is None else width, n)
     step = chunk_rows(width)
     if len(q) > step:
         parts = [_exact_neighbours(index, q[lo : lo + step], k, r, width)
                  for lo in range(0, len(q), step)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    bound = np.inf if r is None else r * (1.0 + _RADIUS_MARGIN)
+    bound = r * (1.0 + _RADIUS_MARGIN)
     _, ids = index.tree.query(q, k=width, distance_upper_bound=bound, workers=get_num_threads())
     ids = ids.reshape(len(q), width)
-    # Only a bounded query pads its rows, with id n at distance inf.
-    found = ids if r is None else np.minimum(ids, n - 1)
-    dists = _gathered_distances(index.positions, q, found)
-    if r is not None:
-        dists[ids == n] = np.inf
+    # The kd query pads a row with id n when fewer than width points lie in the bound.
+    dists = _gathered_distances(index.positions, q, np.minimum(ids, n - 1))
+    dists[ids == n] = np.inf
     # The kd query's order is its own distances'; a row whose canonical
     # distances tie or swap out of (distance, id) order is sorted again.
     d0, d1, i0, i1 = dists[:, :-1], dists[:, 1:], ids[:, :-1], ids[:, 1:]
     unsorted = np.flatnonzero(((d1 < d0) | ((d1 == d0) & (i1 < i0))).any(axis=1))
-    if len(unsorted):
-        order = np.lexsort((ids[unsorted], dists[unsorted]), axis=-1)
-        ids[unsorted] = np.take_along_axis(ids[unsorted], order, axis=-1)
-        dists[unsorted] = np.take_along_axis(dists[unsorted], order, axis=-1)
+    order = np.lexsort((ids[unsorted], dists[unsorted]), axis=-1)
+    ids[unsorted] = np.take_along_axis(ids[unsorted], order, axis=-1)
+    dists[unsorted] = np.take_along_axis(dists[unsorted], order, axis=-1)
     if width < n:
         kth, last = dists[:, k - 1], dists[:, -1]
         wide = np.flatnonzero(np.isfinite(last) & (last <= kth * (1.0 + _RADIUS_MARGIN)))
         if len(wide):
             ids[wide, :k], dists[wide, :k] = _exact_neighbours(index, q[wide], k, r, 2 * width)
     ids, dists = ids[:, :k], dists[:, :k]
-    if r is not None:
-        beyond = dists > r
-        ids[beyond], dists[beyond] = n, np.inf
+    beyond = dists > r
+    ids[beyond], dists[beyond] = n, np.inf
     return ids, dists
 
 
@@ -198,11 +195,12 @@ def nearest_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest point id and canonical distance for each query row.
 
-    With ``r``, the search stops at distance r: a row with no point within
-    r (boundary inclusive) gets id ``len(index)`` and distance inf, the
+    The search stops at distance ``r``: a row with no point within r
+    (boundary inclusive) gets id ``len(index)`` and distance inf, the
     padding ``capped_ball_batch`` uses, and every other row is the same
-    bits as the unbounded answer, ties included.  A bounded query is much
-    cheaper than an unbounded one for a row far from every point.
+    bits as the unbounded answer, ties included.  No ``r`` is the same
+    query at r = inf.  A bounded query is much cheaper than an unbounded
+    one for a row far from every point.
     """
     r = None if r is None else as_length(r, "radius")
     ids, dists = _exact_neighbours(index, as_rows(queries, "query points"), 1, r)

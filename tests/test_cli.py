@@ -131,6 +131,17 @@ class TestUsageErrors:
                   "--origin", "0 0", "--dims", "8 8 8"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("bounds, message", [
+        (["--origin", "a b c", "--dims", "8 8 8"], "expected three numbers, got 'a b c'"),
+        (["--origin", "0 0 0", "--dims", "0 3 3"], "dims must be >= 1"),
+    ], ids=["origin", "dims"])
+    def test_bad_explicit_bounds(self, clean_ply, tmp_path, capsys, bounds, message):
+        with pytest.raises(SystemExit) as err:
+            main(["compute", clean_ply, str(tmp_path / "g.udfg"),
+                  "--kind", "ued", "--voxel-size", "0.02", *bounds])
+        assert err.value.code == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kinds", [",", " , "])
     def test_empty_kind_list(self, clean_ply, capsys, kinds):
         with pytest.raises(SystemExit) as err:
@@ -431,6 +442,18 @@ class TestRoundtripCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4  # header, rule, a row per kind
         assert lines[2].startswith("uwed") and lines[3].startswith("ued")
+
+    def test_flip_reports_the_unflipped_numbers(self, clean_ply, capsys):
+        """Extraction un-flips the grid exactly: only the flip column changes."""
+        def rows(flag: list[str]) -> list[list[str]]:
+            assert main(["roundtrip", clean_ply, "--kind", "ued,uwed,sed,imls",
+                         *flag, *GEOMETRY]) == 0
+            return [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+
+        plain, flipped = rows([]), rows(["--flip"])
+        assert [r[1] for r in plain] == ["false"] * 4 and [r[1] for r in flipped] == ["true"] * 4
+        # kind, sigma/vs, both CDs, points and voxels; not the wall time.
+        assert [r[:1] + r[2:7] for r in flipped] == [r[:1] + r[2:7] for r in plain]
 
     def test_sigma_sweep_table(self, clean_ply, capsys):
         assert main(["roundtrip", clean_ply, "--kind", "uwed",

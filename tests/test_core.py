@@ -239,6 +239,8 @@ class TestGridSpec:
             GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2, 0, 2))
         with pytest.raises(ContractError):
             GridSpec(origin=(0, np.nan, 0), voxel_size=0.1, dims=(2, 2, 2))
+        with pytest.raises(ContractError, match=r"dims must be three integers >= 1, got \(2, 2\)"):
+            GridSpec(origin=(0, 0, 0), voxel_size=0.1, dims=(2, 2))
 
     def test_node_count_must_fit_int64(self):
         """Linear codes are int64; larger grids would wrap and mis-sort."""
@@ -489,6 +491,11 @@ class TestSparseDFGrid:
         assert grid.value_at((2, 3, 4)) == 1.5
         assert grid.value_at((1, 1, 1)) is None
 
+    def test_value_at_takes_one_index(self):
+        grid = SparseDFGrid(self.spec, DFKind.UED, False, [[0, 0, 0]], [0.25])
+        with pytest.raises(ContractError, match=r"value_at takes one \(i, j, k\) index"):
+            grid.value_at([[0, 0, 0], [1, 1, 1]])
+
     def test_values_at_batch(self):
         grid = SparseDFGrid(self.spec, DFKind.UED, False,
                             [[0, 0, 0], [2, 3, 4]], [0.25, 1.5])
@@ -643,6 +650,10 @@ class TestVoxelIndices:
     def test_fractions_refused(self, call):
         with pytest.raises(ContractError, match="integ"):
             call(self)
+
+    def test_non_numbers_refused(self):
+        with pytest.raises(ContractError, match="voxel indices must be integers, got bool"):
+            SparseDFGrid(self.spec, DFKind.UED, False, [[True, False, True]], [0.5])
 
     def test_integral_and_empty_accepted(self):
         assert SparseDFGrid(self.spec, DFKind.UED, False, [], []).indices.shape == (0, 3)

@@ -1,12 +1,14 @@
 """Tests for Chamfer distance and the roundtrip / sigma-sweep reports."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import VOXEL_SIZE, grid_spec_for, plane_cloud
+from helpers import DENSITY, VOXEL_SIZE, desk_cloud, grid_spec_for, plane_cloud
 from udfgrid import (
+    ContractError,
     DFKind,
     DFParams,
     EmptyCloudError,
@@ -91,12 +93,25 @@ class TestRoundtripReport:
                 cd=-1.0, extracted_count=1, occupied_voxels=1, wall_time=0.1,
             )
 
+    @pytest.mark.parametrize("counts", [(-1, 1), (1, -1)], ids=["points", "voxels"])
+    def test_negative_count_refused(self, counts):
+        with pytest.raises(ContractError, match="counts must be non-negative"):
+            RoundtripReport(
+                kind=DFKind.UED, flipped=False, sigma=0.1, voxel_size=0.05,
+                cd=0.0, extracted_count=counts[0], occupied_voxels=counts[1], wall_time=0.1,
+            )
+
     def test_infinite_cd_allowed(self):
         rep = RoundtripReport(
             kind=DFKind.UED, flipped=False, sigma=0.1, voxel_size=0.05,
             cd=math.inf, extracted_count=0, occupied_voxels=1, wall_time=0.1,
         )
         assert math.isinf(rep.cd)
+
+
+@functools.cache
+def _quarter_desk():
+    return desk_cloud(seed=3, density=DENSITY / 4)
 
 
 class TestRoundtrip:
@@ -137,6 +152,18 @@ class TestRoundtrip:
                         DFParams.for_voxel_size(0.05))
         assert rep.extracted_count == 0
         assert math.isinf(rep.cd)
+
+    @pytest.mark.parametrize("kind", list(DFKind), ids=lambda k: k.value)
+    def test_flipped_reports_the_unflipped_numbers(self, kind):
+        """Extraction un-flips the grid exactly, so only the flag differs."""
+        cloud = _quarter_desk()
+        spec, params = grid_spec_for(cloud), DFParams.for_voxel_size(VOXEL_SIZE)
+        plain = roundtrip(cloud, spec, kind, False, params)
+        flipped = roundtrip(cloud, spec, kind, True, params)
+        assert flipped.flipped and not plain.flipped
+        assert plain.extracted_count > 0
+        assert (flipped.cd, flipped.extracted_count, flipped.occupied_voxels) == (
+            plain.cd, plain.extracted_count, plain.occupied_voxels)
 
     @pytest.mark.xfail(
         strict=True,
@@ -190,6 +217,11 @@ class TestSigmaSweep:
         reports = sigma_sweep(cloud, spec, [DFKind.UWED], sigmas=[0.05, 0.1])
         assert len(reports) == 2
         assert [r.sigma for r in reports] == [0.05, 0.1]
+
+    def test_empty_sigmas_refused(self):
+        cloud = plane_cloud(seed=3, density=500.0, side=0.5)
+        with pytest.raises(ContractError, match="sigmas must be non-empty"):
+            sigma_sweep(cloud, grid_spec_for(cloud), [DFKind.UWED], sigmas=[])
 
     def test_noisy_plane_prefers_two_voxel_sigma(self):
         """With half-voxel Gaussian noise, sigma = 2 voxels denoises better

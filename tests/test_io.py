@@ -163,14 +163,22 @@ class TestPlyReadTolerance:
         cloud = self._read(tmp_path, text)
         np.testing.assert_array_equal(cloud.positions, [[0.5, 0.25, -1.0]])
 
-    def test_elements_after_vertex_ignored(self, tmp_path):
-        text = (
-            "ply\nformat ascii 1.0\nelement vertex 1\n"
+    @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+    def test_elements_after_vertex_ignored(self, tmp_path, binary):
+        """A later element's properties, a list among them, are not the vertex's."""
+        pos = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        fmt = "binary_little_endian" if binary else "ascii"
+        header = (
+            f"ply\nformat {fmt} 1.0\nelement vertex 3\n"
             "property double x\nproperty double y\nproperty double z\n"
-            "element face 2\nend_header\n1 2 3\n0 0 0\n0 0 0\n"
-        )
-        cloud = self._read(tmp_path, text)
-        assert len(cloud) == 1
+            "element face 2\nproperty list uchar int vertex_indices\nend_header\n"
+        ).encode()
+        if binary:
+            body = pos.astype("<f8").tobytes() + struct.pack("<B3iB3i", 3, 0, 1, 2, 3, 2, 1, 0)
+        else:
+            body = b"1 2 3\n4 5 6\n7 8 9\n3 0 1 2\n3 2 1 0\n"
+        cloud = self._read(tmp_path, header + body)
+        np.testing.assert_array_equal(cloud.positions, pos)
 
     def test_partial_normals_not_grouped(self, tmp_path):
         """nx without ny/nz yields no normals rather than an error."""

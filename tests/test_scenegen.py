@@ -146,6 +146,10 @@ class TestOpenCylinder:
         np.testing.assert_allclose(np.linalg.norm(lateral, axis=1), 0.2, atol=1e-9)
         assert (t >= 0).all() and (t <= 1).all()
 
+    def test_zero_axis_rejected(self):
+        with pytest.raises(ContractError, match="cylinder axis must be non-zero"):
+            OpenCylinder((0, 0, 0), (0, 0, 0), 0.1, 0.5, 1000.0)
+
 
 class TestSizesMustBeFinite:
     @pytest.mark.parametrize("make", [
@@ -195,6 +199,10 @@ class TestSceneSpec:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             SceneSpec(())
+
+    def test_non_primitive_rejected(self):
+        with pytest.raises(ContractError, match="unsupported primitive type object"):
+            SceneSpec((object(),))
 
     def test_deterministic_per_seed(self):
         scene = _scene(
@@ -501,6 +509,15 @@ dropout = 0.1
         text = "[sphere]\ncenter = 0,0,0\nradius = big\ndensity = 5\n"
         with pytest.raises(ParseError):
             load_scene_config(self._write(tmp_path, text))
+
+    def test_bad_vector_number(self, tmp_path):
+        text = "[plane]\ncorner = a, b, c\nedge_u = 1,0,0\nedge_v = 0,1,0\ndensity = 5\n"
+        with pytest.raises(ParseError, match=r"section \[plane\] key 'corner': not a number list"):
+            load_scene_config(self._write(tmp_path, text))
+
+    def test_no_section_header(self, tmp_path):
+        with pytest.raises(ParseError, match="malformed scene config"):
+            load_scene_config(self._write(tmp_path, "radius = 1\n"))
 
     def test_bad_vector_arity(self, tmp_path):
         text = "[sphere]\ncenter = 0,0\nradius = 1\ndensity = 5\n"
