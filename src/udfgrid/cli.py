@@ -66,6 +66,12 @@ def _dims_arg(text: str) -> tuple[int, int, int]:
     return dims
 
 
+def _seed_arg(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _resolve_spec(args, positions: np.ndarray) -> GridSpec:
     if args.auto_bounds:
         return GridSpec.covering(positions, args.voxel_size)
@@ -138,7 +144,7 @@ def _build_parser() -> _Parser:
                        help="sample a synthetic scene config into a .ply")
     p.add_argument("scene", help="scene config file")
     p.add_argument("output", help="output .ply")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=_seed_arg, default=0, help="random seed (default 0)")
     p.add_argument("--noise", type=float, default=None,
                    help="override scan noise sigma in meters")
     p.add_argument("--dropout", type=float, default=None,

@@ -9,6 +9,7 @@ voxel index absent from a grid means "empty space / undefined".
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,24 @@ MAX_COORD = 2.0**500
 MIN_LENGTH = 2.0**-500
 
 
-def _shape_rows(a, name: str, dtype=np.float64) -> np.ndarray:
-    """One (3,) point or an (M, 3) array as (M, 3) rows of ``dtype`` (None keeps
-    numpy's); ContractError for any other shape.  ``as_rows`` without the bound,
-    for normals, whose NaN rows are legal, and for voxel indices."""
+def _as_real(a, name: str, what: str = "real numbers") -> np.ndarray:
+    """``a`` as an array of integers or floats (dtype kind i, u or f); ContractError
+    for any other dtype or a ragged list, before a cast could drop an imaginary part."""
     try:
-        a = np.asarray(a, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        raise ContractError(f"{name} must be numbers of shape (3,) or (M, 3)") from None
+        a = np.asarray(a)
+    except ValueError:
+        raise ContractError(f"{name} must be {what}") from None
+    if a.dtype.kind not in "iuf":
+        raise ContractError(f"{name} must be {what}, got {a.dtype}")
+    return a
+
+
+def _shape_rows(a, name: str, dtype=np.float64) -> np.ndarray:
+    """One (3,) point or an (M, 3) array of real numbers as (M, 3) rows of
+    ``dtype`` (None keeps numpy's); ContractError for any other shape or dtype.
+    ``as_rows`` without the bound, for normals, whose NaN rows are legal, and
+    for voxel indices."""
+    a = np.asarray(_as_real(a, name, "numbers of shape (3,) or (M, 3)"), dtype=dtype)
     if a.ndim not in (1, 2) or a.shape[-1] != 3:
         raise ContractError(f"{name} must have shape (3,) or (M, 3), got {a.shape}")
     return a.reshape(-1, 3)
@@ -77,6 +88,13 @@ def as_length(x, name: str, zero: bool = False) -> float:
     return v
 
 
+def _as_path(path):
+    """``path`` if a str, bytes or os.PathLike, else ContractError (``open()`` takes int fds)."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ContractError(f"path must be a str, bytes or os.PathLike, got {path!r}")
+    return path
+
+
 def _owned(a: np.ndarray) -> np.ndarray:
     """A read-only copy of ``a``, so no caller can write into it afterwards."""
     a = a.copy()
@@ -88,9 +106,8 @@ def _as_indices(ijk) -> np.ndarray:
     """Voxel indices, one (i, j, k) or an (N, 3) array of integral values, as
     (N, 3) int64 rows; an empty list is no rows.  ContractError otherwise."""
     empty = isinstance(ijk, (list, tuple)) and len(ijk) == 0
-    rows = _shape_rows(np.empty((0, 3)) if empty else ijk, "voxel indices", dtype=None)
-    if rows.dtype.kind not in "iuf":
-        raise ContractError(f"voxel indices must be integers, got {rows.dtype}")
+    rows = _as_real(np.empty((0, 3)) if empty else ijk, "voxel indices", "integers")
+    rows = _shape_rows(rows, "voxel indices", dtype=None)
     with np.errstate(invalid="ignore"):
         idx = rows.astype(np.int64, copy=False)
     if idx is not rows and not (idx == rows).all():
@@ -272,7 +289,7 @@ def round_half_away_from_zero(x) -> np.ndarray:
     Unlike ``np.round`` (half-to-even), this tie rule is uniform across
     platforms and magnitudes: 0.5 -> 1, -0.5 -> -1, 1.5 -> 2.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_real(x, "x").astype(np.float64, copy=False)
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
@@ -365,7 +382,7 @@ class SparseDFGrid:
 
     def __post_init__(self):
         idx = _as_indices(self.indices)
-        val = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        val = _as_real(self.values, "grid values").astype(np.float64, copy=False).reshape(-1)
         if len(idx) != len(val):
             raise ContractError("indices and values must have equal length")
         if (idx < 0).any() or (idx >= np.asarray(self.spec.dims)).any():
@@ -377,9 +394,7 @@ class SparseDFGrid:
             if (np.diff(codes) == 0).any():
                 raise ContractError("duplicate voxel indices")
             idx, val = idx[order], val[order]
-        if not np.isfinite(val).all():
-            raise ContractError("grid values must be finite")
-        t = TRUNCATION_VOXELS
+        t = TRUNCATION_VOXELS  # NaN and inf fail every range test below
         if self.kind.signed:
             ok = (np.abs(val) <= t) if self.flipped else ((val > -t) & (val < t))
         else:
@@ -412,19 +427,13 @@ class SparseDFGrid:
         """Vectorized lookup: (values, found) for (N, 3) query indices.
 
         Entries not stored (or outside dims) report found=False with
-        value NaN.
+        value NaN.  A sentinel code above every stored one ends the search; a
+        row outside dims may wrap in ``linearize``, and ``inside`` masks it.
         """
         ijk = _as_indices(ijk)
-        out = np.full(len(ijk), np.nan)
         inside = ((ijk >= 0) & (ijk < np.asarray(self.spec.dims))).all(axis=1)
-        found = np.zeros(len(ijk), dtype=bool)
-        if len(self.values) and inside.any():
-            codes = self.codes()
-            q = linearize(self.spec.dims, ijk[inside])
-            pos = np.searchsorted(codes, q)
-            pos_c = np.minimum(pos, len(codes) - 1)
-            hit = codes[pos_c] == q
-            sub_vals = np.where(hit, self.values[pos_c], np.nan)
-            out[inside] = sub_vals
-            found[inside] = hit
-        return out, found
+        codes = np.append(self.codes(), np.iinfo(np.int64).max)
+        q = linearize(self.spec.dims, ijk)
+        pos = np.searchsorted(codes, q)
+        found = inside & (codes[pos] == q)
+        return np.where(found, np.append(self.values, np.nan)[pos], np.nan), found

@@ -61,7 +61,7 @@ import numpy as np
 from . import spatial
 from .core import (
     MAX_COORD, DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS,
-    as_count, as_length, as_point, as_rows,
+    _as_real, as_count, as_length, as_point, as_rows,
 )
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
@@ -84,8 +84,8 @@ _ZERO_SNAP = 2.0 ** -26
 def gaussian_weight(sq_dist, sigma: float):
     """exp(-sq_dist / sigma**2), the neighborhood weight."""
     sigma = as_length(sigma, "sigma")
-    sq = np.asarray(sq_dist, dtype=np.float64)
-    if (sq < 0).any():
+    sq = _as_real(sq_dist, "sq_dist").astype(np.float64, copy=False)
+    if not (sq >= 0).all():
         raise ContractError("sq_dist must be non-negative")
     return np.exp(-sq / (sigma * sigma))
 
@@ -369,21 +369,16 @@ def compute_grid(
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")
-    kept_idx: list[np.ndarray] = []
-    kept_val: list[np.ndarray] = []
+    kept_idx = [np.empty((0, 3), dtype=np.int64)]
+    kept_val = [np.empty(0)]
     for nodes_idx, vals in _node_values(cloud, spec, _Evaluator(cloud, kind, params)):
         vals = quantize_values(vals / spec.voxel_size)
-        keep = np.isfinite(vals) & (np.abs(vals) < TRUNCATION_VOXELS)
-        if keep.any():
-            kept_idx.append(nodes_idx[keep])
-            kept_val.append(vals[keep])
-    if kept_idx:
-        indices = np.concatenate(kept_idx)
-        values = np.concatenate(kept_val)
-    else:
+        keep = np.abs(vals) < TRUNCATION_VOXELS  # False for NaN (undefined) and inf
+        kept_idx.append(nodes_idx[keep])
+        kept_val.append(vals[keep])
+    indices, values = np.concatenate(kept_idx), np.concatenate(kept_val)
+    if not len(values):
         warnings.warn("no candidate voxels inside the grid; returning an empty grid")
-        indices = np.empty((0, 3), dtype=np.int64)
-        values = np.empty(0)
     return SparseDFGrid(spec=spec, kind=kind, flipped=False, indices=indices, values=values)
 
 

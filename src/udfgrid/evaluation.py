@@ -84,7 +84,7 @@ class RoundtripReport:
     wall_time: float
 
     def __post_init__(self):
-        if not (self.cd >= 0 or np.isinf(self.cd)):
+        if not self.cd >= 0:
             raise ContractError("cd must be non-negative")
         if self.extracted_count < 0 or self.occupied_voxels < 0:
             raise ContractError("counts must be non-negative")
@@ -121,8 +121,10 @@ def roundtrip(
     Normal-dependent kinds use the cloud's normals, estimating and
     orienting them from sensor origins when absent.  Zero extracted
     points yields cd = +inf rather than an error, so parameter sweeps
-    survive degenerate configurations.
+    survive degenerate configurations.  ``flipped`` must be a bool.
     """
+    if not isinstance(flipped, (bool, np.bool_)):
+        raise ContractError(f"flipped must be a bool, got {flipped!r}")
     t0 = time.perf_counter()
     prepared = with_normals(cloud, [kind])
     grid = dfield.compute_grid(prepared, spec, kind, params)
@@ -155,19 +157,15 @@ def sigma_sweep(
     Every roundtrip averages over at most ``max_neighbors`` points, as in
     ``DFParams``.  Normals are estimated at most once (``with_normals``),
     before the roundtrips, so the reported wall times leave that estimate
-    out.
+    out.  Each of ``sigmas`` (a list, tuple or 1-D array) is checked first.
     """
     if sigmas is None:
         sigmas = [m * spec.voxel_size for m in (1.0, 2.0, 3.0, 4.0)]
-    if not sigmas:
-        raise ContractError("sigmas must be non-empty")
+    if not (isinstance(sigmas, (list, tuple)) or np.ndim(sigmas) == 1) or not len(sigmas):
+        raise ContractError(f"sigmas must be non-empty and one-dimensional, got {sigmas!r}")
+    params = [DFParams(sigma=sigma, max_neighbors=max_neighbors) for sigma in sigmas]
     cloud = with_normals(cloud, kinds)
-    reports = []
-    for kind in kinds:
-        for sigma in sigmas:
-            params = DFParams(sigma=float(sigma), max_neighbors=max_neighbors)
-            reports.append(roundtrip(cloud, spec, kind, flipped, params))
-    return reports
+    return [roundtrip(cloud, spec, kind, flipped, p) for kind in kinds for p in params]
 
 
 def format_report_table(reports: list[RoundtripReport]) -> str:
@@ -178,12 +176,9 @@ def format_report_table(reports: list[RoundtripReport]) -> str:
     )
     lines = [header, "-" * len(header)]
     for r in reports:
-        ratio = r.sigma / r.voxel_size
-        cd_m = f"{r.cd:.6f}" if np.isfinite(r.cd) else "inf"
-        cd_cm = f"{r.cd * 100.0:.4f}" if np.isfinite(r.cd) else "inf"
         lines.append(
-            f"{r.kind.value:<8} {str(r.flipped).lower():<5} {ratio:<9.2f} "
-            f"{cd_m:>12} {cd_cm:>10} {r.extracted_count:>8} "
+            f"{r.kind.value:<8} {str(r.flipped).lower():<5} {r.sigma / r.voxel_size:<9.2f} "
+            f"{r.cd:>12.6f} {r.cd * 100.0:>10.4f} {r.extracted_count:>8} "
             f"{r.occupied_voxels:>8} {r.wall_time:>9.3f}"
         )
     return "\n".join(lines)

@@ -54,29 +54,22 @@ def udf_candidates(grid: SparseDFGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Candidate voxels of an unsigned grid with their projection data.
 
     Returns (indices, directions, udf): the (M, 3) candidate voxel
-    indices (all six axis neighbors stored, 1 < udf < 3 strictly), the
-    unit finite-difference gradient directions, and the voxel-unit udf
-    values.  Voxels whose gradient norm falls below 1e-9 are dropped.
+    indices (1 < udf < 3 strictly, gradient norm at least 1e-9), the unit
+    finite-difference gradient directions, and the voxel-unit udf values.
+    A missing axis neighbor reads NaN, so its voxel is never kept.
     """
     if grid.kind.signed:
         raise WrongKindError(f"unsigned extraction needs an unsigned grid, got {grid.kind.value}")
     if grid.flipped:
         grid = dfield.flip(grid)
-    idx, v = grid.indices, grid.values
-    band = (v > 1.0) & (v < 3.0)
+    band = (grid.values > 1.0) & (grid.values < 3.0)
+    idx, v = grid.indices[band], grid.values[band]
     grad = np.empty((len(idx), 3))
-    have_all = band.copy()
     for axis in range(3):
-        vp, fp = grid.values_at(idx + _AXES[axis])
-        vm, fm = grid.values_at(idx - _AXES[axis])
-        have_all &= fp & fm
-        grad[:, axis] = vp - vm
-    keep = have_all.copy()
-    norms = np.zeros(len(idx))
-    norms[keep] = np.linalg.norm(grad[keep], axis=1)
-    keep &= norms >= _GRAD_EPS
-    directions = grad[keep] / norms[keep][:, None]
-    return idx[keep], directions, v[keep]
+        grad[:, axis] = grid.values_at(idx + _AXES[axis])[0] - grid.values_at(idx - _AXES[axis])[0]
+    norms = np.linalg.norm(grad, axis=1)
+    keep = norms >= _GRAD_EPS
+    return idx[keep], grad[keep] / norms[keep][:, None], v[keep]
 
 
 def extract_udf(grid: SparseDFGrid) -> PointCloud:

@@ -30,6 +30,7 @@ from io import BytesIO
 import numpy as np
 
 from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point, linearize
+from .core import _as_path
 from .errors import ContractError, ParseError
 
 # Rows of an ASCII PLY body formatted per write, so that the text and the
@@ -71,7 +72,7 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
     header_lines += [f"property double {n}" for n in names]
     header_lines.append("end_header")
     header = ("\n".join(header_lines) + "\n").encode("ascii")
-    with open(path, "wb") as fh:
+    with open(_as_path(path), "wb") as fh:
         fh.write(header)
         if binary:
             fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
@@ -109,7 +110,7 @@ def read_ply(path) -> PointCloud:
     present; skips other scalar vertex properties.  Elements after the
     vertex data (faces etc.) are ignored.
     """
-    with open(path, "rb") as fh:
+    with open(_as_path(path), "rb") as fh:
         data = fh.read()
     lines, body_start = _header_lines(data, path)
     if not lines or lines[0][1].strip() != "ply":
@@ -290,14 +291,14 @@ def write_grid(grid: SparseDFGrid, path) -> None:
     for col, name in enumerate("ijk"):
         records[name] = grid.indices[:, col]
     records["v"] = v32
-    with open(path, "wb") as fh:
+    with open(_as_path(path), "wb") as fh:
         fh.write(header)
         fh.write(records.tobytes())
 
 
 def read_grid(path) -> SparseDFGrid:
     """Read a UDFG file; validates magic, version, sortedness, and ranges."""
-    with open(path, "rb") as fh:
+    with open(_as_path(path), "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER_STRUCT.size:
         raise ParseError(f"{path}: header truncated", offset=len(data))

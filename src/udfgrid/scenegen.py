@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spatial
-from .core import PointCloud, as_length, as_point, as_rows
+from .core import PointCloud, _as_path, as_count, as_length, as_point, as_rows
 from .errors import ContractError, MissingDataError, ParseError
 
 
@@ -248,7 +248,7 @@ def sample_scene(scene: SceneSpec, seed) -> PointCloud:
     primitive generation order (or parallelism) cannot change the result
     for a given seed.
     """
-    streams = np.random.SeedSequence(seed).spawn(len(scene.primitives))
+    streams = np.random.SeedSequence(as_count(seed, "seed", least=0)).spawn(len(scene.primitives))
     pts, nrm = [], []
     for prim, stream in zip(scene.primitives, streams):
         p, m = prim.sample(np.random.default_rng(stream))
@@ -268,6 +268,7 @@ def simulate_scans(cloud: PointCloud, scan: ScanSpec, seed) -> PointCloud:
     (point x sensor) distances are taken ``spatial.chunk_rows(len(sensors))``
     points at a time, so memory does not grow with the sensor count.
     """
+    seed = as_count(seed, "seed", least=0)
     sensors = scan.sensor_origins
     step = spatial.chunk_rows(len(sensors))
     nearest = np.empty(len(cloud), dtype=np.int64)
@@ -292,7 +293,7 @@ def apply_dropout(cloud: PointCloud, fraction: float, seed) -> PointCloud:
     """
     if cloud.sensor_origins is None:
         raise MissingDataError("dropout groups points by sensor origin; none present")
-    fraction = _as_fraction(fraction, "dropout fraction")
+    fraction, seed = _as_fraction(fraction, "dropout fraction"), as_count(seed, "seed", least=0)
     groups, inverse = np.unique(cloud.sensor_origins, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     n_groups = len(groups)
@@ -319,7 +320,7 @@ def augment(cloud: PointCloud, seed, voxel_scale: float, jitter_sigma: float | N
     if jitter_sigma is None:
         jitter_sigma = 0.25 * float(voxel_scale)
     jitter_sigma = as_length(jitter_sigma, "jitter_sigma", zero=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", least=0))
     angle = rng.uniform(0.0, 2.0 * math.pi)
     scale = rng.uniform(0.8, 1.2)
     c, s = math.cos(angle), math.sin(angle)
@@ -334,10 +335,9 @@ def augment(cloud: PointCloud, seed, voxel_scale: float, jitter_sigma: float | N
         positions = positions + rng.normal(0.0, jitter_sigma, positions.shape)
     nrm = cloud.normals
     if nrm is not None:
+        # Rows are unit or all-NaN (PointCloud's rule); a NaN row stays NaN.
         nrm = nrm @ rot.T
-        lengths = np.linalg.norm(nrm, axis=1, keepdims=True)
-        valid = np.isfinite(lengths) & (lengths > 0)
-        nrm = np.where(valid, nrm / np.where(valid, lengths, 1.0), np.nan)
+        nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
     origins = None if cloud.sensor_origins is None else transform(cloud.sensor_origins)
     return PointCloud(positions, nrm, origins)
 
@@ -377,7 +377,7 @@ def load_scene_config(path) -> tuple[SceneSpec, ScanSpec | None]:
     """
     parser = configparser.ConfigParser()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(_as_path(path), "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scene config {path}: {exc}") from exc

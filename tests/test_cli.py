@@ -142,6 +142,15 @@ class TestUsageErrors:
         assert err.value.code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed(self, scene_cfg, tmp_path, capsys, seed):
+        """A seed is an integer >= 0; -1 reached numpy and ended in a traceback."""
+        with pytest.raises(SystemExit) as err:
+            main(["synth", scene_cfg, str(tmp_path / "o.ply"), "--seed", seed])
+        assert err.value.code == 1
+        text = capsys.readouterr().err
+        assert "--seed: expected an integer >= 0" in text and "Traceback" not in text
+
     @pytest.mark.parametrize("kinds", [",", " , "])
     def test_empty_kind_list(self, clean_ply, capsys, kinds):
         with pytest.raises(SystemExit) as err:

@@ -499,11 +499,13 @@ class TestSparseDFGrid:
     def test_values_at_batch(self):
         grid = SparseDFGrid(self.spec, DFKind.UED, False,
                             [[0, 0, 0], [2, 3, 4]], [0.25, 1.5])
-        q = np.array([[0, 0, 0], [7, 7, 7], [2, 3, 4], [9, 0, 0]])
+        # The last two rows lie outside dims but linearize to stored codes (2**62 * 64
+        # wraps to 0 in int64; (3, -5, 4) gives (2, 3, 4)'s 156); they must still miss.
+        q = np.array([[0, 0, 0], [7, 7, 7], [2, 3, 4], [9, 0, 0], [2**62, 0, 0], [3, -5, 4]])
         vals, found = grid.values_at(q)
-        np.testing.assert_array_equal(found, [True, False, True, False])
+        np.testing.assert_array_equal(found, [True, False, True, False, False, False])
         assert vals[0] == 0.25 and vals[2] == 1.5
-        assert np.isnan(vals[1]) and np.isnan(vals[3])
+        assert np.isnan(vals[[1, 3, 4, 5]]).all()
 
 
 # -- the argument contract: rows, points, counts and lengths ------------------
@@ -595,6 +597,35 @@ class TestArgumentContract:
     def test_length(self, call):
         with pytest.raises(ContractError, match=_LENGTH):
             call()
+
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(lambda: spatial.nearest(spatial.build_index(PointCloud([[1, 2, 3]])),
+                                             np.array([1 + 9j, 2, 3])), "query point",
+                     id="nearest query"),
+        pytest.param(lambda: PointCloud(np.array([[1 + 5j, 2, 3]])), "positions",
+                     id="positions"),
+        pytest.param(lambda: PointCloud(_TETRA, np.array([[1 + 0j, 0, 0]] * 4)), "normals",
+                     id="normals"),
+        pytest.param(lambda: SparseDFGrid(_spec(), DFKind.UED, False, [[0, 0, 0]],
+                                          np.array([0.5 + 2j])), "grid values", id="grid values"),
+        pytest.param(lambda: gaussian_weight(np.array([1 + 1j]), 1.0), "sq_dist",
+                     id="gaussian_weight complex"),
+        pytest.param(lambda: gaussian_weight(None, 1.0), "sq_dist", id="gaussian_weight None"),
+        pytest.param(lambda: gaussian_weight("4", 1.0), "sq_dist", id="gaussian_weight text"),
+        pytest.param(lambda: gaussian_weight([1.0, np.nan], 1.0), "sq_dist must be non-negative",
+                     id="gaussian_weight NaN"),
+        pytest.param(lambda: round_half_away_from_zero(np.array([0.5 + 1j])), "x",
+                     id="round_half_away_from_zero"),
+    ])
+    def test_real_numbers(self, call, match):
+        """Complex input lost its imaginary part with only a ComplexWarning,
+        which the suite's RuntimeWarning filter would turn into an error; a
+        user who ignores warnings got a wrong answer.  So the warnings are
+        ignored here."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ContractError, match=match):
+                call()
 
     def test_covering_one_point(self):
         """A (3,) point is one row, as everywhere else; it raised TypeError."""

@@ -86,11 +86,12 @@ class TestChamfer:
 
 
 class TestRoundtripReport:
-    def test_field_validation(self):
-        with pytest.raises(Exception):
+    @pytest.mark.parametrize("cd", [-1.0, -math.inf, math.nan])
+    def test_field_validation(self, cd):
+        with pytest.raises(ContractError, match="cd must be non-negative"):
             RoundtripReport(
                 kind=DFKind.UED, flipped=False, sigma=0.1, voxel_size=0.05,
-                cd=-1.0, extracted_count=1, occupied_voxels=1, wall_time=0.1,
+                cd=cd, extracted_count=1, occupied_voxels=1, wall_time=0.1,
             )
 
     @pytest.mark.parametrize("counts", [(-1, 1), (1, -1)], ids=["points", "voxels"])
@@ -142,6 +143,15 @@ class TestRoundtrip:
         spec = grid_spec_for(cloud)
         with pytest.raises(MissingDataError):
             roundtrip(cloud, spec, DFKind.HOPPE, False,
+                      DFParams.for_voxel_size(VOXEL_SIZE))
+
+    @pytest.mark.parametrize("flipped", [np.array([True, False]), 1, "yes", None],
+                             ids=["array", "int", "text", "None"])
+    def test_non_bool_flipped_refused(self, flipped):
+        """An array raised numpy's ambiguous-truth ValueError; 1 and "yes" flipped."""
+        cloud = plane_cloud(seed=3, density=500.0)
+        with pytest.raises(ContractError, match="flipped must be a bool"):
+            roundtrip(cloud, grid_spec_for(cloud), DFKind.UED, flipped,
                       DFParams.for_voxel_size(VOXEL_SIZE))
 
     def test_nothing_extracted_reports_infinity(self):
@@ -222,6 +232,18 @@ class TestSigmaSweep:
         cloud = plane_cloud(seed=3, density=500.0, side=0.5)
         with pytest.raises(ContractError, match="sigmas must be non-empty"):
             sigma_sweep(cloud, grid_spec_for(cloud), [DFKind.UWED], sigmas=[])
+
+    @pytest.mark.parametrize("sigmas, match", [
+        (0.1, "sigmas must be non-empty and one-dimensional"),
+        (np.array(0.1), "sigmas must be non-empty and one-dimensional"),
+        (["a"], "sigma must be finite"),
+        ([0.1, -0.1], "sigma must be finite"),
+    ], ids=["float", "0-d array", "text", "negative"])
+    def test_bad_sigmas_refused(self, sigmas, match):
+        """0.1 raised TypeError and "a" ValueError from ``float()``."""
+        cloud = plane_cloud(seed=3, density=500.0, side=0.5)
+        with pytest.raises(ContractError, match=match):
+            sigma_sweep(cloud, grid_spec_for(cloud), [DFKind.UWED], sigmas=sigmas)
 
     def test_noisy_plane_prefers_two_voxel_sigma(self):
         """With half-voxel Gaussian noise, sigma = 2 voxels denoises better

@@ -1,7 +1,10 @@
 """Tests for the PLY reader/writer and the UDFG binary grid format."""
 
 import functools
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import write_flipped_grid
+import udfgrid
 from udfgrid import (
     ContractError,
     DFKind,
@@ -492,6 +496,38 @@ class TestUdfgRoundtrip:
         ijk = np.stack([rec["i"], rec["j"], rec["k"]], axis=1).astype(np.int64)
         codes = (ijk[:, 0] * 9 + ijk[:, 1]) * 9 + ijk[:, 2]
         assert (np.diff(codes) > 0).all()
+
+
+class TestPathArgument:
+    """``open()`` takes an int as a file descriptor: ``read_ply(1)`` closed
+    stdout and then raised OSError.  Each call runs in its own process, so
+    that at worst it closes that process's stdout, not the test runner's."""
+
+    SETUP = (
+        "import numpy as np\n"
+        "from udfgrid import *\n"
+        "cloud = PointCloud(np.zeros((2, 3)))\n"
+        "grid = SparseDFGrid(GridSpec((0, 0, 0), 1.0, (2, 2, 2)), DFKind.UED, False, [], [])\n"
+    )
+
+    @pytest.mark.parametrize("call", [
+        "read_ply(1)", "read_grid(1)", "write_ply(cloud, 1)", "write_grid(grid, 1)",
+        "load_scene_config(1)",
+    ])
+    def test_int_path_refused(self, call):
+        script = (self.SETUP + f"try:\n    {call}\n"
+                  "except ContractError as exc:\n    print('refused:', exc, flush=True)\n")
+        src = str(Path(udfgrid.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # Printed after the call, so stdout is still open.
+        assert proc.stdout.startswith("refused: path must be a str, bytes or os.PathLike, got 1")
+
+    def test_path_like_accepted(self, tmp_path):
+        write_ply(_full_cloud(), tmp_path / "a.ply")
+        write_ply(read_ply(str(tmp_path / "a.ply").encode()), tmp_path / "b.ply")
+        assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
 
 
 class TestUdfgWriteErrors:

@@ -432,6 +432,43 @@ class TestAugment:
         np.testing.assert_array_equal(a.positions, b.positions)
 
 
+def _scan_cloud():
+    """Four scan groups of five points each, with unit normals."""
+    rng = np.random.default_rng(4)
+    org = np.repeat([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 2.0]], 5, axis=0)
+    return PointCloud(rng.random((20, 3)), np.tile([0.0, 0.0, 1.0], (20, 1)), org)
+
+
+# Each generator at a seed, with inputs under which it draws random numbers.
+_SEEDED = [
+    pytest.param(lambda seed: sample_scene(_scene(Sphere((0, 0, 0), 0.1, 2000.0)), seed),
+                 id="sample_scene"),
+    pytest.param(lambda seed: simulate_scans(_scan_cloud(), ScanSpec([[0, 0, 2]], 0.01), seed),
+                 id="simulate_scans"),
+    pytest.param(lambda seed: apply_dropout(_scan_cloud(), 0.5, seed), id="apply_dropout"),
+    pytest.param(lambda seed: augment(_scan_cloud(), seed, voxel_scale=0.05), id="augment"),
+]
+
+
+class TestSeeds:
+    """A seed is an integer >= 0.  numpy drew fresh entropy for None, so two
+    calls differed, and raised its own errors for -1, 1.5 and "1"."""
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "1", True])
+    @pytest.mark.parametrize("call", _SEEDED)
+    def test_refused(self, call, seed):
+        with pytest.raises(ContractError, match="seed must be an integer >= 0"):
+            call(seed)
+
+    @pytest.mark.parametrize("call", _SEEDED)
+    def test_numpy_integer_accepted(self, call):
+        """``synth`` passes np.uint32 seeds; they give the same cloud as the int."""
+        a, b = call(np.uint32(7)), call(7)
+        for name in ("positions", "normals", "sensor_origins"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+
 class TestSceneConfig:
     GOOD = """
 [plane.floor]
