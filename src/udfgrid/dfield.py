@@ -32,7 +32,11 @@ the candidate scan of ``compute_grid`` and a stored entry all run these
 steps.
 
 ``evaluate`` gives one kind's value at one point; ``make_evaluator``
-builds the spatial indices once for many queries against one cloud.
+serves many queries against one cloud.  The kd indices come from the
+cloud (``spatial.cloud_index``): it keeps the index of its positions and of
+its valid-normal support once something builds them, so the kinds, grids
+and pyramid levels over one cloud, and ``estimate_normals`` before them,
+build each index once.
 ``compute_grid`` evaluates a kind at candidate lattice nodes, converts to
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
@@ -40,14 +44,17 @@ flip involution are exact.  A nearest kind whose support is the whole
 cloud takes its neighbourhoods from the scan's own nearest query.
 
 A weighted kind's ``compute_grid`` leaves its candidate chunks on the
-(immutable) cloud as one flat list of records, each its node indices and
-its capped balls with their per-row weighted sums (at most 24 B per row):
-the neighbourhood entry.  The next weighted kind with the same spec,
-support, sigma and cap replays it: it derives the node positions from the
-indices as the scan does, makes no scan and no ball query, and a normal
-kind adds the plane sum if no earlier kind did.  The entry has its own
-bound, ``_ENTRY_BOUND`` ball entries; a grid with more streams and stores
-nothing.  The nearest kinds store nothing and scan on every call.
+(immutable) cloud, beside the kept indices, as one flat list of records,
+each its node indices and its capped balls with their per-row weighted sums
+(at most 24 B per row): the neighbourhood entry.  A ball's point ids take
+the smallest unsigned dtype that holds the support size (``uint16`` below
+65,536 points), which also makes their gathers cheaper.  The next weighted
+kind with the same spec, support, sigma and cap replays it: it derives the
+node positions from the indices as the scan does, makes no scan and no ball
+query, and a normal kind adds the plane sum if no earlier kind did.  The
+entry has its own bound, ``_ENTRY_BOUND`` ball entries; a grid with more
+streams and stores nothing.  The nearest kinds store nothing and scan on
+every call.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ _NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
 _BLOCK = 4
 _MAX_SCAN_NODES = 2**32
 # The PointCloud attribute that holds compute_grid's neighbourhood entry, and
-# the most capped-ball entries (rows x width) it stores: 8 MiB of ids.
+# the most capped-ball entries (rows x width) it stores: 2 MiB of ids at uint16.
 _ENTRY = "_neighbourhood"
 _ENTRY_BOUND = 2**20
 # Stored magnitudes below this snap to +0.0: they are geometrically
@@ -107,9 +114,10 @@ def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class _Evaluator:
     """Pointwise/batch evaluation of one DF kind over a fixed cloud.
 
-    Builds the spatial structures once, on first use, so a grid's worth of
-    queries reuses them.  The support is the set of points the kind reads:
-    the points with valid normals for normal kinds, the whole cloud
+    Takes its kd indices from the cloud (``spatial.cloud_index``) on first
+    use, so a grid's worth of queries, and every later evaluator over the
+    same cloud, reuses them.  The support is the set of points the kind
+    reads: the points with valid normals for normal kinds, the whole cloud
     otherwise (``whole`` says which).  ``full_index`` covers the whole
     cloud for the candidate scan; it is also the support's index when the
     support is the whole cloud.  Evaluation takes the module docstring's
@@ -135,14 +143,12 @@ class _Evaluator:
 
     @functools.cached_property
     def full_index(self) -> spatial.SpatialIndex:
-        return spatial.build_index(self.cloud.positions)
+        return spatial.cloud_index(self.cloud)
 
     @functools.cached_property
     def index(self) -> spatial.SpatialIndex | None:
         """The support's index; None when no point has a valid normal."""
-        if self.whole:
-            return self.full_index
-        return spatial.build_index(self.positions) if len(self.positions) else None
+        return spatial.cloud_index(self.cloud, not self.whole) if len(self.positions) else None
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
@@ -169,6 +175,7 @@ class _Evaluator:
         p = self.params
         ids, dists, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
         w = gaussian_weight(dists * dists, p.sigma)
+        ids = ids.astype(np.min_scalar_type(len(self.positions)))
         return ids, lens, {"w": _segment_sums(w, lens), "d": _segment_sums(w * dists, lens)}
 
     def values(self, q: np.ndarray, near: tuple) -> np.ndarray:

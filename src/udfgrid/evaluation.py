@@ -53,11 +53,15 @@ def _check_nonempty(p1: PointCloud, p2: PointCloud) -> None:
 
 
 def chamfer(p1: PointCloud, p2: PointCloud) -> float:
-    """Symmetric mean nearest-neighbor distance between two clouds (meters)."""
+    """Symmetric mean nearest-neighbor distance between two clouds (meters).
+
+    Each cloud's kd index is the one it keeps (``spatial.cloud_index``), or
+    a throw-away one if it keeps none.
+    """
     _check_nonempty(p1, p2)
     a, b = p1.positions, p2.positions
-    mins_ab = spatial._exact_neighbours(spatial.build_index(b), a, 1)[1][:, 0]
-    mins_ba = spatial._exact_neighbours(spatial.build_index(a), b, 1)[1][:, 0]
+    mins_ab = spatial._exact_neighbours(spatial.cloud_index(p2, keep=False), a, 1)[1][:, 0]
+    mins_ba = spatial._exact_neighbours(spatial.cloud_index(p1, keep=False), b, 1)[1][:, 0]
     return float(mins_ab.sum() / (2.0 * len(a)) + mins_ba.sum() / (2.0 * len(b)))
 
 

@@ -5,6 +5,12 @@ values have opposite signs, placed by linear interpolation.  Unsigned
 grids: one point per candidate voxel (all six axis neighbors stored and
 1 < udf < 3), projected along the finite-difference gradient direction.
 
+A stored node finds its axis neighbours by code shift: the neighbour's
+lexicographic code is the node's plus or minus the axis stride, tested
+against the node's own axis index so that no shift wraps into the next
+lattice line, and looked up with one ``searchsorted`` over the grid's
+sorted codes.  A neighbour that is not stored reads NaN.
+
 Flipped grids are un-flipped internally first; the geometric rules below
 are all stated in non-flipped voxel units.  Output order is deterministic:
 points follow the lexicographic order of their source voxel indices (for
@@ -20,7 +26,31 @@ from .core import PointCloud, SparseDFGrid, voxel_position
 from .errors import WrongKindError
 
 _GRAD_EPS = 1e-9
-_AXES = np.eye(3, dtype=np.int64)
+
+
+def _neighbour_values(grid: SparseDFGrid, rows, steps) -> list[np.ndarray]:
+    """Stored values of the neighbours of stored nodes ``rows``, one array per (axis, step).
+
+    ``rows`` selects stored nodes (a mask or index into ``grid.indices``);
+    each (axis, step) pair, step being +1 or -1, names the neighbour at
+    ``step`` along ``axis``.  Its code is the node's sorted code plus step
+    times the axis stride, so one bounds test on the node's own axis index
+    and one ``searchsorted`` over the codes, computed once, find it.  A
+    neighbour outside dims or not stored reads NaN, as in ``values_at``.
+    """
+    _, ny, nz = dims = grid.spec.dims
+    strides = (ny * nz, nz, 1)
+    codes = np.append(grid.codes(), np.iinfo(np.int64).max)
+    values = np.append(grid.values, np.nan)
+    own, idx = codes[:-1][rows], grid.indices[rows]
+    out = []
+    for axis, step in steps:
+        # A shift across the end of a lattice line (or of int64) is wrong, and masked.
+        target = own + step * strides[axis]
+        pos, moved = np.searchsorted(codes, target), idx[:, axis] + step
+        inside = (0 <= moved) & (moved < dims[axis])
+        out.append(np.where(inside & (codes[pos] == target), values[pos], np.nan))
+    return out
 
 
 def extract_sdf(grid: SparseDFGrid) -> PointCloud:
@@ -37,11 +67,9 @@ def extract_sdf(grid: SparseDFGrid) -> PointCloud:
         grid = dfield.flip(grid)
     idx, va = grid.indices, grid.values
     points = []
-    for axis in range(3):
-        vb, found = grid.values_at(idx + _AXES[axis])
-        pos_a = (va >= 0)
-        pos_b = (vb >= 0)
-        cross = found & (pos_a != pos_b)
+    for axis, vb in enumerate(_neighbour_values(grid, slice(None), [(0, 1), (1, 1), (2, 1)])):
+        # A missing neighbour reads NaN, which compares False either way.
+        cross = np.where(va >= 0, vb < 0, vb >= 0)
         a, b = va[cross], vb[cross]
         t = a / (a - b)
         p = voxel_position(grid.spec, idx[cross]).astype(np.float64)
@@ -64,9 +92,8 @@ def udf_candidates(grid: SparseDFGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
         grid = dfield.flip(grid)
     band = (grid.values > 1.0) & (grid.values < 3.0)
     idx, v = grid.indices[band], grid.values[band]
-    grad = np.empty((len(idx), 3))
-    for axis in range(3):
-        grad[:, axis] = grid.values_at(idx + _AXES[axis])[0] - grid.values_at(idx - _AXES[axis])[0]
+    shifted = _neighbour_values(grid, band, [(axis, step) for axis in range(3) for step in (1, -1)])
+    grad = np.stack([up - down for up, down in zip(shifted[::2], shifted[1::2])], axis=1)
     norms = np.linalg.norm(grad, axis=1)
     keep = norms >= _GRAD_EPS
     return idx[keep], grad[keep] / norms[keep][:, None], v[keep]

@@ -35,7 +35,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
         raise InsufficientDataError("normal estimation needs at least 3 points")
     k = as_count(k, "k", least=3)
     pos = cloud.positions
-    index = spatial.build_index(pos)
+    index = spatial.cloud_index(cloud)
     kk = min(k, len(pos))
     # Rows are independent: chunking bounds the (kk, rows, 3) neighbourhood
     # so peak memory does not grow with k.

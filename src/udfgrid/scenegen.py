@@ -313,12 +313,15 @@ def augment(cloud: PointCloud, seed, voxel_scale: float, jitter_sigma: float | N
     and per-point Gaussian jitter (default 0.25 * voxel_scale).
 
     ``jitter_sigma`` is a non-negative length: a non-finite or negative one
-    raises ContractError naming it.  Normals are rotated and re-normalized;
+    raises ContractError naming it.  So is ``voxel_scale`` when it gives the
+    default jitter; anything else there (text, None, complex) raises
+    ContractError naming both.  Normals are rotated and re-normalized;
     sensor origins receive the same rotation and scaling (no jitter).  Draw
     order is fixed: angle, scale, then the jitter array.
     """
     if jitter_sigma is None:
-        jitter_sigma = 0.25 * float(voxel_scale)
+        name = "voxel_scale (the default jitter_sigma is a quarter of it)"
+        jitter_sigma = 0.25 * as_length(voxel_scale, name, zero=True)
     jitter_sigma = as_length(jitter_sigma, "jitter_sigma", zero=True)
     rng = np.random.default_rng(as_count(seed, "seed", least=0))
     angle = rng.uniform(0.0, 2.0 * math.pi)

@@ -20,6 +20,12 @@ one it returned, so a row is exact unless its last distance lies within
 the margin of its k-th.  Only such rows are asked again, at twice the
 width, until the width covers the whole cloud.
 
+A cloud keeps the index of its positions, and of its points with valid
+normals, once ``cloud_index`` builds one (through ``build_index``, so every
+build is one call there): normal estimation, every ``compute_grid`` and
+``evaluate`` over the cloud, and ``chamfer`` against it share one tree.
+``chamfer`` keeps none itself, so a cloud it scores once holds no tree.
+
 Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
 and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
 within ``core.MAX_COORD``, integers >= 1, and lengths in [MIN_LENGTH, MAX_COORD].
@@ -41,7 +47,7 @@ import os
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PointCloud, as_count, as_length, as_rows
+from .core import PointCloud, _as_real, as_count, as_length, as_rows
 from .errors import ContractError, EmptyCloudError
 
 _RADIUS_MARGIN = 1e-9
@@ -85,9 +91,13 @@ def get_num_threads() -> int:
 
 
 def canonical_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance with a fixed summation order (x, then y, then z)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Euclidean distance with a fixed summation order (x, then y, then z).
+
+    ``a`` and ``b`` are real (``core._as_real``): a complex argument raises
+    ContractError instead of losing its imaginary part.
+    """
+    a = _as_real(a, "a").astype(np.float64, copy=False)
+    b = _as_real(b, "b").astype(np.float64, copy=False)
     return canonical_norm(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1], a[..., 2] - b[..., 2])
 
 
@@ -114,6 +124,25 @@ def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
     """Build an index over a cloud (or raw (N, 3) position array)."""
     pos = cloud.positions if isinstance(cloud, PointCloud) else cloud
     return SpatialIndex(pos)
+
+
+def cloud_index(cloud: PointCloud, support: bool = False, keep: bool = True) -> SpatialIndex:
+    """The index over ``cloud``'s positions, or with ``support`` its valid-normal points'.
+
+    A cloud keeps each index once something builds it, on a miss through
+    ``build_index``; the cloud is immutable, so a kept index cannot go
+    stale.  With ``keep=False`` a cloud that keeps none gets a throw-away
+    index, so a cloud indexed only once holds no tree afterwards.  Threads
+    that miss at once each build one; every one gives the same results.
+    """
+    name = "_support_index" if support else "_index"
+    index = getattr(cloud, name, None)
+    if index is None:
+        pos = cloud.positions[~np.isnan(cloud.normals).any(axis=1)] if support else cloud.positions
+        index = build_index(pos)
+        if keep:
+            object.__setattr__(cloud, name, index)
+    return index
 
 
 def chunk_rows(width: int) -> int:

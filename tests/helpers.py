@@ -30,6 +30,7 @@ from udfgrid import (
     simulate_scans,
     write_grid,
 )
+from udfgrid import spatial
 
 VOXEL_SIZE = 0.05
 # 16 points per voxel face: 16 / (0.05 m)^2.
@@ -127,6 +128,18 @@ def brute_neighbours(points: np.ndarray, q: np.ndarray, k: int, r: float | None 
         beyond = dists > r
         ids[beyond], dists[beyond] = n, np.inf
     return ids, dists
+
+
+def spy_builds(monkeypatch) -> list:
+    """The positions array of every ``spatial.build_index`` call from now on."""
+    built, build = [], spatial.build_index
+
+    def spy(positions):
+        built.append(positions)
+        return build(positions)
+
+    monkeypatch.setattr(spatial, "build_index", spy)
+    return built
 
 
 def write_flipped_grid(path, kind: DFKind, value: float):

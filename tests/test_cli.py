@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_flipped_grid
+from helpers import spy_builds, write_flipped_grid
 from udfgrid import (
     DFKind,
     DFParams,
@@ -436,6 +436,14 @@ class TestComputeExtract:
         m = re.search(r"chamfer distance: (\d+\.\d{9}) m \((\d+\.\d{6}) cm\)", text)
         assert m, text
         assert float(m.group(1)) < 0.02  # within a voxel of the surface
+
+    def test_chamfer_builds_one_index_per_file(self, tmp_path, clean_ply, monkeypatch):
+        """Each file is read into a fresh cloud, which keeps no index: two builds."""
+        other = tmp_path / "other.ply"
+        write_ply(PointCloud(read_ply(clean_ply).positions[::3] + 0.001), other)
+        built = spy_builds(monkeypatch)
+        assert main(["chamfer", clean_ply, str(other)]) == 0
+        assert sorted(map(len, built)) == sorted([len(read_ply(clean_ply)), len(read_ply(other))])
 
     def test_extract_sdf_from_signed_grid(self, tmp_path, clean_ply):
         grid_path = tmp_path / "g.udfg"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     DENSITY, SENSORS, VOXEL_SIZE, WEIGHT_SUM_FLOOR, canonical_dists, desk_scene, grid_spec_for,
-    plane_cloud, reference_rows,
+    plane_cloud, reference_rows, spy_builds,
 )
 from udfgrid import (
     ContractError,
@@ -24,9 +24,12 @@ from udfgrid import (
     ScanSpec,
     SparseDFGrid,
     build_pyramid,
+    chamfer,
     compute_grid,
     estimate_normals,
     evaluate,
+    extract_sdf,
+    extract_udf,
     flip,
     gaussian_weight,
     make_evaluator,
@@ -554,6 +557,65 @@ class TestNeighbourhoodEntry:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == [] and len(same) == 4 * len(jobs) and all(same)
+
+
+class TestKeptIndex:
+    """A cloud's kd indices are built once, whoever asks first; bits do not change."""
+
+    VOXEL = 2 * VOXEL_SIZE
+
+    @pytest.mark.parametrize("nan_every", [None, 97])
+    def test_nearest_kinds_and_chamfer_build_the_cloud_index_once(self, nan_every, monkeypatch):
+        """UED, SED and Hoppe, each scored against the cloud, as a room pass does.
+
+        With NaN normals SED and Hoppe read the valid-normal support, a
+        second kept index.  Each extracted cloud gets a throw-away index
+        per score and keeps none.
+        """
+        cloud = _noisy_desk_with_normals(nan_every)
+        spec, params = grid_spec_for(cloud, self.VOXEL), DFParams.for_voxel_size(self.VOXEL)
+        fresh = [compute_grid(PointCloud(cloud.positions, cloud.normals), spec, kind, params)
+                 for kind in (DFKind.UED, DFKind.SED, DFKind.HOPPE)]
+        built = spy_builds(monkeypatch)
+        scores = []
+        for kind, want in zip((DFKind.UED, DFKind.SED, DFKind.HOPPE), fresh):
+            grid = compute_grid(cloud, spec, kind, params)
+            assert _same_bits(grid, want)
+            extracted = extract_sdf(grid) if kind.signed else extract_udf(grid)
+            scores.append((extracted, chamfer(extracted, cloud)))
+        own = 1 if nan_every is None else 2
+        assert len(built) == own + 3 and built[0] is cloud.positions
+        extracted, cd = scores[0]
+        assert chamfer(extracted, cloud) == cd
+        assert len(built) == own + 4
+
+    def test_estimate_normals_then_chamfer_build_once(self, monkeypatch):
+        scan = _noisy_desk_with_normals()
+        cloud = PointCloud(scan.positions)
+        other = PointCloud(scan.positions[::7] + 0.01)
+        want = chamfer(other, PointCloud(scan.positions))
+        built = spy_builds(monkeypatch)
+        estimate_normals(cloud)
+        assert chamfer(other, cloud) == want
+        assert [b is cloud.positions for b in built] == [True, False]
+
+    @pytest.mark.parametrize("kind", [DFKind.UED, DFKind.UWED, DFKind.SWED])
+    def test_a_pyramid_builds_one_index(self, kind, monkeypatch):
+        cloud = plane_cloud(seed=5, density=1000.0, side=0.4)
+        spec = GridSpec(origin=(-0.15, -0.15, -0.15), voxel_size=0.05, dims=(13, 13, 7))
+        params = DFParams.for_voxel_size(0.05)
+        want = build_pyramid(PointCloud(cloud.positions, cloud.normals), spec, kind, params, 3)
+        built = spy_builds(monkeypatch)
+        got = build_pyramid(cloud, spec, kind, params, levels=3)
+        assert len(built) == 1
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    def test_entry_ids_take_the_smallest_unsigned_dtype(self):
+        cloud = _noisy_desk_with_normals()
+        spec = grid_spec_for(cloud, self.VOXEL)
+        compute_grid(cloud, spec, DFKind.UWED, DFParams(sigma=2.0 * self.VOXEL))
+        dtypes = {near[0].dtype for _, near in getattr(cloud, dfield._ENTRY)[1]}
+        assert dtypes == {np.dtype(np.uint16)}
 
 
 @st.composite

@@ -20,6 +20,7 @@ from udfgrid import (
     udf_candidates,
     voxel_position,
 )
+from udfgrid.extract import _neighbour_values
 
 UP = [0.0, 0.0, 1.0]
 
@@ -300,3 +301,38 @@ class TestDenseOracle:
         assert idx.tobytes() == np.argwhere(keep).astype(idx.dtype).tobytes()
         assert directions.tobytes() == (g[sloped] / norms[sloped][:, None]).tobytes()
         assert udf.tobytes() == dense[keep].tobytes()
+
+
+_STEPS = [(axis, step) for axis in range(3) for step in (1, -1)]
+
+
+class TestCodeShift:
+    """Neighbours by code shift against ``values_at``, bit for bit."""
+
+    # Every node of a full 2 x 2 x 2 grid lies on the last index of some
+    # axis: code + 1 from (0, 0, 1) is the code of (0, 1, 0), and code + 2
+    # from (0, 1, 0) along y is the code of (1, 0, 0).
+    FULL = SparseDFGrid(GridSpec((0, 0, 0), 0.1, (2, 2, 2)), DFKind.SED, False,
+                        np.argwhere(np.ones((2, 2, 2))), np.linspace(-2.5, 2.5, 8))
+    EMPTY = SparseDFGrid(GridSpec((0, 0, 0), 0.1, (3, 1, 2)), DFKind.UED, False,
+                         np.empty((0, 3), dtype=np.int64), [])
+
+    @settings(max_examples=150)
+    @given(grid=st.one_of(sparse_grids(signed=True), sparse_grids(signed=False)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(grid=FULL, seed=0)
+    @example(grid=EMPTY, seed=0)
+    def test_matches_values_at(self, grid, seed):
+        rows = np.random.default_rng(seed).random(len(grid)) < 0.7
+        got = _neighbour_values(grid, rows, _STEPS)
+        for (axis, step), values in zip(_STEPS, got):
+            want, _ = grid.values_at(grid.indices[rows] + step * np.eye(3, dtype=np.int64)[axis])
+            assert values.tobytes() == want.tobytes(), (axis, step)
+
+    def test_a_shift_off_a_lattice_line_reads_missing(self):
+        # Along z, the stored (0, 0, 1) ends its line; (0, 1, 0) starts the next.
+        grid = SparseDFGrid(GridSpec((0, 0, 0), 0.1, (1, 2, 2)), DFKind.SED, False,
+                            [[0, 0, 1], [0, 1, 0]], [1.0, -1.0])
+        up, down = _neighbour_values(grid, slice(None), [(2, 1), (2, -1)])
+        assert np.isnan(up).all() and np.isnan(down).all()
+        assert len(extract_sdf(grid)) == 0

@@ -426,6 +426,18 @@ class TestAugment:
         with pytest.raises(ContractError, match="jitter_sigma"):
             augment(self._cloud(), 42, voxel_scale=np.inf)
 
+    @pytest.mark.parametrize("scale", ["0.04", None, 1 + 2j, -0.05])
+    def test_default_jitter_of_a_scale_that_is_no_length_rejected(self, scale):
+        """Text was read as a number, and None or a complex scale ended in a TypeError."""
+        with pytest.raises(ContractError, match="voxel_scale.*jitter_sigma"):
+            augment(self._cloud(), 42, voxel_scale=scale)
+
+    def test_scale_zero_gives_no_jitter(self):
+        cloud = self._cloud()
+        a = augment(cloud, 42, voxel_scale=0)
+        b = augment(cloud, 42, voxel_scale=0.05, jitter_sigma=0.0)
+        np.testing.assert_array_equal(a.positions, b.positions)
+
     def test_deterministic(self):
         a = augment(self._cloud(), 9, voxel_scale=0.05)
         b = augment(self._cloud(), 9, voxel_scale=0.05)

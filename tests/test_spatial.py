@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import brute_knn, brute_nearest, brute_neighbours, brute_radius
+from helpers import brute_knn, brute_nearest, brute_neighbours, brute_radius, spy_builds
 from udfgrid import (
     ContractError,
     EmptyCloudError,
@@ -50,6 +50,13 @@ class TestCanonicalDistance:
         expect = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
         np.testing.assert_array_equal(canonical_distance(a, b), expect)
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_complex_points_rejected(self, swap):
+        """A cast to float64 dropped the imaginary part: this read 0.0."""
+        a, b = np.array([1 + 5j, 0, 0]), np.array([1, 0, 0])
+        with pytest.raises(ContractError, match="real numbers"):
+            canonical_distance(*((b, a) if swap else (a, b)))
+
 
 class TestIndexConstruction:
     def test_empty_rejected(self):
@@ -61,6 +68,30 @@ class TestIndexConstruction:
         pos = rng.random((10, 3))
         assert len(build_index(PointCloud(pos))) == 10
         assert len(build_index(pos)) == 10
+
+
+class TestCloudIndex:
+    def _cloud(self):
+        rng = np.random.default_rng(7)
+        nrm = np.tile([0.0, 0.0, 1.0], (40, 1))
+        nrm[::3] = np.nan
+        return PointCloud(rng.random((40, 3)), normals=nrm)
+
+    def test_kept_once_built(self, monkeypatch):
+        cloud, built = self._cloud(), spy_builds(monkeypatch)
+        whole, support = spatial.cloud_index(cloud), spatial.cloud_index(cloud, support=True)
+        assert spatial.cloud_index(cloud) is whole
+        assert spatial.cloud_index(cloud, support=True, keep=False) is support
+        assert len(built) == 2 and built[0] is cloud.positions
+        np.testing.assert_array_equal(support.positions, cloud.positions[np.arange(40) % 3 != 0])
+
+    def test_throw_away_index_is_not_kept(self, monkeypatch):
+        cloud, built = self._cloud(), spy_builds(monkeypatch)
+        first = spatial.cloud_index(cloud, keep=False)
+        assert spatial.cloud_index(cloud, keep=False) is not first
+        assert len(built) == 2
+        assert spatial.cloud_index(cloud) is spatial.cloud_index(cloud, keep=False)
+        assert len(built) == 3
 
 
 class TestNearest:
