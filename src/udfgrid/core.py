@@ -67,6 +67,20 @@ def as_point(a, name: str) -> np.ndarray:
     return row[0]
 
 
+def _as_number(x) -> float:
+    """The number rule: ``x`` as a float if it is an int, a float or a numpy
+    integer or float scalar, and not a bool; else NaN, which fails every bound."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return float(x) if real else np.nan
+
+
+def as_flag(b, name: str) -> bool:
+    """The flag rule: ``b`` as a bool if it is a bool or ``np.bool_``, else ContractError."""
+    if not isinstance(b, (bool, np.bool_)):
+        raise ContractError(f"{name} must be a bool, got {b!r}")
+    return bool(b)
+
+
 def as_count(n, name: str, least: int = 1) -> int:
     """``n`` as an int; anything but an integer (not a bool) >= ``least`` raises ContractError."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
@@ -75,9 +89,9 @@ def as_count(n, name: str, least: int = 1) -> int:
 
 
 def as_length(x, name: str, zero: bool = False) -> float:
-    """``x`` as a float; anything but a number MIN_LENGTH <= x <= MAX_COORD
-    (0 <= x with ``zero``) raises ContractError."""
-    v = float(x) if isinstance(x, (int, float, np.integer, np.floating)) else np.nan
+    """``x`` as a float; anything but a number (not a bool) MIN_LENGTH <= x <=
+    MAX_COORD (0 <= x with ``zero``) raises ContractError."""
+    v = _as_number(x)
     if not (0 <= v if zero else MIN_LENGTH <= v) or not v <= MAX_COORD:
         sign = "non-negative" if zero else "positive"
         least = "" if zero else f" and at least MIN_LENGTH = {MIN_LENGTH:g}"
@@ -116,40 +130,30 @@ def _as_indices(ijk) -> np.ndarray:
 
 
 class DFKind(enum.Enum):
-    """The eight distance-function kinds, four signed and four unsigned."""
+    """The eight distance-function kinds.  A row is the kind's name (its value),
+    UDFG file ``code``, estimator (``weighted``, else the nearest point) and value
+    ``rule``, which ``dfield`` applies; ``signed`` and ``requires_normals`` follow."""
 
-    HOPPE = "hoppe"
-    IMLS = "imls"
-    SED = "sed"
-    SWED = "swed"
-    UHOPPE = "uhoppe"
-    UIMLS = "uimls"
-    UED = "ued"
-    UWED = "uwed"
+    HOPPE = ("hoppe", 0, False, "plane")
+    IMLS = ("imls", 1, True, "plane")
+    SED = ("sed", 2, False, "signed_distance")
+    SWED = ("swed", 3, True, "signed_distance")
+    UHOPPE = ("uhoppe", 4, False, "abs_plane")
+    UIMLS = ("uimls", 5, True, "abs_plane")
+    UED = ("ued", 6, False, "distance")
+    UWED = ("uwed", 7, True, "distance")
 
-    @property
-    def signed(self) -> bool:
-        return self in (DFKind.HOPPE, DFKind.IMLS, DFKind.SED, DFKind.SWED)
-
-    @property
-    def requires_normals(self) -> bool:
-        """True for kinds whose value depends on point normals.
-
-        UHoppe and UIMLS are absolute values of signed evaluators and SWED
-        takes its sign from IMLS, so they need normals even though their
-        stored values are unsigned (SWED excepted: it is signed).
-        """
-        return self not in (DFKind.UED, DFKind.UWED)
-
-    @property
-    def code(self) -> int:
-        """Stable integer code used by the binary grid file format."""
-        return _KIND_CODES[self]
+    def __new__(cls, name: str, code: int, weighted: bool, rule: str):
+        kind = object.__new__(cls)
+        kind._value_, kind.code, kind.weighted, kind.rule = name, code, weighted, rule
+        kind.signed = rule in ("plane", "signed_distance")
+        kind.requires_normals = rule != "distance"  # the other rules read the tangent plane
+        return kind
 
     @classmethod
     def from_code(cls, code: int) -> "DFKind":
-        for kind, c in _KIND_CODES.items():
-            if c == code:
+        for kind in cls:
+            if kind.code == code:
                 return kind
         raise ContractError(f"unknown DFKind code {code}")
 
@@ -160,18 +164,6 @@ class DFKind(enum.Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise ContractError(f"unknown DF kind {name!r}; expected one of: {valid}") from None
-
-
-_KIND_CODES = {
-    DFKind.HOPPE: 0,
-    DFKind.IMLS: 1,
-    DFKind.SED: 2,
-    DFKind.SWED: 3,
-    DFKind.UHOPPE: 4,
-    DFKind.UIMLS: 5,
-    DFKind.UED: 6,
-    DFKind.UWED: 7,
-}
 
 
 @dataclass(frozen=True)
@@ -381,6 +373,7 @@ class SparseDFGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "flipped", as_flag(self.flipped, "flipped"))
         idx = _as_indices(self.indices)
         val = _as_real(self.values, "grid values").astype(np.float64, copy=False).reshape(-1)
         if len(idx) != len(val):

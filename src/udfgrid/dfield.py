@@ -1,19 +1,19 @@
 """The eight truncated distance functions on sparse voxel grids.
 
-Each kind is one of two estimators combined with one of four value rules.
-The nearest estimator reads the nearest cloud point: its distance, and the
-distance to that point's tangent plane (the dot of its normal with x - p).
-The weighted estimator averages both over the neighborhood N_x with
-Gaussian weights.  The rules, applied by ``_value``:
+Each kind (``core.DFKind``) is one of two estimators, its ``weighted``, and
+one of four value rules, its ``rule``.  The nearest estimator reads the nearest
+cloud point: its distance, and the distance to that point's tangent plane (the
+dot of its normal with x - p).  The weighted estimator averages both over the
+neighborhood N_x with Gaussian weights.  The rules, applied by ``_value``:
 
-==========================  ========  ========
-rule                        nearest   weighted
-==========================  ========  ========
-distance                    UED       UWED
-plane distance              Hoppe     IMLS
-abs(plane distance)         UHoppe    UIMLS
-sign(plane) x distance      SED       SWED
-==========================  ========  ========
+=====================  ======================  ========  ========
+``rule``               value                   nearest   weighted
+=====================  ======================  ========  ========
+``distance``           distance                UED       UWED
+``plane``              plane distance          Hoppe     IMLS
+``abs_plane``          abs(plane distance)     UHoppe    UIMLS
+``signed_distance``    sign(plane) x distance  SED       SWED
+=====================  ======================  ========  ========
 
 sign(0) counts as +1.  N_x is the ``max_neighbors`` nearest cloud points
 within the 3-sigma ball around x (weights beyond 3 sigma are below e**-9),
@@ -72,7 +72,6 @@ from .core import (
 )
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
-_NEAREST_KINDS = (DFKind.UED, DFKind.HOPPE, DFKind.UHOPPE, DFKind.SED)
 # Candidate scan: cubes of _BLOCK**3 nodes, and at most _MAX_SCAN_NODES
 # nodes in the scanned box.
 _BLOCK = 4
@@ -138,8 +137,7 @@ class _Evaluator:
             valid = ~np.isnan(cloud.normals).any(axis=1)
             self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
             self.whole = bool(valid.all())
-        self.nearest = kind in _NEAREST_KINDS
-        self.width = 2 if self.nearest else min(params.max_neighbors + 1, len(self.positions))
+        self.width = min(params.max_neighbors + 1, len(self.positions)) if kind.weighted else 2
 
     @functools.cached_property
     def full_index(self) -> spatial.SpatialIndex:
@@ -170,7 +168,7 @@ class _Evaluator:
         weight sum ``"w"`` and weighted distance sum ``"d"``, from the
         distances the query returns in id order.
         """
-        if self.nearest:
+        if not self.kind.weighted:
             return scan if scan is not None and self.whole else spatial.nearest_batch(self.index, q)
         p = self.params
         ids, dists, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
@@ -190,7 +188,7 @@ class _Evaluator:
         every weight in N_x is at least e**-9, so a non-empty weight sum is
         positive.
         """
-        if self.nearest:
+        if not self.kind.weighted:
             ids, d = near
             plane = self._plane(self._diff(q, ids, 1), ids) if self.normals is not None else None
             return _value(self.kind, d, plane)
@@ -220,12 +218,12 @@ class _Evaluator:
 
 
 def _value(kind: DFKind, dist: np.ndarray, plane: np.ndarray | None) -> np.ndarray:
-    """``kind``'s value from its estimator's distance and plane distance."""
-    if kind in (DFKind.UED, DFKind.UWED):
+    """``kind``'s value by its rule, from its estimator's distance and plane distance."""
+    if kind.rule == "distance":
         return dist
-    if kind in (DFKind.HOPPE, DFKind.IMLS):
+    if kind.rule == "plane":
         return plane
-    if kind in (DFKind.UHOPPE, DFKind.UIMLS):
+    if kind.rule == "abs_plane":
         return np.abs(plane)
     return np.where(plane >= 0, 1.0, -1.0) * dist
 
@@ -334,12 +332,12 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
            p.sigma, p.max_neighbors)
     entry = getattr(cloud, _ENTRY, None)
-    if not ev.nearest and entry is not None and entry[0] == key:
+    if ev.kind.weighted and entry is not None and entry[0] == key:
         for nodes_idx, near in entry[1]:
             yield nodes_idx, ev.values(spec.origin + nodes_idx * spec.voxel_size, near)
         return
     reach = 3.0 * spec.voxel_size * (1.0 + spatial._RADIUS_MARGIN)
-    records, rows = (None if ev.nearest else []), 0
+    records, rows = ([] if ev.kind.weighted else None), 0
     chunks = _candidates(ev.full_index, spec, reach, spatial.chunk_rows(ev.width))
     for nodes_idx, nodes_pos, scan in chunks:
         near = ev.near(nodes_pos, scan)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dfield, extract, normals, spatial
-from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid
+from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, as_flag
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 
@@ -125,10 +125,9 @@ def roundtrip(
     Normal-dependent kinds use the cloud's normals, estimating and
     orienting them from sensor origins when absent.  Zero extracted
     points yields cd = +inf rather than an error, so parameter sweeps
-    survive degenerate configurations.  ``flipped`` must be a bool.
+    survive degenerate configurations.  ``flipped`` must be a bool or ``np.bool_``.
     """
-    if not isinstance(flipped, (bool, np.bool_)):
-        raise ContractError(f"flipped must be a bool, got {flipped!r}")
+    flipped = as_flag(flipped, "flipped")
     t0 = time.perf_counter()
     prepared = with_normals(cloud, [kind])
     grid = dfield.compute_grid(prepared, spec, kind, params)

@@ -30,7 +30,7 @@ from io import BytesIO
 import numpy as np
 
 from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point, linearize
-from .core import _as_path
+from .core import _as_path, as_flag
 from .errors import ContractError, ParseError
 
 # Rows of an ASCII PLY body formatted per write, so that the text and the
@@ -57,7 +57,9 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
 
     Coordinates are double precision; binary mode round-trips them
     bit-exactly, ASCII mode through 17-significant-digit decimals.
+    ``binary`` must be a bool or ``np.bool_``.
     """
+    binary = as_flag(binary, "binary")
     columns = [cloud.positions]
     names = ["x", "y", "z"]
     if cloud.normals is not None:

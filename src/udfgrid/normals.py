@@ -28,8 +28,8 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     """Estimate unit normals from the k-nearest-neighbor covariance.
 
     The point itself counts as one of its k neighbors.  Degenerate
-    neighborhoods yield all-NaN rows.  Positions and sensor origins pass
-    through unchanged; any existing normals are replaced.
+    neighborhoods yield all-NaN rows.  Positions, sensor origins and the kd
+    index of the positions pass through unchanged; normals are replaced.
     """
     if len(cloud) < 3:
         raise InsufficientDataError("normal estimation needs at least 3 points")
@@ -43,7 +43,7 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     step = spatial.chunk_rows(kk + 1)
     for lo in range(0, len(pos), step):
         normals[lo : lo + step] = _pca_normals(index, pos[lo : lo + step], kk)
-    return PointCloud(pos, normals, cloud.sensor_origins)
+    return spatial.share_index(cloud, PointCloud(pos, normals, cloud.sensor_origins))
 
 
 def _pca_normals(index: spatial.SpatialIndex, q: np.ndarray, kk: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def orient_normals(cloud: PointCloud) -> PointCloud:
 
     A normal n is negated when n . (sensor_origin - position) < 0; a dot
     product of exactly zero (grazing view) leaves it unchanged, as do NaN
-    (invalid) normals.  Idempotent.
+    (invalid) normals.  Idempotent; a kept kd index passes on to the result.
     """
     if cloud.normals is None:
         raise MissingDataError("orient_normals requires normals")
@@ -88,4 +88,4 @@ def orient_normals(cloud: PointCloud) -> PointCloud:
     to_sensor = cloud.sensor_origins - cloud.positions
     dots = np.einsum("ij,ij->i", cloud.normals, to_sensor)
     flipped = np.where((dots < 0)[:, None], -cloud.normals, cloud.normals)
-    return PointCloud(cloud.positions, flipped, cloud.sensor_origins)
+    return spatial.share_index(cloud, PointCloud(cloud.positions, flipped, cloud.sensor_origins))

@@ -65,10 +65,10 @@ def set_num_threads(n: int | None) -> None:
     bool, not 2.0) raises ContractError.
     """
     global _num_threads
-    n = -1 if n is None else n
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or (n < 1 and n != -1):
-        raise ContractError(f"thread count must be -1 or an integer >= 1, got {n!r}")
-    _num_threads = int(n)
+    n = -1 if n is None else as_count(n, "thread count", least=-1)
+    if n == 0:
+        raise ContractError("thread count must be -1 or an integer >= 1, got 0")
+    _num_threads = n
 
 
 def get_num_threads() -> int:
@@ -143,6 +143,13 @@ def cloud_index(cloud: PointCloud, support: bool = False, keep: bool = True) -> 
         if keep:
             object.__setattr__(cloud, name, index)
     return index
+
+
+def share_index(source: PointCloud, cloud: PointCloud) -> PointCloud:
+    """``cloud`` over ``source``'s positions, keeping the index of them that ``source`` keeps."""
+    if (index := getattr(source, "_index", None)) is not None:
+        object.__setattr__(cloud, "_index", index)
+    return cloud
 
 
 def chunk_rows(width: int) -> int:

@@ -29,7 +29,7 @@ from udfgrid import (
     voxel_position,
     world_to_voxel,
 )
-from udfgrid import core, spatial
+from udfgrid import core, read_grid, spatial, write_grid
 from udfgrid.core import MAX_COORD, MIN_LENGTH, linearize
 from udfgrid.spatial import canonical_distance
 
@@ -82,6 +82,35 @@ class TestDFKind:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ContractError):
             DFKind.parse("tsdf")
+
+    # (kind, value, code, weighted, rule, signed, requires_normals), as the paper's
+    # 2 x 4 grid of estimator x value rule and the UDFG format define them.
+    TABLE = [
+        (DFKind.HOPPE, "hoppe", 0, False, "plane", True, True),
+        (DFKind.IMLS, "imls", 1, True, "plane", True, True),
+        (DFKind.SED, "sed", 2, False, "signed_distance", True, True),
+        (DFKind.SWED, "swed", 3, True, "signed_distance", True, True),
+        (DFKind.UHOPPE, "uhoppe", 4, False, "abs_plane", False, True),
+        (DFKind.UIMLS, "uimls", 5, True, "abs_plane", False, True),
+        (DFKind.UED, "ued", 6, False, "distance", False, False),
+        (DFKind.UWED, "uwed", 7, True, "distance", False, False),
+    ]
+
+    @pytest.mark.parametrize("row", TABLE, ids=lambda row: row[1])
+    def test_the_kind_table(self, row):
+        kind, value, code, weighted, rule, signed, requires_normals = row
+        assert (kind.value, kind.code, kind.weighted, kind.rule) == (value, code, weighted, rule)
+        assert (kind.signed, kind.requires_normals) == (signed, requires_normals)
+        assert DFKind(value) is DFKind.parse(value.upper()) is DFKind.from_code(code) is kind
+
+    @pytest.mark.parametrize("row", TABLE, ids=lambda row: row[1])
+    def test_udfg_kind_byte(self, row, tmp_path):
+        """Byte 8 of a written UDFG file is the kind's frozen code."""
+        kind, code = row[0], row[2]
+        path = tmp_path / "grid.udfg"
+        write_grid(SparseDFGrid(_spec(), kind, False, [[1, 2, 3]], [0.5]), path)
+        assert path.read_bytes()[8] == code
+        assert read_grid(path).kind is kind
 
 
 class TestPointCloud:
@@ -633,6 +662,41 @@ class TestArgumentContract:
         rows = GridSpec.covering([[1.0, 2.0, 3.0]], 0.1)
         np.testing.assert_array_equal(one.origin, rows.origin)
         assert one.dims == rows.dims
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda v: DFParams(sigma=v), id="DFParams sigma"),
+        pytest.param(lambda v: DFParams.for_voxel_size(v), id="DFParams.for_voxel_size"),
+        pytest.param(lambda v: GridSpec(origin=(0, 0, 0), voxel_size=v, dims=(2, 2, 2)),
+                     id="GridSpec voxel_size"),
+        pytest.param(lambda v: GridSpec.covering(_TETRA, v), id="GridSpec.covering"),
+        pytest.param(lambda v: gaussian_weight(1.0, v), id="gaussian_weight sigma"),
+        pytest.param(lambda v: spatial.nearest_batch(_index(), [0, 0, 0], r=v),
+                     id="nearest_batch r"),
+        pytest.param(lambda v: spatial.capped_ball_batch(_index(), [0, 0, 0], v, 3),
+                     id="capped_ball_batch r"),
+        pytest.param(lambda v: Sphere((0, 0, 0), v, 100.0), id="sphere radius"),
+        pytest.param(lambda v: ScanSpec([[0, 0, 0]], noise_sigma=v), id="ScanSpec noise_sigma"),
+    ])
+    def test_a_bool_is_not_a_length(self, call):
+        """True was read as 1: DFParams(sigma=True) gave sigma = 1 m."""
+        with pytest.raises(ContractError, match="got True"):
+            call(True)
+
+    def test_a_bool_is_not_a_fraction(self):
+        """False was read as 0, a valid fraction."""
+        with pytest.raises(ContractError, match=r"\[0, 1\), got False"):
+            ScanSpec([[0, 0, 0]], dropout_fraction=False)
+
+    @pytest.mark.parametrize("flag", [1, 0, "no", None, np.array([True]), 1.0])
+    def test_flipped_is_a_flag(self, flag):
+        """A truthy non-bool, such as the text "no", was taken as a flipped grid."""
+        with pytest.raises(ContractError, match="flipped must be a bool"):
+            SparseDFGrid(_spec(), DFKind.UED, flag, [[0, 0, 0]], [1.0])
+
+    def test_flags_accept_numpy_bools(self):
+        grid = SparseDFGrid(_spec(), DFKind.UED, np.bool_(True), [[0, 0, 0]], [1.0])
+        assert grid.flipped is True and flip(grid).flipped is False
+        assert core.as_flag(np.bool_(False), "b") is False
 
     def test_the_checks(self):
         """The four checks themselves, at their edges."""

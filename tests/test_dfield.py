@@ -570,9 +570,11 @@ class TestKeptIndex:
 
         With NaN normals SED and Hoppe read the valid-normal support, a
         second kept index.  Each extracted cloud gets a throw-away index
-        per score and keeps none.
+        per score and keeps none.  The cloud is built afresh, since one
+        from ``orient_normals`` already keeps the index its scan had.
         """
-        cloud = _noisy_desk_with_normals(nan_every)
+        oriented = _noisy_desk_with_normals(nan_every)
+        cloud = PointCloud(oriented.positions, oriented.normals)
         spec, params = grid_spec_for(cloud, self.VOXEL), DFParams.for_voxel_size(self.VOXEL)
         fresh = [compute_grid(PointCloud(cloud.positions, cloud.normals), spec, kind, params)
                  for kind in (DFKind.UED, DFKind.SED, DFKind.HOPPE)]
@@ -598,6 +600,18 @@ class TestKeptIndex:
         estimate_normals(cloud)
         assert chamfer(other, cloud) == want
         assert [b is cloud.positions for b in built] == [True, False]
+
+    def test_normals_hand_the_index_on(self, monkeypatch):
+        """A scan's index serves the clouds ``estimate_normals`` and
+        ``orient_normals`` make of it; a desk pass built it twice."""
+        desk = _noisy_desk_with_normals()
+        scan = PointCloud(desk.positions, None, desk.sensor_origins)
+        spec, params = grid_spec_for(desk, self.VOXEL), DFParams.for_voxel_size(self.VOXEL)
+        want = compute_grid(desk, spec, DFKind.UED, params)
+        built = spy_builds(monkeypatch)
+        oriented = orient_normals(estimate_normals(scan))
+        assert _same_bits(compute_grid(oriented, spec, DFKind.UED, params), want)
+        assert [b is scan.positions for b in built] == [True]
 
     @pytest.mark.parametrize("kind", [DFKind.UED, DFKind.UWED, DFKind.SWED])
     def test_a_pyramid_builds_one_index(self, kind, monkeypatch):
@@ -789,7 +803,7 @@ class TestValueOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty grids warn
             grids = [compute_grid(cloud, spec, kind, params) for _ in range(2)]
-        if kind not in dfield._NEAREST_KINDS and (
+        if kind.weighted and (
                 not kind.requires_normals or not np.isnan(cloud.normals).all()):
             assert getattr(cloud, dfield._ENTRY, None) is not None
         for grid in grids:  # a weighted kind's first call stores the entry, its second reads it

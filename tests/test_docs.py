@@ -71,12 +71,16 @@ def test_readme_states_the_memory_bounds():
 def test_the_argument_contract_lives_in_core():
     """Only ``core`` checks values against MAX_COORD or coerces input rows by reshaping.
 
-    Other modules call ``core.as_rows``, ``as_point``, ``as_count`` and
-    ``as_length``.  Clipping to MAX_COORD bounds an output and is allowed.
+    Other modules call ``core.as_rows``, ``as_point``, ``as_count``,
+    ``as_length`` and ``as_flag``.  Clipping to MAX_COORD bounds an output
+    and is allowed.  Nor does another module test a scalar's type against
+    bool or the numpy scalar types: the number, count and flag rules live
+    in ``core`` too.
     """
     rule = re.compile(
         r"<=\s*MAX_COORD|MAX_COORD\s*>="  # a bound check: x <= MAX_COORD, also false for NaN
         r"|asarray\(.*\)\.reshape\(\s*-?1,\s*3\s*\)"  # a row coercion
+        r"|isinstance\(.*(\bbool\b|np\.bool_|np\.integer|np\.floating)"  # a scalar rule
     )
     found = [
         f"{path.name}:{number}: {line.strip()}"

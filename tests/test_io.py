@@ -52,6 +52,21 @@ def _grid(n=30, seed=42, kind=DFKind.UWED, flipped=False):
     return SparseDFGrid(spec, kind, flipped, ijk[pick], values)
 
 
+class TestPlyFlag:
+    @pytest.mark.parametrize("binary", ["ascii", 0, 1, None, np.array([False])])
+    def test_binary_is_a_flag(self, tmp_path, binary):
+        """``binary="ascii"`` is truthy and wrote binary_little_endian."""
+        path = tmp_path / "c.ply"
+        with pytest.raises(ContractError, match="binary must be a bool"):
+            write_ply(_full_cloud(), path, binary=binary)
+        assert not path.exists()
+
+    def test_numpy_bool(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_ply(_full_cloud(), path, binary=np.bool_(False))
+        assert b"format ascii 1.0" in path.read_bytes()
+
+
 class TestPlyRoundtrip:
     @pytest.mark.parametrize("binary", [True, False])
     def test_positions_only(self, tmp_path, binary):

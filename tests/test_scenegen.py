@@ -168,6 +168,29 @@ class TestSizesMustBeFinite:
             make(bad)
 
 
+class TestDensityIsANumber:
+    """A density passes the length rule and is kept as a float."""
+
+    def test_float16_density_counts_in_float64(self):
+        """The count was taken in float16: 12,560 points instead of 12,566."""
+        sphere = Sphere((0, 0, 0), 1.0, np.float16(1000))
+        assert type(sphere.density) is float
+        assert len(sample_scene(_scene(sphere), 1)) == round(4000 * np.pi) == 12566
+
+    def test_float16_density_does_not_overflow(self):
+        """The float16 product overflowed with a warning and the sphere was refused."""
+        sphere = Sphere((0, 0, 0), 1.0, np.float16(6400))
+        assert len(sample_scene(_scene(sphere), 1)) == round(25600 * np.pi)
+
+    @pytest.mark.parametrize("density", [np.array([5.0]), True, np.array(5.0), 1e-320],
+                             ids=["1-element array", "True", "0-d array", "1e-320"])
+    def test_refused(self, density):
+        """An array was accepted and then failed in sample_scene with numpy's
+        TypeError; True sampled 1 point per square meter; 1e-320 sampled none."""
+        with pytest.raises(ContractError, match="density"):
+            Sphere((0, 0, 0), 1.0, density)
+
+
 class TestPointLimit:
     """A primitive that would sample more than MAX_POINTS is refused when built."""
 
