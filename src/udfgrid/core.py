@@ -35,7 +35,13 @@ def _as_real(a, name: str, what: str = "real numbers") -> np.ndarray:
     except ValueError:
         raise ContractError(f"{name} must be {what}") from None
     if a.dtype.kind not in "iuf":
-        raise ContractError(f"{name} must be {what}, got {a.dtype}")
+        # numpy keeps a Python int past both int64 and uint64 as an object.
+        huge = a.dtype == object and any(
+            isinstance(v, int) and not -(2**63) <= v < 2**64 for v in a.flat
+        )
+        raise ContractError(
+            f"{name} must be {what}, got {'an integer outside int64' if huge else a.dtype}"
+        )
     return a
 
 

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -414,16 +415,32 @@ def build_pyramid(
     fresh computation from the original cloud (not a downsampling), with
     sigma scaled by the same factor so the sigma/voxel ratio — and hence
     the truncation band of 3 voxels at the level's own scale — behaves
-    identically at every level.
+    identically at every level.  A ``levels`` whose last level's spec or
+    params would be refused raises ContractError before any level is
+    computed; the voxel size, sigma and node count of that level bound
+    every level's.
     """
+    levels = as_count(levels, "levels")
+    try:
+        _pyramid_level(spec, params, levels - 1)
+    except (ContractError, OverflowError) as exc:
+        raise ContractError(
+            f"levels = {levels} is more than this spec and sigma allow: level {levels - 1}"
+            f" fails ({exc})"
+        ) from None
     grids = []
-    for level in range(as_count(levels, "levels")):
-        factor = 2 ** level
-        level_spec = GridSpec(
-            origin=spec.origin,
-            voxel_size=spec.voxel_size * factor,
-            dims=tuple(-(-d // factor) for d in spec.dims),
-        )
-        level_params = dataclasses.replace(params, sigma=params.sigma * factor)
+    for level in range(levels):
+        level_spec, level_params = _pyramid_level(spec, params, level)
         grids.append(compute_grid(cloud, level_spec, kind, level_params))
     return grids
+
+
+def _pyramid_level(spec: GridSpec, params: DFParams, level: int) -> tuple[GridSpec, DFParams]:
+    """Voxel size and sigma times 2**level, exactly (OverflowError past the
+    float range), and dims ceil-divided by 2**level."""
+    level_spec = GridSpec(
+        origin=spec.origin,
+        voxel_size=math.ldexp(spec.voxel_size, level),
+        dims=tuple(-(-d >> level) for d in spec.dims),
+    )
+    return level_spec, dataclasses.replace(params, sigma=math.ldexp(params.sigma, level))

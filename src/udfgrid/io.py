@@ -5,6 +5,11 @@ files on any platform (little-endian payloads, records sorted, 17-digit
 ASCII floats).  Parse failures raise ParseError carrying the byte offset
 of the offending data.
 
+A PLY read streams from the open file: the header line by line, a binary
+body as one block of count x row-size bytes, an ASCII body in blocks of
+``_ASCII_ROWS`` rows.  So a read holds its arrays plus one block, never the
+whole file, and the first fault in file order is the one reported.
+
 UDFG layout (all little-endian)::
 
     offset size  field
@@ -23,9 +28,9 @@ UDFG layout (all little-endian)::
 
 from __future__ import annotations
 
+import os
 import re
 import struct
-from io import BytesIO
 
 import numpy as np
 
@@ -33,8 +38,9 @@ from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_poin
 from .core import _as_path, as_flag
 from .errors import ContractError, ParseError
 
-# Rows of an ASCII PLY body formatted per write, so that the text and the
-# Python floats held at once stay a few MiB whatever the cloud size.
+# Rows of an ASCII PLY body formatted per write and parsed per read, so that
+# the text and the Python objects held at once stay a few MiB whatever the
+# cloud size.
 _ASCII_ROWS = 4096
 _MAGIC = b"UDFG"
 _HEADER_STRUCT = struct.Struct("<4sIBB3I3ddQ")
@@ -86,23 +92,28 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
                 fh.write("".join([line % tuple(row) for row in rows]).encode("ascii"))
 
 
-def _header_lines(data: bytes, path) -> tuple[list[tuple[int, str]], int]:
-    """Header as (byte offset, text) lines plus the body start offset."""
-    end = data.find(b"end_header")
-    if end < 0:
-        raise ParseError(f"{path}: missing end_header", offset=0)
-    nl = data.find(b"\n", end)
-    body_start = (nl + 1) if nl >= 0 else len(data)
+def _header_lines(fh, path) -> tuple[list[tuple[int, str]], int]:
+    """Header as (byte offset, text) lines plus the body start offset.
+
+    Reads ``fh`` line by line up to the first line holding ``end_header``, so
+    a file without one is read to its end.  A last line with no newline is
+    not a header line.
+    """
     lines = []
+    non_ascii = []
     pos = 0
-    for raw in data[:body_start].split(b"\n")[:-1]:
-        try:
-            text = raw.decode("ascii").rstrip("\r")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: non-ASCII bytes in header", offset=pos) from None
-        lines.append((pos, text))
-        pos += len(raw) + 1
-    return lines, body_start
+    for raw in fh:
+        if raw.endswith(b"\n"):
+            try:
+                lines.append((pos, raw[:-1].decode("ascii").rstrip("\r")))
+            except UnicodeDecodeError:
+                non_ascii.append(pos)
+        pos += len(raw)
+        if b"end_header" in raw:
+            if non_ascii:
+                raise ParseError(f"{path}: non-ASCII bytes in header", offset=non_ascii[0])
+            return lines, pos
+    raise ParseError(f"{path}: missing end_header", offset=0)
 
 
 def read_ply(path) -> PointCloud:
@@ -113,8 +124,22 @@ def read_ply(path) -> PointCloud:
     vertex data (faces etc.) are ignored.
     """
     with open(_as_path(path), "rb") as fh:
-        data = fh.read()
-    lines, body_start = _header_lines(data, path)
+        lines, body_start = _header_lines(fh, path)
+        count, props, read_vertices = _vertex_layout(lines, path)
+        table = read_vertices(fh, body_start, count, props, path)
+    triples = [
+        np.stack([table[k] for k in keys], axis=1) if all(k in table for k in keys) else None
+        for keys in (("x", "y", "z"), ("nx", "ny", "nz"), ("sx", "sy", "sz"))
+    ]
+    del table  # free the parsed columns before PointCloud copies the triples
+    try:
+        return PointCloud(*triples)
+    except ContractError as exc:
+        raise ParseError(f"{path}: invalid vertex data: {exc}") from exc
+
+
+def _vertex_layout(lines, path):
+    """The vertex count, the (name, type) properties and the body reader."""
     if not lines or lines[0][1].strip() != "ply":
         raise ParseError(f"{path}: not a PLY file (missing 'ply' magic)", offset=0)
     fmt = None
@@ -182,32 +207,22 @@ def read_ply(path) -> PointCloud:
         if req not in names:
             raise ParseError(f"{path}: vertex element lacks property {req!r}", offset=0)
 
-    if fmt == "binary_little_endian":
-        table = _read_binary_vertices(data, body_start, count, props, path)
-    else:
-        table = _read_ascii_vertices(data, body_start, count, props, path)
-
-    def triple(prefix: str) -> np.ndarray | None:
-        keys = [prefix + ax if prefix else ax for ax in ("x", "y", "z")]
-        if all(k in table for k in keys):
-            return np.stack([table[k] for k in keys], axis=1)
-        return None
-
-    try:
-        return PointCloud(triple(""), triple("n"), triple("s"))
-    except ContractError as exc:
-        raise ParseError(f"{path}: invalid vertex data: {exc}") from exc
+    binary = fmt == "binary_little_endian"
+    return count, props, _read_binary_vertices if binary else _read_ascii_vertices
 
 
-def _read_binary_vertices(data, body_start, count, props, path):
+def _read_binary_vertices(fh, body_start, count, props, path):
     dtype = np.dtype([(n, _PLY_NUMPY[t]) for n, t in props])
     need = count * dtype.itemsize
-    if len(data) - body_start < need:
+    # Asks for no more bytes than the file holds, so a bogus count allocates
+    # nothing; -1 reads what is left, also of a pipe, whose size reads 0.
+    data = fh.read(need if need <= os.fstat(fh.fileno()).st_size - body_start else -1)
+    if len(data) < need:
         raise ParseError(
-            f"{path}: vertex data truncated ({len(data) - body_start} of {need} bytes)",
-            offset=len(data),
+            f"{path}: vertex data truncated ({len(data)} of {need} bytes)",
+            offset=body_start + len(data),
         )
-    rows = np.frombuffer(data, dtype=dtype, count=count, offset=body_start)
+    rows = np.frombuffer(data, dtype=dtype, count=count)
     return {n: rows[n].astype(np.float64) for n, _ in props if n in _KNOWN_PROPS}
 
 
@@ -220,46 +235,65 @@ def _plain_number(tok: bytes) -> bool:
     return b"_" not in tok
 
 
-def _read_ascii_vertices(data, body_start, count, props, path):
-    """The first ``count`` non-empty lines, each one value per property."""
+def _read_ascii_vertices(fh, pos, count, props, path):
+    """The first ``count`` non-empty lines, each one value per property.
+
+    Reads ``_ASCII_ROWS`` rows at a time and parses each block before the
+    next is read, so a read holds its values and one block.  The first fault
+    in file order raises: a bad number, a row of the wrong length, or the
+    end of the file.
+    """
     n_props = len(props)
-    tokens: list[bytes] = []
-    row_starts: list[int] = []
-    pos = body_start
-    for raw in BytesIO(data[body_start:]):  # lazily: later elements are never split
-        if len(row_starts) == count:
-            break
-        row = raw.split()
-        if row:
+    blocks = [np.empty((0, n_props))]
+    done = 0
+    while done < count:
+        want = min(_ASCII_ROWS, count - done)
+        tokens: list[bytes] = []
+        row_starts: list[int] = []
+        for raw in fh:  # line by line: later elements are never read
+            start, pos = pos, pos + len(raw)
+            row = raw.split()
+            if not row:
+                continue
             if len(row) != n_props:
+                _parse_block(tokens, row_starts, n_props, path)  # an earlier bad number first
                 raise ParseError(
-                    f"{path}: vertex row {len(row_starts)} has {len(row)} of "
+                    f"{path}: vertex row {done + len(row_starts)} has {len(row)} of "
                     f"{n_props} values",
-                    offset=pos,
+                    offset=start,
                 )
             tokens += row
-            row_starts.append(pos)
-        pos += len(raw)
-    if len(row_starts) < count:
-        raise ParseError(
-            f"{path}: vertex data truncated ({len(row_starts)} of {count} rows)",
-            offset=len(data),
-        )
+            row_starts.append(start)
+            if len(row_starts) == want:
+                break
+        blocks.append(_parse_block(tokens, row_starts, n_props, path))
+        if len(row_starts) < want:
+            raise ParseError(
+                f"{path}: vertex data truncated ({done + len(row_starts)} of {count} rows)",
+                offset=pos,
+            )
+        done += want
+    values = np.concatenate(blocks)
+    return {
+        name: values[:, col]
+        for col, (name, _) in enumerate(props)
+        if name in _KNOWN_PROPS
+    }
+
+
+def _parse_block(tokens, row_starts, n_props, path):
+    """One block's tokens as (rows, n_props) floats; ParseError at the row
+    of the first token that is not a plain number."""
     try:
-        if b"_" in data[body_start:pos]:
+        if b"_" in b"".join(tokens):
             raise ValueError
-        values = np.array(tokens, dtype=np.float64).reshape(count, n_props)
+        return np.array(tokens, dtype=np.float64).reshape(-1, n_props)
     except ValueError:
         i = next(i for i, tok in enumerate(tokens) if not _plain_number(tok))
         raise ParseError(
             f"{path}: bad number {tokens[i].decode('ascii', 'replace')!r}",
             offset=row_starts[i // n_props],
         ) from None
-    return {
-        name: values[:, col]
-        for col, (name, _) in enumerate(props)
-        if name in _KNOWN_PROPS
-    }
 
 
 # -- UDFG ---------------------------------------------------------------------

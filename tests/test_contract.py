@@ -6,9 +6,12 @@ numpy scalars and arrays of several shapes, text, complex and None.  Each
 pair must return or raise ``UdfGridError``, and emit no warning: not a
 numpy ``TypeError`` from deep inside, not an overflow ``RuntimeWarning``,
 and never a value read as another (True as 1, an array as its element).
+Nor may it close stdin, stdout or stderr, as a path passed on to ``open()``
+as a file descriptor once did.
 """
 
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -152,6 +155,8 @@ def _no_warning_and_result_or_refusal(slot: str, value) -> None:
         except UdfGridError:
             pass
     assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+    for fd in (0, 1, 2):
+        os.fstat(fd)  # OSError once the descriptor is closed
 
 
 def _with_examples(test):

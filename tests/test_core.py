@@ -656,6 +656,22 @@ class TestArgumentContract:
             with pytest.raises(ContractError, match=match):
                 call()
 
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda: gaussian_weight(2**70, 1.0), "sq_dist", id="gaussian_weight"),
+        pytest.param(lambda: round_half_away_from_zero(2**70), "x",
+                     id="round_half_away_from_zero"),
+        pytest.param(lambda: round_half_away_from_zero([0.5, -(2**64)]), "x", id="in a list"),
+        pytest.param(lambda: SparseDFGrid(_spec(), DFKind.UED, False, [[2**70, 0, 0]], [0.5]),
+                     "voxel indices", id="voxel indices"),
+        pytest.param(lambda: voxel_position(_spec(), [0, 2**64, 0]), "voxel indices",
+                     id="voxel_position"),
+    ])
+    def test_integer_outside_int64_named(self, call, name):
+        """numpy holds a Python int past int64 and uint64 as an object, and
+        the message read "got object"."""
+        with pytest.raises(ContractError, match=f"{name} must be .*, got an integer outside int64"):
+            call()
+
     def test_covering_one_point(self):
         """A (3,) point is one row, as everywhere else; it raised TypeError."""
         one = GridSpec.covering(np.array([1.0, 2.0, 3.0]), 0.1)

@@ -956,6 +956,34 @@ class TestPyramid:
             np.testing.assert_array_equal(g.spec.origin, spec.origin)
             assert len(g) > 0
 
+    def test_levels_past_the_last_valid_level_refused_up_front(self, monkeypatch):
+        """``levels=2**70`` computed about 500 levels before a sigma was refused,
+        with a message about ``neighbor_radius``.  Every ``levels`` that worked
+        still gives the same specs and params; one more is refused before any
+        level is computed."""
+        spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(8, 8, 8))
+        params = DFParams.for_voxel_size(0.05)
+        want = []  # each level as the per-level product 2**level has always built it
+        while True:
+            f = 2 ** len(want)
+            try:
+                level_spec = GridSpec(spec.origin, spec.voxel_size * f,
+                                      tuple(-(-d // f) for d in spec.dims))
+                want.append((level_spec.voxel_size, level_spec.dims,
+                             DFParams(params.sigma * f, params.max_neighbors)))
+            except ContractError:
+                break
+        calls = []
+        monkeypatch.setattr(dfield, "compute_grid",
+                            lambda c, s, k, p: calls.append((s.voxel_size, s.dims, p)))
+        cloud = PointCloud([[0.1, 0.1, 0.1]])
+        build_pyramid(cloud, spec, DFKind.UED, params, levels=len(want))
+        assert len(want) > 400 and calls == want
+        for levels in (len(want) + 1, 2**70):
+            with pytest.raises(ContractError, match=f"levels = {levels} is more than"):
+                build_pyramid(cloud, spec, DFKind.UED, params, levels)
+        assert len(calls) == len(want)
+
     def test_levels_below_one_rejected(self):
         cloud = plane_cloud(seed=5, density=200.0, side=0.4)
         spec = GridSpec(origin=(0.0, 0.0, 0.0), voxel_size=0.05, dims=(8, 8, 8))

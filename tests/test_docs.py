@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import udfgrid
-from udfgrid import dfield, load_scene_config, spatial
+from udfgrid import dfield, io, load_scene_config, spatial
 from udfgrid.core import MAX_COORD, MIN_LENGTH
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -66,6 +66,9 @@ def test_readme_states_the_memory_bounds():
     assert all(stated.values()), "README conventions state no memory bound"
     assert 2 ** int(stated["working budget"].group(1)) == spatial._ENTRY_BUDGET
     assert 2 ** int(stated["stored-entry bound"].group(1)) == dfield._ENTRY_BOUND
+    block = re.search(r"blocks of (\d+) rows\s+\(`io\._ASCII_ROWS`\)", text)
+    assert block, "README conventions state no PLY block size"
+    assert int(block.group(1)) == io._ASCII_ROWS
 
 
 def test_the_argument_contract_lives_in_core():

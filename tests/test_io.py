@@ -122,7 +122,8 @@ class TestPlyRoundtrip:
     def test_ascii_body_formats_each_value_as_17g(self, pos, normals, rows_per_write):
         """The body is format(v, ".17g") per value: subnormals, -0.0, NaN and the bound too.
 
-        The same bytes whatever the number of rows formatted per write.
+        The same bytes whatever the number of rows formatted per write, and
+        the same bits read back whatever the number of rows parsed per read.
         """
         pos = np.concatenate([pos, [[5e-324, -0.0, MAX_COORD], [-MAX_COORD, 1e-310, 0.0]]])
         nrm = np.resize(np.array(normals or [(0.0, 0.0, 1.0)]), (len(pos), 3))
@@ -134,11 +135,15 @@ class TestPlyRoundtrip:
                 path = Path(tmp) / "c.ply"
                 write_ply(cloud, path, binary=False)
                 body = path.read_bytes().split(b"end_header\n", 1)[1]
+                back = read_ply(path)
         finally:
             udfg_io._ASCII_ROWS = original
         rows = np.concatenate([cloud.positions, cloud.normals, cloud.sensor_origins], axis=1)
         want = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
         assert body == want.encode("ascii")
+        for got, sent in [(back.positions, cloud.positions), (back.normals, cloud.normals),
+                          (back.sensor_origins, cloud.sensor_origins)]:
+            assert got.tobytes() == sent.tobytes()
 
     def test_extreme_values_survive_ascii(self, tmp_path):
         pos = np.array([[1e-300, 1.0 + 2**-52, 12345678.987654321]])
@@ -362,6 +367,20 @@ class TestPlyReadErrors:
         assert "bad number '1_0'" in str(err)
         assert err.offset == len(self._XYZ2) + len("1 2 3\n")
 
+    @pytest.mark.parametrize("count, body, found, at", [
+        (2, "x 2 3\n4 5\n", "bad number 'x'", 0),
+        (2, "x 2 3\n", "bad number 'x'", 0),
+        (4, "1 2 3\n4 5 6\n\n \n7 y 9\n10 11\n", "bad number 'y'", len("1 2 3\n4 5 6\n\n \n")),
+    ], ids=["bad number before a short row", "bad number before the end",
+            "bad number after blank lines, before a short row"])
+    def test_ascii_first_fault_in_file_order(self, tmp_path, count, body, found, at):
+        """Of two faults, the one earlier in the file is reported, whichever
+        block of rows either falls in."""
+        head = self._XYZ2.replace("vertex 2", f"vertex {count}")
+        err = self._err(tmp_path, head + body)
+        assert found in str(err)
+        assert err.offset == len(head) + at
+
     def test_ascii_blank_lines_between_rows_skipped(self, tmp_path):
         path = tmp_path / "t.ply"
         path.write_text(self._XYZ2 + "\n1 2 3\n  \n4 5 6\n")
@@ -440,6 +459,18 @@ class TestPlyReadErrors:
         )
         err = self._err(tmp_path, head + "0 0 0 0 0 2\n")
         assert "unit length" in str(err)
+
+
+@pytest.fixture(params=[1, 2], ids=["rows1", "rows2"])
+def small_blocks(request, monkeypatch):
+    """ASCII bodies read (and written) one or two rows at a time."""
+    monkeypatch.setattr(udfg_io, "_ASCII_ROWS", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestPlyReadInSmallBlocks(TestPlyReadTolerance, TestPlyReadErrors):
+    """The read cases again, with every blank line and fault of a body of
+    more than one row at or past a block boundary."""
 
 
 class TestUdfgRoundtrip:

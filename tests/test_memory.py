@@ -7,17 +7,22 @@ normal estimation, the weighted kinds (evaluated pointwise or over a grid),
 the exhaustive Chamfer scan and the sensor assignment of simulated scans.  The
 bound below holds for every neighbour count, up to counts larger than the
 cloud, and for a brute-force Chamfer over 3,000 x 10,000 points.
+
+An ASCII PLY read parses ``io._ASCII_ROWS`` rows at a time, so beside the
+arrays it returns it holds one block of rows, not the file's text or a
+Python object per value.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udfgrid import (
     DFKind, DFParams, GridSpec, PointCloud, ScanSpec, chamfer_bruteforce, compute_grid,
-    estimate_normals, make_evaluator, simulate_scans,
+    estimate_normals, make_evaluator, read_ply, simulate_scans, write_ply,
 )
 
 PEAK_BOUND = 16 * 2**20
@@ -78,3 +83,18 @@ def test_simulate_scans():
 def test_chamfer_bruteforce():
     a, b = _slab(3000, seed=1), _slab(10000, seed=2)
     assert _peak(lambda: chamfer_bruteforce(a, b)) < PEAK_BOUND
+
+
+@pytest.mark.parametrize("n", [30_000, 120_000])
+def test_read_ascii_ply(tmp_path, n):
+    """Positions, normals and sensor origins: 72 B of arrays per row, about 180 B of text.
+
+    The read holds the parsed values, the triples stacked from them and the
+    cloud's own copies, never all three at once, plus one block.
+    """
+    rng = np.random.default_rng(n)
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    path = tmp_path / "c.ply"
+    write_ply(PointCloud(rng.random((n, 3)), normals, rng.random((n, 3))), path, binary=False)
+    assert _peak(lambda: read_ply(path)) < 3 * 72 * n + PEAK_BOUND
