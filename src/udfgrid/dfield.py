@@ -69,14 +69,13 @@ import numpy as np
 from . import spatial
 from .core import (
     MAX_COORD, DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS,
-    _as_real, as_count, as_length, as_point, as_rows,
+    _as_real, as_count, as_length, as_point, as_rows, linearize,
 )
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
-# Candidate scan: cubes of _BLOCK**3 nodes, and at most _MAX_SCAN_NODES
-# nodes in the scanned box.
+# Candidate scan: cubes of _BLOCK**3 nodes, the blocks the cloud's points
+# touch and their neighbours; no box, so no limit on the grid's node count.
 _BLOCK = 4
-_MAX_SCAN_NODES = 2**32
 # The PointCloud attribute that holds compute_grid's neighbourhood entry, and
 # the most capped-ball entries (rows x width) it stores: 2 MiB of ids at uint16.
 _ENTRY = "_neighbourhood"
@@ -126,6 +125,8 @@ class _Evaluator:
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
+        if not isinstance(params, DFParams):
+            raise ContractError(f"params must be a DFParams, got {type(params).__name__}")
         if len(cloud) == 0:
             raise EmptyCloudError("cannot evaluate a distance field over an empty cloud")
         if kind.requires_normals and cloud.normals is None:
@@ -237,10 +238,10 @@ def make_evaluator(cloud: PointCloud, kind: DFKind, params: DFParams) -> _Evalua
 def evaluate(x, cloud: PointCloud, kind: DFKind, params: DFParams | None = None) -> float:
     """Value of ``kind`` at one point ``x``, in meters; NaN where undefined.
 
-    ``params`` defaults to ``DFParams(sigma=1.0)``; the nearest-point
+    Only ``params=None`` means ``DFParams(sigma=1.0)``; the nearest-point
     kinds (Hoppe, SED, UED, UHoppe) do not read it.
     """
-    ev = make_evaluator(cloud, kind, params or DFParams(sigma=1.0))
+    ev = make_evaluator(cloud, kind, DFParams(sigma=1.0) if params is None else params)
     return float(ev.batch(as_point(x, "x"))[0])
 
 
@@ -261,43 +262,34 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows:
     """Grid nodes within ``reach`` of an index point, with that nearest point.
 
     Yields (node indices, node positions, (nearest ids, distances)) in
-    chunks of at most ``rows`` nodes, some of them empty.  The scanned box
-    is the points' bounding box padded by the reach, clipped to the grid in
-    float space so that a far point cannot overflow the int64 indices; a box
-    of more than _MAX_SCAN_NODES nodes raises ContractError.  The box is
-    split into cubes of _BLOCK**3 nodes, culled in row-major order
-    ``spatial.chunk_rows(2)`` blocks (the rows of one nearest query) at a
-    time.  Each block centre gets one nearest query bounded by reach + h, h
-    being the half-diagonal of a full block, plus a margin for the rounding
-    of positions and distances.  If a node lies within reach of a point p,
-    the triangle inequality puts p within reach + h of the block's centre;
-    so a block whose centre finds no point holds no candidate, and dropping
-    it leaves the candidates unchanged.  The surviving blocks' nodes get one
-    nearest query bounded by the reach, ``rows`` nodes at a time.
+    chunks of at most ``rows`` nodes, some of them empty.  The scan visits
+    the cubes of _BLOCK**3 grid nodes that hold a point (clipped to the grid
+    in float space, so no far point overflows int64) and their neighbours,
+    unique by ``linearize`` code: the reach is less than one block, so every
+    candidate lies there, and the work follows the points, not their box.
+    The blocks are culled ``spatial.chunk_rows(2)`` at a time (the rows of
+    one nearest query): each centre gets one nearest query bounded by reach
+    + h, h being a block's half-diagonal, plus a margin for rounding; by the
+    triangle inequality a block whose centre finds no point holds no
+    candidate.  The other blocks' nodes get one nearest query bounded by the
+    reach, ``rows`` nodes at a time.
     """
     v = spec.voxel_size
-    top = np.asarray(spec.dims) - 1
-    # Column by column: the same values as an axis-0 reduction, several times faster.
-    lo = np.ceil((np.array([c.min() for c in index.positions.T]) - reach - spec.origin) / v)
-    hi = np.floor((np.array([c.max() for c in index.positions.T]) + reach - spec.origin) / v)
-    lo, hi = np.clip(lo, 0, top + 1).astype(np.int64), np.clip(hi, -1, top).astype(np.int64)
-    if (hi < lo).any():
-        return
-    scanned = int(np.prod(hi - lo + 1))
-    if scanned > _MAX_SCAN_NODES:
-        raise ContractError(
-            f"compute_grid would scan {scanned} nodes, more than {_MAX_SCAN_NODES};"
-            " use a larger voxel size or a smaller grid"
-        )
+    nb = -(-np.asarray(spec.dims) // _BLOCK)
+    # Clipped to nb in float space, as float(nb - 1) may round up past nb - 1.
+    own = np.clip(np.floor((index.positions - spec.origin) / (_BLOCK * v)), 0, nb)
+    codes = np.unique(linearize(nb, np.minimum(own.astype(np.int64), nb - 1)))
+    step = 1
+    for n in nb[::-1].tolist():  # z, y, then x: the code steps 1, nz and ny * nz
+        at = codes // step % n
+        codes = np.unique(np.concatenate([codes[at > 0] - step, codes, codes[at < n - 1] + step]))
+        step *= n
     half = 0.5 * (_BLOCK - 1)
     h = half * v * np.sqrt(3.0)
     offsets = np.stack(np.unravel_index(np.arange(_BLOCK**3), (_BLOCK,) * 3), axis=1)
-    nb = tuple(int(n) for n in (hi - lo) // _BLOCK + 1)
-    n_blocks = nb[0] * nb[1] * nb[2]
     cull = spatial.chunk_rows(2)
-    for b0 in range(0, n_blocks, cull):
-        flat = np.arange(b0, min(b0 + cull, n_blocks))
-        corners = lo + _BLOCK * np.stack(np.unravel_index(flat, nb), axis=1)
+    for b0 in range(0, len(codes), cull):
+        corners = _BLOCK * np.stack(np.unravel_index(codes[b0 : b0 + cull], nb), axis=1)
         # A partial block's centre may lie beyond the far corner, and so
         # beyond MAX_COORD; clipped back, it is still within h of every node.
         centres = np.clip(spec.origin + (corners + half) * v, -MAX_COORD, MAX_COORD)
@@ -312,7 +304,7 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows:
             block_nodes = (corners[c0 : c0 + per, None, :] + offsets).reshape(-1, 3)
             for n0 in range(0, len(block_nodes), rows):
                 nodes = block_nodes[n0 : n0 + rows]
-                nodes = nodes[(nodes <= hi).all(axis=1)]
+                nodes = nodes[(nodes < spec.dims).all(axis=1)]
                 pos = spec.origin + nodes * v
                 ids, d = spatial.nearest_batch(index, pos, r=None if reach > MAX_COORD else reach)
                 near = d <= reach
@@ -364,14 +356,13 @@ def compute_grid(
     cloud entirely outside the grid, or a normal kind over a cloud whose
     every normal is NaN, yields an empty grid and a warning.
 
-    ``_candidates`` finds them: it culls 4x4x4 blocks of nodes that cannot
-    hold one, then gives each remaining node one bounded nearest query, in
-    chunks sized by the working budget.  It scans the cloud's bounding box
-    padded by the reach and clipped to the grid, and raises ContractError
-    naming the node count when that box holds more than 2**32 nodes; an
-    empty support makes no scan, so it returns the empty grid instead.
-    Each chunk then takes the kind's two steps, and a weighted kind keeps
-    or replays the neighbourhood entry, as the module docstring states.
+    ``_candidates`` finds them: it visits only the 4x4x4 blocks of nodes
+    around the cloud's points, so no grid is too large to scan, culls those
+    that cannot hold a candidate, and gives each remaining node one bounded
+    nearest query, in chunks sized by the working budget.  An empty support
+    makes no scan.  Each chunk then takes the kind's two steps, and a
+    weighted kind keeps or replays the neighbourhood entry, as the module
+    docstring states.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("compute_grid requires a non-empty cloud")

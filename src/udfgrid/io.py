@@ -8,7 +8,8 @@ of the offending data.
 A PLY read streams from the open file: the header line by line, a binary
 body as one block of count x row-size bytes, an ASCII body in blocks of
 ``_ASCII_ROWS`` rows.  So a read holds its arrays plus one block, never the
-whole file, and the first fault in file order is the one reported.
+whole file, and the first fault in file order is the one reported.  A
+binary write holds one table, and hands the file its buffer, not a copy.
 
 UDFG layout (all little-endian)::
 
@@ -83,7 +84,7 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
     with open(_as_path(path), "wb") as fh:
         fh.write(header)
         if binary:
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(data, dtype="<f8").data)
         else:
             # One format call per row; "%.17g" formats a float as format(v, ".17g").
             line = " ".join(["%.17g"] * data.shape[1]) + "\n"

@@ -29,7 +29,7 @@ build is one call there): normal estimation, every ``compute_grid`` and
 Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
 and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
 within ``core.MAX_COORD``, integers >= 1, and lengths in [MIN_LENGTH, MAX_COORD].
-Anything else raises ContractError.
+A query's index must be a ``SpatialIndex``.  Anything else raises ContractError.
 Rows are independent, so a query whose rows x width entries would exceed
 the working budget ``_ENTRY_BUDGET`` runs in row chunks under it: peak
 memory then does not grow with k, and the results are the same bits.  The
@@ -226,6 +226,13 @@ def _gathered_distances(positions: np.ndarray, q: np.ndarray, ids: np.ndarray) -
     return np.sqrt(d, out=d)
 
 
+def _query_rows(index: SpatialIndex, queries) -> np.ndarray:
+    """``queries`` as (M, 3) rows; every public query refuses a wrong ``index`` here."""
+    if not isinstance(index, SpatialIndex):
+        raise ContractError(f"index must be a SpatialIndex, got {type(index).__name__}")
+    return as_rows(queries, "query points")
+
+
 def nearest_batch(
     index: SpatialIndex, queries: np.ndarray, r: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +246,7 @@ def nearest_batch(
     one for a row far from every point.
     """
     r = None if r is None else as_length(r, "radius")
-    ids, dists = _exact_neighbours(index, as_rows(queries, "query points"), 1, r)
+    ids, dists = _exact_neighbours(index, _query_rows(index, queries), 1, r)
     return ids[:, 0], dists[:, 0]
 
 
@@ -257,7 +264,7 @@ def knn_batch(
     Returns flat (ids, dists, lengths); segment r has ``lengths[r]``
     entries (= min(k, cloud size)).
     """
-    q = as_rows(queries, "query points")
+    q = _query_rows(index, queries)
     ids, dists = _exact_neighbours(index, q, as_count(k, "k"))
     return ids.ravel(), dists.ravel(), np.full(len(q), ids.shape[1], dtype=np.int64)
 
@@ -281,7 +288,7 @@ def radius_query_batch(
     length bound, so the only one that takes kd ball queries.
     """
     r = as_length(r, "radius")
-    q = as_rows(queries, "query points")
+    q = _query_rows(index, queries)
     lists = index.tree.query_ball_point(
         q, r * (1.0 + _RADIUS_MARGIN), workers=get_num_threads(), return_sorted=True
     )
@@ -311,7 +318,7 @@ def capped_ball_batch(
     always accumulate in the same order.  Returns flat (ids, dists,
     lengths); rows with no point in the ball have length 0.
     """
-    q = as_rows(queries, "query points")
+    q = _query_rows(index, queries)
     ids, dists = _exact_neighbours(index, q, as_count(cap, "cap"), as_length(r, "radius"))
     order = np.argsort(ids, axis=-1)
     ids = np.take_along_axis(ids, order, axis=-1)

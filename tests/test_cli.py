@@ -287,15 +287,6 @@ class TestDataErrors:
         assert code == 2
         assert "MIN_LENGTH" in err and "Traceback" not in err
 
-    def test_scan_limit(self, tmp_path, capsys):
-        cube = tmp_path / "cube.ply"
-        write_ply(PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), cube)
-        code = main(["compute", str(cube), str(tmp_path / "g.udfg"), "--kind", "ued",
-                     "--voxel-size", "1e-6", "--auto-bounds"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "nodes" in err and "Traceback" not in err
-
     def test_coordinate_beyond_the_bound(self, tmp_path, capsys):
         """1.4e154 squared overflows: chamfer printed inf and exited 0."""
         far, near = tmp_path / "far.ply", tmp_path / "near.ply"
@@ -413,6 +404,14 @@ class TestComputeExtract:
         grid = read_grid(out)
         assert grid.flipped
         assert (grid.values > 0).all() and (grid.values <= 3.0).all()
+
+    def test_tiny_voxel_box_computes(self, tmp_path):
+        """Two points 1 m apart at 2**-20 m voxels: a 1.15e18-node box, 93 voxels per point."""
+        cube, out = tmp_path / "cube.ply", tmp_path / "g.udfg"
+        write_ply(PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), cube)
+        assert main(["compute", str(cube), str(out), "--kind", "ued",
+                     "--voxel-size", repr(2.0**-20), "--auto-bounds"]) == 0
+        assert len(read_grid(out)) == 186
 
     def test_compute_explicit_bounds(self, tmp_path, clean_ply):
         out = tmp_path / "g.udfg"

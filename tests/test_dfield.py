@@ -1,5 +1,7 @@
 """Tests for the eight distance-function evaluators and grid computation."""
 
+import itertools
+import math
 import sys
 import threading
 import warnings
@@ -152,6 +154,27 @@ class TestUnsignedWrappers:
             abs(evaluate(q, cloud, DFKind.IMLS, params)),
             rtol=0.0, atol=0.0,
         )
+
+
+class TestParamsArgument:
+    """``{}`` read as no params: ``evaluate`` ran at sigma = 1 m, and
+    ``compute_grid`` raised AttributeError.  Only ``evaluate``'s None is the default."""
+
+    @pytest.mark.parametrize("params", [{}, 0.1, (0.1, 36)])
+    def test_evaluate_refuses_what_is_not_dfparams(self, params):
+        with pytest.raises(ContractError, match="params must be a DFParams"):
+            evaluate(UP, _coplanar_cloud(), DFKind.UWED, params)
+
+    @pytest.mark.parametrize("params", [{}, 0.1, (0.1, 36), None])
+    def test_compute_grid_refuses_what_is_not_dfparams(self, params):
+        cloud = _coplanar_cloud()
+        with pytest.raises(ContractError, match="params must be a DFParams"):
+            compute_grid(cloud, GridSpec.covering(cloud.positions, 0.1), DFKind.UWED, params)
+
+    def test_evaluate_reads_none_as_the_default(self):
+        cloud = _coplanar_cloud()
+        assert evaluate(UP, cloud, DFKind.UWED) == evaluate(
+            UP, cloud, DFKind.UWED, DFParams(sigma=1.0))
 
 
 class TestWeighted:
@@ -670,8 +693,8 @@ def snapped_patches(draw):
 def sparse_scene(seed: int):
     """Six points on a quarter-voxel lattice spread through a 70^3 grid.
 
-    Two of them sit near opposite corners, so the scanned box is the whole
-    grid.
+    Two of them sit near opposite corners, so their bounding box is the
+    whole grid; the scan visits only the blocks around the six points.
     """
     rng = np.random.default_rng(seed)
     voxel = 0.125
@@ -681,6 +704,28 @@ def sparse_scene(seed: int):
     nrm[np.arange(6), rng.integers(0, 3, 6)] = 1.0
     return PointCloud(pos, normals=nrm), GridSpec(origin=(0, 0, 0), voxel_size=voxel,
                                                    dims=(70, 70, 70))
+
+
+def visited_blocks(cloud, spec):
+    """The blocks of the candidate scan: each point's block, clipped to the grid's
+    blocks, and its 26 neighbours inside the grid."""
+    nb = -(-np.array(spec.dims) // dfield._BLOCK)
+    scale = dfield._BLOCK * spec.voxel_size
+    own = np.clip(np.floor((cloud.positions - spec.origin) / scale), 0, nb - 1)
+    near = (own[:, None, :] + list(itertools.product((-1, 0, 1), repeat=3))).reshape(-1, 3)
+    return np.unique(near[((near >= 0) & (near < nb)).all(axis=1)], axis=0)
+
+
+def spy_nearest_rows(monkeypatch) -> list:
+    """The row count of every later ``spatial.nearest_batch`` call, in order."""
+    rows, nearest_batch = [], spatial.nearest_batch
+
+    def spy(index, q, r=None):
+        rows.append(len(q))
+        return nearest_batch(index, q, r)
+
+    monkeypatch.setattr(spatial, "nearest_batch", spy)
+    return rows
 
 
 class TestCandidateSet:
@@ -714,20 +759,55 @@ class TestCandidateSet:
 
     @pytest.mark.parametrize("kind", list(DFKind))
     def test_sparse_box_spanning_slabs(self, kind, monkeypatch):
-        """A sparse box whose blocks take more than one cull batch."""
-        monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**12)
+        """A sparse box whose visited blocks take more than one cull batch."""
+        monkeypatch.setattr(spatial, "_ENTRY_BUDGET", 2**7)
         cloud, spec = sparse_scene(seed=11)
         reach = 3.0 * spec.voxel_size
         top = spec.origin + (np.array(spec.dims) - 1) * spec.voxel_size
         assert (cloud.positions.min(axis=0) - reach <= spec.origin).all()  # the whole grid
         assert (cloud.positions.max(axis=0) + reach >= top).all()
-        blocks = -(-np.array(spec.dims) // dfield._BLOCK)
-        assert blocks.prod() > spatial.chunk_rows(2)
+        assert spatial.chunk_rows(2) < len(visited_blocks(cloud, spec)) < 27 * len(cloud)
         self._check(cloud, spec, kind)
+
+    @pytest.mark.parametrize("kind", list(DFKind))
+    def test_far_clusters_give_the_union_of_their_grids(self, kind):
+        """Two clusters 200 m apart in x, y and z, a 6.5e10-node box at 5 cm: each
+        node's value comes from its own cluster, so the grid is the union of theirs."""
+        rng = np.random.default_rng(5)
+        a = rng.random((300, 3)) * 0.3
+        normals = rng.normal(size=(600, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        both = PointCloud(np.concatenate([a, a[::-1] + 200.0]), normals)
+        spec = GridSpec.covering(both.positions, 0.05)
+        assert math.prod(spec.dims) > 6.4e10
+        params = DFParams.for_voxel_size(0.05)
+        parts = [compute_grid(PointCloud(both.positions[s], both.normals[s]), spec, kind, params)
+                 for s in (slice(0, 300), slice(300, 600))]
+        union = SparseDFGrid(spec, kind, False, np.concatenate([g.indices for g in parts]),
+                             np.concatenate([g.values for g in parts]))
+        assert min(len(g) for g in parts) > 0
+        assert _same_bits(compute_grid(both, spec, kind, params), union)
+
+    def test_work_does_not_grow_with_the_separation(self, monkeypatch):
+        """Two copies of a cluster, 5 m or 200 m apart along each axis, make the
+        same nearest-query rows: the scan follows the points, not their box."""
+        rng = np.random.default_rng(6)
+        a = np.round(rng.random((200, 3)) * 2**9) / 2**10  # exact after a shift by 200
+        rows = spy_nearest_rows(monkeypatch)
+        counts, grids = [], []
+        for shift in (5.0, 200.0):
+            cloud = PointCloud(np.concatenate([a, a + shift]))
+            spec = GridSpec.covering(cloud.positions, 2.0**-4)  # blocks of 0.25 m
+            rows.clear()
+            grids.append(compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(2.0**-4)))
+            counts.append(sum(rows))
+        assert counts[0] == counts[1]
+        np.testing.assert_array_equal(grids[0].values, grids[1].values)
 
     @pytest.mark.parametrize("x", [1e18, -1e18])
     def test_far_point_keeps_the_box(self, x):
-        """A point 2**63 voxels away must not empty the scanned box."""
+        """A point 2**63 voxels away must neither overflow the block indices nor
+        lose the blocks of the point inside the grid."""
         cloud = PointCloud([[0.2, 0.2, 0.2], [x, 0.2, 0.2]])
         spec = GridSpec(origin=(0, 0, 0), voxel_size=0.05, dims=(10, 10, 10))
         self._check(cloud, spec, DFKind.UED)
@@ -817,22 +897,30 @@ class TestValueOracle:
 
 
 class TestScanLimit:
-    def test_tiny_voxel_refused(self):
+    def test_tiny_voxel_scans_only_the_points_blocks(self):
+        """Two points 1 m apart at 2**-20 m voxels: a 1.15e18-node box, and the 93
+        lattice nodes closer than 3 voxels to each point."""
         cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        spec = GridSpec.covering(cloud.positions, 1e-6)
-        with pytest.raises(ContractError, match="nodes"):
-            compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(1e-6))
+        v = 2.0**-20
+        spec = GridSpec.covering(cloud.positions, v)
+        assert math.prod(spec.dims) > 1.15e18
+        grid = compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(v))
+        ball = np.array([o for o in itertools.product(range(-3, 4), repeat=3) if np.dot(o, o) < 9])
+        assert len(ball) == 93
+        idx = np.concatenate([3 + ball, 3 + 2**20 + ball])
+        grid_ref = SparseDFGrid(spec, DFKind.UED, False, idx,
+                                quantize_values(np.tile(np.sqrt((ball * ball).sum(axis=1)), 2)))
+        assert _same_bits(grid, grid_ref)
 
-    def test_limit_counts_the_clipped_box(self, monkeypatch):
-        """The box is clipped to the grid (4**3 nodes here) before it is counted."""
-        cloud = PointCloud([[0.1, 0.1, 0.1]])
-        spec = GridSpec(origin=(0, 0, 0), voxel_size=0.05, dims=(4, 4, 4))
-        params = DFParams.for_voxel_size(0.05)
-        monkeypatch.setattr(dfield, "_MAX_SCAN_NODES", 64)
-        assert len(compute_grid(cloud, spec, DFKind.UED, params)) > 0
-        monkeypatch.setattr(dfield, "_MAX_SCAN_NODES", 63)
-        with pytest.raises(ContractError, match="64 nodes"):
-            compute_grid(cloud, spec, DFKind.UED, params)
+    def test_far_point_is_clipped_into_the_grid_edge_blocks(self, monkeypatch):
+        """The cull visits the inside point's block with its 26 neighbours, and the
+        far point's block clipped to the grid's last x block with its 17 neighbours
+        inside the grid: 45 block centres in one query."""
+        cloud = PointCloud([[0.5, 0.5, 0.5], [1e18, 0.5, 0.5]])
+        spec = GridSpec(origin=(0, 0, 0), voxel_size=0.05, dims=(40, 40, 40))
+        rows = spy_nearest_rows(monkeypatch)
+        assert len(compute_grid(cloud, spec, DFKind.UED, DFParams.for_voxel_size(0.05))) == 93
+        assert rows[0] == len(visited_blocks(cloud, spec)) == 27 + 18
 
     def test_grid_ending_at_the_coordinate_bound(self):
         """A block of 4 nodes over a 5-node box has its centre beyond the far corner."""

@@ -381,6 +381,23 @@ class TestArguments:
             capped_ball_batch(idx, np.zeros((1, 3)), 1.0, bad)
 
 
+    @pytest.mark.parametrize("query", [
+        lambda index: nearest(index, (0.0, 0.0, 0.0)),
+        lambda index: nearest_batch(index, np.zeros((2, 3))),
+        lambda index: knn(index, (0.0, 0.0, 0.0), 2),
+        lambda index: knn_batch(index, np.zeros((2, 3)), 2),
+        lambda index: radius_query(index, (0.0, 0.0, 0.0), 1.0),
+        lambda index: radius_query_batch(index, np.zeros((2, 3)), 1.0),
+        lambda index: capped_ball_batch(index, np.zeros((2, 3)), 1.0, 2),
+    ], ids=["nearest", "nearest_batch", "knn", "knn_batch", "radius_query",
+            "radius_query_batch", "capped_ball_batch"])
+    def test_index_must_be_a_spatial_index(self, query):
+        """``{}`` raised ZeroDivisionError from ``chunk_rows(0)``, or AttributeError."""
+        for bad in ({}, None, np.zeros((2, 3)), PointCloud(np.zeros((2, 3)))):
+            with pytest.raises(ContractError, match="SpatialIndex"):
+                query(bad)
+
+
 class _QueryLog:
     """A kd-tree stand-in that offers only ``query`` and records each width."""
 
