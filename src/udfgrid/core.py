@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,6 +115,13 @@ def _as_path(path):
     return path
 
 
+def as_instance(value, cls: type, name: str):
+    """``value`` if it is a ``cls``, else ContractError naming ``name`` and the type given."""
+    if not isinstance(value, cls):
+        raise ContractError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _owned(a: np.ndarray) -> np.ndarray:
     """A read-only copy of ``a``, so no caller can write into it afterwards."""
     a = a.copy()
@@ -172,7 +179,7 @@ class DFKind(enum.Enum):
             raise ContractError(f"unknown DF kind {name!r}; expected one of: {valid}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Positions with optional unit normals and per-point sensor origins.
 
@@ -183,8 +190,8 @@ class PointCloud:
 
     The cloud owns read-only copies of its arrays: writing into an array it
     was built from does not change it, and writing into one of its own
-    raises ValueError.  So whatever is derived from a cloud and kept with
-    it, such as ``compute_grid``'s neighbourhood entry, cannot go stale.
+    raises ValueError.  So what ``spatial.support`` keeps on a cloud cannot
+    go stale.  Clouds compare by identity, never by their arrays.
     """
 
     positions: np.ndarray
@@ -237,12 +244,14 @@ class PointCloud:
 class GridSpec:
     """Lattice geometry: origin (meters), voxel size (meters), node counts."""
 
-    origin: np.ndarray
+    origin: np.ndarray = field(compare=False)
     voxel_size: float
     dims: tuple[int, int, int]
+    _origin_bits: bytes = field(init=False, repr=False)  # == and hash: by value, origin by bits
 
     def __post_init__(self):
         object.__setattr__(self, "origin", as_point(self.origin, "origin"))
+        object.__setattr__(self, "_origin_bits", self.origin.tobytes())
         object.__setattr__(self, "voxel_size", as_length(self.voxel_size, "voxel_size"))
         if not np.iterable(self.dims) or len(self.dims) != 3:
             raise ContractError(f"dims must be three integers >= 1, got {self.dims!r}")
@@ -353,7 +362,7 @@ def linearize(dims: tuple[int, int, int], ijk: np.ndarray) -> np.ndarray:
     return (ijk[..., 0] * ny + ijk[..., 1]) * nz + ijk[..., 2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseDFGrid:
     """Sparse map from voxel index to truncated DF value in voxel units.
 
@@ -368,8 +377,8 @@ class SparseDFGrid:
     signed          (-3, 3)      [-3, 3]
     ==============  ===========  ===========
 
-    A flipped value must also un-flip (3 - |v|, signed like v) into the
-    non-flipped range: 0 and magnitudes up to 2**-52 un-flip to 3.
+    A flipped value must also un-flip (3 - |v|, signed like v) into the non-flipped
+    range: 0 and magnitudes up to 2**-52 un-flip to 3.  Grids compare by identity.
     """
 
     spec: GridSpec

@@ -32,26 +32,25 @@ the candidate scan of ``compute_grid`` and a stored entry all run these
 steps.
 
 ``evaluate`` gives one kind's value at one point; ``make_evaluator``
-serves many queries against one cloud.  The kd indices come from the
-cloud (``spatial.cloud_index``): it keeps the index of its positions and of
-its valid-normal support once something builds them, so the kinds, grids
-and pyramid levels over one cloud, and ``estimate_normals`` before them,
-build each index once.
+serves many queries against one cloud.  The points a kind reads, their
+normals and kd index are the cloud's support, which ``spatial.support``
+makes once per cloud and keeps, with the neighbourhood entry below.
 ``compute_grid`` evaluates a kind at candidate lattice nodes, converts to
 voxel units, and stores values with |v| < 3 strictly; values are rounded
 to float32-representable doubles on storage so file round-trips and the
 flip involution are exact.  A nearest kind whose support is the whole
 cloud takes its neighbourhoods from the scan's own nearest query.
 
-A weighted kind's ``compute_grid`` leaves its candidate chunks on the
-(immutable) cloud, beside the kept indices, as one flat list of records,
-each its node indices and its capped balls with their per-row weighted sums
-(at most 24 B per row): the neighbourhood entry.  A ball's point ids take
-the smallest unsigned dtype that holds the support size (``uint16`` below
+A weighted kind's ``compute_grid`` leaves its candidate chunks beside the
+cloud's supports (``spatial.entry``), as one flat list of records, each its
+node indices and its capped balls with their per-row weighted sums (at most
+24 B per row): the neighbourhood entry.  A ball's point ids take the
+smallest unsigned dtype that holds the support size (``uint16`` below
 65,536 points), which also makes their gathers cheaper.  The next weighted
-kind with the same spec, support, sigma and cap replays it: it derives the
-node positions from the indices as the scan does, makes no scan and no ball
-query, and a normal kind adds the plane sum if no earlier kind did.  The
+kind with the same key, (spec, support, params), the support named by its
+kd index, replays it: it derives the node positions from the indices as the
+scan does, makes no scan and no ball query, and a normal kind adds the
+plane sum if no earlier kind did.  The
 entry has its own bound, ``_ENTRY_BOUND`` ball entries; a grid with more
 streams and stores nothing.  The nearest kinds store nothing and scan on
 every call.
@@ -60,7 +59,6 @@ every call.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import warnings
 
@@ -69,16 +67,14 @@ import numpy as np
 from . import spatial
 from .core import (
     MAX_COORD, DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, TRUNCATION_VOXELS,
-    _as_real, as_count, as_length, as_point, as_rows, linearize,
+    _as_real, as_count, as_instance, as_length, as_point, as_rows, linearize,
 )
-from .errors import ContractError, EmptyCloudError, MissingDataError
+from .errors import ContractError, EmptyCloudError
 
 # Candidate scan: cubes of _BLOCK**3 nodes, the blocks the cloud's points
 # touch and their neighbours; no box, so no limit on the grid's node count.
 _BLOCK = 4
-# The PointCloud attribute that holds compute_grid's neighbourhood entry, and
-# the most capped-ball entries (rows x width) it stores: 2 MiB of ids at uint16.
-_ENTRY = "_neighbourhood"
+# Most capped-ball entries (rows x width) the neighbourhood entry stores: 2 MiB of ids at uint16.
 _ENTRY_BOUND = 2**20
 # Stored magnitudes below this snap to +0.0: they are geometrically
 # indistinguishable from surface contact and would otherwise break the
@@ -113,42 +109,20 @@ def _segment_sums(values: np.ndarray, lens: np.ndarray) -> np.ndarray:
 class _Evaluator:
     """Pointwise/batch evaluation of one DF kind over a fixed cloud.
 
-    Takes its kd indices from the cloud (``spatial.cloud_index``) on first
-    use, so a grid's worth of queries, and every later evaluator over the
-    same cloud, reuses them.  The support is the set of points the kind
-    reads: the points with valid normals for normal kinds, the whole cloud
-    otherwise (``whole`` says which).  ``full_index`` covers the whole
-    cloud for the candidate scan; it is also the support's index when the
-    support is the whole cloud.  Evaluation takes the module docstring's
-    two steps, ``near`` and ``values``, over chunks of
-    ``spatial.chunk_rows(width)`` rows.
+    Reads the cloud's support (``spatial.support``): the points with valid
+    normals and their normals for normal kinds, the whole cloud's points
+    otherwise, and their kd index, None when the support is empty.
+    Evaluation takes the module docstring's two steps, ``near`` and
+    ``values``, over chunks of ``spatial.chunk_rows(width)`` rows.
     """
 
     def __init__(self, cloud: PointCloud, kind: DFKind, params: DFParams):
-        if not isinstance(params, DFParams):
-            raise ContractError(f"params must be a DFParams, got {type(params).__name__}")
-        if len(cloud) == 0:
+        self.params = as_instance(params, DFParams, "params")
+        if len(as_instance(cloud, PointCloud, "cloud")) == 0:
             raise EmptyCloudError("cannot evaluate a distance field over an empty cloud")
-        if kind.requires_normals and cloud.normals is None:
-            raise MissingDataError(f"{kind.value} requires a cloud with oriented normals")
         self.kind = kind
-        self.params = params
-        self.cloud = cloud
-        self.positions, self.normals, self.whole = cloud.positions, None, True
-        if kind.requires_normals:
-            valid = ~np.isnan(cloud.normals).any(axis=1)
-            self.positions, self.normals = cloud.positions[valid], cloud.normals[valid]
-            self.whole = bool(valid.all())
+        self.positions, self.normals, self.index = spatial.support(cloud, kind.requires_normals)
         self.width = min(params.max_neighbors + 1, len(self.positions)) if kind.weighted else 2
-
-    @functools.cached_property
-    def full_index(self) -> spatial.SpatialIndex:
-        return spatial.cloud_index(self.cloud)
-
-    @functools.cached_property
-    def index(self) -> spatial.SpatialIndex | None:
-        """The support's index; None when no point has a valid normal."""
-        return spatial.cloud_index(self.cloud, not self.whole) if len(self.positions) else None
 
     def batch(self, queries: np.ndarray) -> np.ndarray:
         """Evaluate at (M, 3) query positions; NaN marks undefined."""
@@ -164,14 +138,14 @@ class _Evaluator:
     def near(self, q: np.ndarray, scan: tuple | None = None) -> tuple:
         """N_x of ``q``'s rows: nearest (ids, dists), or capped balls (ids, lens, sums).
 
-        ``scan`` is the candidate scan's nearest (ids, dists) over the whole
-        cloud at these rows; a nearest kind whose support is the whole cloud
-        takes them as they are.  A capped ball's ``sums`` hold each row's
-        weight sum ``"w"`` and weighted distance sum ``"d"``, from the
-        distances the query returns in id order.
+        ``scan`` is the candidate scan's nearest (ids, dists) at these rows
+        when the support is the whole cloud; a nearest kind takes them as
+        they are.  A capped ball's ``sums`` hold each row's weight sum
+        ``"w"`` and weighted distance sum ``"d"``, from the distances the
+        query returns in id order.
         """
         if not self.kind.weighted:
-            return scan if scan is not None and self.whole else spatial.nearest_batch(self.index, q)
+            return scan if scan is not None else spatial.nearest_batch(self.index, q)
         p = self.params
         ids, dists, lens = spatial.capped_ball_batch(self.index, q, p.neighbor_radius, p.max_neighbors)
         w = gaussian_weight(dists * dists, p.sigma)
@@ -192,16 +166,16 @@ class _Evaluator:
         """
         if not self.kind.weighted:
             ids, d = near
-            plane = self._plane(self._diff(q, ids, 1), ids) if self.normals is not None else None
+            plane = self._plane(self._diff(q, ids, 1), ids) if self.kind.requires_normals else None
             return _value(self.kind, d, plane)
         ids, lens, sums = near
-        if self.normals is not None and "plane" not in sums:
+        if self.kind.requires_normals and "plane" not in sums:
             diff = self._diff(q, ids, lens)
             dists = spatial.canonical_norm(*diff.T)
             w = gaussian_weight(dists * dists, self.params.sigma)
             sums["plane"] = _segment_sums(w * self._plane(diff, ids), lens)
         den = np.where(lens > 0, sums["w"], np.nan)
-        plane = sums["plane"] / den if self.normals is not None else None
+        plane = sums["plane"] / den if self.kind.requires_normals else None
         return _value(self.kind, sums["d"] / den, plane)
 
     def _diff(self, q: np.ndarray, ids: np.ndarray, lens) -> np.ndarray:
@@ -319,21 +293,18 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
     neighbourhood entry (see the module docstring).  An empty support
     yields nothing, before any index is built or any node scanned.
     """
-    if not len(ev.positions):
+    if ev.index is None:
         return
-    p = ev.params
-    key = (tuple(spec.origin.tolist()), spec.voxel_size, spec.dims, ev.whole,
-           p.sigma, p.max_neighbors)
-    entry = getattr(cloud, _ENTRY, None)
-    if ev.kind.weighted and entry is not None and entry[0] == key:
-        for nodes_idx, near in entry[1]:
+    key = (spec, ev.index, ev.params)
+    if ev.kind.weighted and (records := spatial.entry(cloud, key)) is not None:
+        for nodes_idx, near in records:
             yield nodes_idx, ev.values(spec.origin + nodes_idx * spec.voxel_size, near)
         return
     reach = 3.0 * spec.voxel_size * (1.0 + spatial._RADIUS_MARGIN)
     records, rows = ([] if ev.kind.weighted else None), 0
-    chunks = _candidates(ev.full_index, spec, reach, spatial.chunk_rows(ev.width))
-    for nodes_idx, nodes_pos, scan in chunks:
-        near = ev.near(nodes_pos, scan)
+    index = spatial.support(cloud)[2]
+    for nodes_idx, nodes_pos, scan in _candidates(index, spec, reach, spatial.chunk_rows(ev.width)):
+        near = ev.near(nodes_pos, scan if index is ev.index else None)
         rows += len(nodes_pos)
         if records is not None and rows * ev.width <= _ENTRY_BOUND:
             records.append((nodes_idx, near))
@@ -341,7 +312,7 @@ def _node_values(cloud: PointCloud, spec: GridSpec, ev: _Evaluator):
             records = None
         yield nodes_idx, ev.values(nodes_pos, near)
     if records is not None:
-        object.__setattr__(cloud, _ENTRY, (key, records))
+        spatial.entry(cloud, key, records)
 
 
 def compute_grid(
@@ -364,8 +335,6 @@ def compute_grid(
     weighted kind keeps or replays the neighbourhood entry, as the module
     docstring states.
     """
-    if len(cloud) == 0:
-        raise EmptyCloudError("compute_grid requires a non-empty cloud")
     kept_idx = [np.empty((0, 3), dtype=np.int64)]
     kept_val = [np.empty(0)]
     for nodes_idx, vals in _node_values(cloud, spec, _Evaluator(cloud, kind, params)):

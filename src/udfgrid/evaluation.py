@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dfield, extract, normals, spatial
-from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, as_flag
+from .core import DFKind, DFParams, GridSpec, PointCloud, SparseDFGrid, as_flag, as_instance
 from .errors import ContractError, EmptyCloudError, MissingDataError
 
 
@@ -47,31 +47,33 @@ def _min_distances_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mins
 
 
-def _check_nonempty(p1: PointCloud, p2: PointCloud) -> None:
-    if len(p1) == 0 or len(p2) == 0:
-        raise EmptyCloudError("chamfer distance requires two non-empty clouds")
-
-
 def chamfer(p1: PointCloud, p2: PointCloud) -> float:
     """Symmetric mean nearest-neighbor distance between two clouds (meters).
 
-    Each cloud's kd index is the one it keeps (``spatial.cloud_index``), or
-    a throw-away one if it keeps none.
+    Each cloud's kd index is the one its whole support keeps
+    (``spatial.support``), or a throw-away one if it keeps none.
     """
-    _check_nonempty(p1, p2)
-    a, b = p1.positions, p2.positions
-    mins_ab = spatial._exact_neighbours(spatial.cloud_index(p2, keep=False), a, 1)[1][:, 0]
-    mins_ba = spatial._exact_neighbours(spatial.cloud_index(p1, keep=False), b, 1)[1][:, 0]
-    return float(mins_ab.sum() / (2.0 * len(a)) + mins_ba.sum() / (2.0 * len(b)))
+    return _chamfer(p1, p2, _nearest_distances)
 
 
 def chamfer_bruteforce(p1: PointCloud, p2: PointCloud) -> float:
     """Exhaustive-scan chamfer; the oracle ``chamfer`` must match exactly."""
-    _check_nonempty(p1, p2)
-    a, b = p1.positions, p2.positions
-    mins_ab = _min_distances_bruteforce(a, b)
-    mins_ba = _min_distances_bruteforce(b, a)
-    return float(mins_ab.sum() / (2.0 * len(a)) + mins_ba.sum() / (2.0 * len(b)))
+    return _chamfer(p1, p2, lambda a, b: _min_distances_bruteforce(a.positions, b.positions))
+
+
+def _chamfer(p1: PointCloud, p2: PointCloud, min_distances) -> float:
+    """CD from ``min_distances(a, b)``: each point of cloud a to its nearest in cloud b."""
+    if len(as_instance(p1, PointCloud, "p1")) == 0 or len(as_instance(p2, PointCloud, "p2")) == 0:
+        raise EmptyCloudError("chamfer distance requires two non-empty clouds")
+    mins_ab, mins_ba = min_distances(p1, p2), min_distances(p2, p1)
+    return float(mins_ab.sum() / (2.0 * len(p1)) + mins_ba.sum() / (2.0 * len(p2)))
+
+
+def _nearest_distances(a: PointCloud, b: PointCloud) -> np.ndarray:
+    """Each point of ``a`` to its nearest in ``b``, by the index ``b`` keeps or a throw-away one."""
+    index = spatial.kept_index(b)
+    index = spatial.build_index(b.positions) if index is None else index
+    return spatial._exact_neighbours(index, a.positions, 1)[1][:, 0]
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def with_normals(cloud: PointCloud, kinds: list[DFKind]) -> PointCloud:
     kinds at one sigma share ``compute_grid``'s neighbourhood entry.
     """
     needy = [kind for kind in kinds if kind.requires_normals]
-    if not needy or cloud.has_normals:
+    if as_instance(cloud, PointCloud, "cloud").has_normals or not needy:
         return cloud
     if not cloud.has_sensor_origins:
         raise MissingDataError(
@@ -161,6 +163,9 @@ def sigma_sweep(
     ``DFParams``.  Normals are estimated at most once (``with_normals``),
     before the roundtrips, so the reported wall times leave that estimate
     out.  Each of ``sigmas`` (a list, tuple or 1-D array) is checked first.
+    The roundtrips run sigma by sigma, every kind at one sigma before the
+    next, so consecutive weighted kinds share the neighbourhood entry; the
+    reports come kind by kind, sigma ascending within each kind.
     """
     if sigmas is None:
         sigmas = [m * spec.voxel_size for m in (1.0, 2.0, 3.0, 4.0)]
@@ -168,7 +173,8 @@ def sigma_sweep(
         raise ContractError(f"sigmas must be non-empty and one-dimensional, got {sigmas!r}")
     params = [DFParams(sigma=sigma, max_neighbors=max_neighbors) for sigma in sigmas]
     cloud = with_normals(cloud, kinds)
-    return [roundtrip(cloud, spec, kind, flipped, p) for kind in kinds for p in params]
+    by_sigma = [[roundtrip(cloud, spec, kind, flipped, p) for kind in kinds] for p in params]
+    return [report for of_kind in zip(*by_sigma) for report in of_kind]
 
 
 def format_report_table(reports: list[RoundtripReport]) -> str:

@@ -36,7 +36,7 @@ import struct
 import numpy as np
 
 from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point, linearize
-from .core import _as_path, as_flag
+from .core import _as_path, as_flag, as_instance
 from .errors import ContractError, ParseError
 
 # Rows of an ASCII PLY body formatted per write and parsed per read, so that
@@ -64,18 +64,13 @@ def write_ply(cloud: PointCloud, path, binary: bool = True) -> None:
 
     Coordinates are double precision; binary mode round-trips them
     bit-exactly, ASCII mode through 17-significant-digit decimals.
-    ``binary`` must be a bool or ``np.bool_``.
+    ``cloud`` must be a ``PointCloud`` and ``binary`` a bool or ``np.bool_``.
     """
     binary = as_flag(binary, "binary")
-    columns = [cloud.positions]
-    names = ["x", "y", "z"]
-    if cloud.normals is not None:
-        columns.append(cloud.normals)
-        names += ["nx", "ny", "nz"]
-    if cloud.sensor_origins is not None:
-        columns.append(cloud.sensor_origins)
-        names += ["sx", "sy", "sz"]
-    data = np.concatenate(columns, axis=1)
+    columns = {"x y z": as_instance(cloud, PointCloud, "cloud").positions,
+               "nx ny nz": cloud.normals, "sx sy sz": cloud.sensor_origins}
+    names = [n for keys, a in columns.items() if a is not None for n in keys.split()]
+    data = np.concatenate([a for a in columns.values() if a is not None], axis=1)
     fmt = "binary_little_endian" if binary else "ascii"
     header_lines = ["ply", f"format {fmt} 1.0", f"element vertex {len(cloud)}"]
     header_lines += [f"property double {n}" for n in names]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spatial
-from .core import PointCloud, as_count
+from .core import PointCloud, as_count, as_instance
 from .errors import InsufficientDataError, MissingDataError
 
 _DEGENERATE_EIGENGAP = 1e-9
@@ -28,14 +28,13 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     """Estimate unit normals from the k-nearest-neighbor covariance.
 
     The point itself counts as one of its k neighbors.  Degenerate
-    neighborhoods yield all-NaN rows.  Positions, sensor origins and the kd
-    index of the positions pass through unchanged; normals are replaced.
+    neighborhoods yield all-NaN rows.  Positions, sensor origins and their
+    kd index (``spatial.support``) pass through unchanged; normals are replaced.
     """
-    if len(cloud) < 3:
+    if len(as_instance(cloud, PointCloud, "cloud")) < 3:
         raise InsufficientDataError("normal estimation needs at least 3 points")
     k = as_count(k, "k", least=3)
-    pos = cloud.positions
-    index = spatial.cloud_index(cloud)
+    pos, _, index = spatial.support(cloud)
     kk = min(k, len(pos))
     # Rows are independent: chunking bounds the (kk, rows, 3) neighbourhood
     # so peak memory does not grow with k.
@@ -43,7 +42,9 @@ def estimate_normals(cloud: PointCloud, k: int = 30) -> PointCloud:
     step = spatial.chunk_rows(kk + 1)
     for lo in range(0, len(pos), step):
         normals[lo : lo + step] = _pca_normals(index, pos[lo : lo + step], kk)
-    return spatial.share_index(cloud, PointCloud(pos, normals, cloud.sensor_origins))
+    out = PointCloud(pos, normals, cloud.sensor_origins)
+    spatial.support(out, index=index)
+    return out
 
 
 def _pca_normals(index: spatial.SpatialIndex, q: np.ndarray, kk: int) -> np.ndarray:
@@ -81,11 +82,14 @@ def orient_normals(cloud: PointCloud) -> PointCloud:
     product of exactly zero (grazing view) leaves it unchanged, as do NaN
     (invalid) normals.  Idempotent; a kept kd index passes on to the result.
     """
-    if cloud.normals is None:
+    if as_instance(cloud, PointCloud, "cloud").normals is None:
         raise MissingDataError("orient_normals requires normals")
     if cloud.sensor_origins is None:
         raise MissingDataError("orient_normals requires sensor origins")
     to_sensor = cloud.sensor_origins - cloud.positions
     dots = np.einsum("ij,ij->i", cloud.normals, to_sensor)
     flipped = np.where((dots < 0)[:, None], -cloud.normals, cloud.normals)
-    return spatial.share_index(cloud, PointCloud(cloud.positions, flipped, cloud.sensor_origins))
+    out = PointCloud(cloud.positions, flipped, cloud.sensor_origins)
+    if (index := spatial.kept_index(cloud)) is not None:
+        spatial.support(out, index=index)
+    return out

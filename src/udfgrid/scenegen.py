@@ -47,7 +47,7 @@ class PlanePatch:
         object.__setattr__(self, "edge_v", as_point(self.edge_v, "edge_v"))
         if self.area() <= 0:
             raise ContractError("plane patch must have positive area")
-        _check_sampling(self)
+        object.__setattr__(self, "density", _check_sampling(self))
 
     def area(self) -> float:
         return float(np.linalg.norm(np.cross(self.edge_u, self.edge_v)))
@@ -70,7 +70,7 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center, "center"))
         object.__setattr__(self, "radius", as_length(self.radius, "sphere radius"))
-        _check_sampling(self)
+        object.__setattr__(self, "density", _check_sampling(self))
 
     def area(self) -> float:
         return 4.0 * math.pi * self.radius * self.radius
@@ -99,7 +99,7 @@ class Box:
         object.__setattr__(self, "max_corner", as_point(self.max_corner, "max"))
         if not (self.max_corner > self.min_corner).all():
             raise ContractError("box must have positive extent on every axis")
-        _check_sampling(self)
+        object.__setattr__(self, "density", _check_sampling(self))
 
     def area(self) -> float:
         e = self.max_corner - self.min_corner
@@ -147,7 +147,7 @@ class OpenCylinder:
         object.__setattr__(self, "axis", axis / norm)
         object.__setattr__(self, "radius", as_length(self.radius, "cylinder radius"))
         object.__setattr__(self, "height", as_length(self.height, "cylinder height"))
-        _check_sampling(self)
+        object.__setattr__(self, "density", _check_sampling(self))
 
     def area(self) -> float:
         return 2.0 * math.pi * self.radius * self.height
@@ -180,15 +180,15 @@ Primitive = PlanePatch | Sphere | Box | OpenCylinder
 MAX_POINTS = 2**31 - 1
 
 
-def _check_sampling(prim: Primitive) -> None:
-    """Store ``prim.density`` as a float by the length rule, then refuse more than MAX_POINTS."""
+def _check_sampling(prim: Primitive) -> float:
+    """``prim.density`` as a float by the length rule; ContractError past MAX_POINTS."""
     density = as_length(prim.density, "density (points per square meter)")
-    object.__setattr__(prim, "density", density)
     if not density * prim.area() < MAX_POINTS + 0.5:
         raise ContractError(
             f"density {density:g} over area {prim.area():g} m^2 would sample more than "
             f"{MAX_POINTS} points"
         )
+    return density
 
 
 def _count(density: float, area: float) -> int:

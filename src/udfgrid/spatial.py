@@ -20,11 +20,12 @@ one it returned, so a row is exact unless its last distance lies within
 the margin of its k-th.  Only such rows are asked again, at twice the
 width, until the width covers the whole cloud.
 
-A cloud keeps the index of its positions, and of its points with valid
-normals, once ``cloud_index`` builds one (through ``build_index``, so every
-build is one call there): normal estimation, every ``compute_grid`` and
-``evaluate`` over the cloud, and ``chamfer`` against it share one tree.
-``chamfer`` keeps none itself, so a cloud it scores once holds no tree.
+``support`` owns what is derived from a cloud: its whole and valid-normal
+supports, each (positions, normals, kd index) made once, and ``dfield``'s one
+neighbourhood entry, kept in one private mapping on the cloud that no other
+module reads or writes.  So normal estimation, every ``compute_grid`` and
+``evaluate`` over a cloud, and ``chamfer`` against it share one tree, built
+by one ``build_index`` call; ``chamfer`` keeps none of its own.
 
 Index points and query rows pass ``core.as_rows``, counts ``core.as_count``
 and radii ``core.as_length``: (M, 3) arrays or one (3,) point of coordinates
@@ -47,8 +48,8 @@ import os
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PointCloud, _as_real, as_count, as_length, as_rows
-from .errors import ContractError, EmptyCloudError
+from .core import PointCloud, _as_real, as_count, as_instance, as_length, as_rows
+from .errors import ContractError, EmptyCloudError, MissingDataError
 
 _RADIUS_MARGIN = 1e-9
 # Most (row, neighbour) entries materialised at a time: 0.5 MiB per float64 array.
@@ -122,34 +123,51 @@ class SpatialIndex:
 
 def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
     """Build an index over a cloud (or raw (N, 3) position array)."""
-    pos = cloud.positions if isinstance(cloud, PointCloud) else cloud
-    return SpatialIndex(pos)
+    return SpatialIndex(cloud.positions if isinstance(cloud, PointCloud) else cloud)
 
 
-def cloud_index(cloud: PointCloud, support: bool = False, keep: bool = True) -> SpatialIndex:
-    """The index over ``cloud``'s positions, or with ``support`` its valid-normal points'.
+def support(cloud: PointCloud, normals: bool = False, index: SpatialIndex | None = None) -> tuple:
+    """(positions, normals, kd index) of ``cloud``, or with ``normals`` of its valid-normal points.
 
-    A cloud keeps each index once something builds it, on a miss through
-    ``build_index``; the cloud is immutable, so a kept index cannot go
-    stale.  With ``keep=False`` a cloud that keeps none gets a throw-away
-    index, so a cloud indexed only once holds no tree afterwards.  Threads
-    that miss at once each build one; every one gives the same results.
+    Each is made once and kept on the cloud, which is immutable, so it cannot
+    go stale; the two are one object when every normal is valid.  An empty
+    support has index None and builds nothing.  ``index``, one over the
+    cloud's positions that the caller holds, spares the whole support a
+    build.  Threads that miss at once each build one, all alike.
     """
-    name = "_support_index" if support else "_index"
-    index = getattr(cloud, name, None)
-    if index is None:
-        pos = cloud.positions[~np.isnan(cloud.normals).any(axis=1)] if support else cloud.positions
-        index = build_index(pos)
-        if keep:
-            object.__setattr__(cloud, name, index)
-    return index
+    kept = _kept(cloud)
+    name = "normals" if normals else "whole"
+    if name not in kept:
+        if not normals:
+            index = build_index(cloud.positions) if index is None else index
+            kept[name] = (cloud.positions, cloud.normals, index)
+        elif cloud.normals is None:
+            raise MissingDataError("a kind that reads normals needs a cloud with oriented normals")
+        elif (valid := ~np.isnan(cloud.normals).any(axis=1)).all():
+            kept[name] = support(cloud, index=index)
+        else:
+            pos = cloud.positions[valid]
+            kept[name] = (pos, cloud.normals[valid], build_index(pos) if len(pos) else None)
+    return kept[name]
 
 
-def share_index(source: PointCloud, cloud: PointCloud) -> PointCloud:
-    """``cloud`` over ``source``'s positions, keeping the index of them that ``source`` keeps."""
-    if (index := getattr(source, "_index", None)) is not None:
-        object.__setattr__(cloud, "_index", index)
-    return cloud
+def kept_index(cloud: PointCloud) -> SpatialIndex | None:
+    """The index of ``cloud``'s whole support, or None if nothing made that support."""
+    return _kept(cloud).get("whole", (None, None, None))[2]
+
+
+def entry(cloud: PointCloud, key: tuple, records: list | None = None) -> list | None:
+    """The records of ``cloud``'s neighbourhood entry if kept under ``key``, else None;
+    given ``records``, they become the cloud's one entry, under ``key``."""
+    if records is not None:
+        _kept(cloud)["entry"] = (key, records)
+    held = _kept(cloud).get("entry", (None, None))
+    return held[1] if held[0] == key else None
+
+
+def _kept(cloud: PointCloud) -> dict:
+    """The one mapping on ``cloud`` that holds what is derived from it."""
+    return vars(as_instance(cloud, PointCloud, "cloud")).setdefault("_kept", {})
 
 
 def chunk_rows(width: int) -> int:
@@ -228,8 +246,7 @@ def _gathered_distances(positions: np.ndarray, q: np.ndarray, ids: np.ndarray) -
 
 def _query_rows(index: SpatialIndex, queries) -> np.ndarray:
     """``queries`` as (M, 3) rows; every public query refuses a wrong ``index`` here."""
-    if not isinstance(index, SpatialIndex):
-        raise ContractError(f"index must be a SpatialIndex, got {type(index).__name__}")
+    as_instance(index, SpatialIndex, "index")
     return as_rows(queries, "query points")
 
 

@@ -1,4 +1,4 @@
-"""Every public scalar or flag argument either works or raises UdfGridError.
+"""Every public scalar, flag or cloud argument either works or raises UdfGridError.
 
 A table of argument slots, each a call with one argument left open, meets
 odd values: NaN, infinities, 0, -1, huge and subnormal numbers, bools,
@@ -7,7 +7,9 @@ pair must return or raise ``UdfGridError``, and emit no warning: not a
 numpy ``TypeError`` from deep inside, not an overflow ``RuntimeWarning``,
 and never a value read as another (True as 1, an array as its element).
 Nor may it close stdin, stdout or stderr, as a path passed on to ``open()``
-as a file descriptor once did.
+as a file descriptor once did.  A cloud slot refuses anything but a
+``PointCloud`` with ContractError: other objects once ended in
+AttributeError, or in a refusal about the number of points.
 """
 
 import math
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from udfgrid import (
     Box,
+    ContractError,
     DFKind,
     DFParams,
     GridSpec,
@@ -37,8 +40,14 @@ from udfgrid import (
     apply_dropout,
     augment,
     build_pyramid,
+    chamfer,
+    chamfer_bruteforce,
+    compute_grid,
     estimate_normals,
+    evaluate,
     gaussian_weight,
+    make_evaluator,
+    orient_normals,
     roundtrip,
     round_half_away_from_zero,
     sample_scene,
@@ -83,9 +92,9 @@ def _threads(v):
         spatial.set_num_threads(saved)
 
 
-def _write_ply(v):
+def _write_ply(v, cloud=CLOUD):
     with tempfile.TemporaryDirectory() as tmp:
-        write_ply(CLOUD, Path(tmp) / "c.ply", binary=v)
+        write_ply(cloud, Path(tmp) / "c.ply", binary=v)
 
 
 # Slot name -> a call taking the odd value.
@@ -129,6 +138,26 @@ SLOTS = {
     "write_ply binary": _write_ply,
 }
 
+# Slot name -> a call taking the value as its cloud.
+CLOUD_SLOTS = {
+    "compute_grid cloud": lambda v: compute_grid(v, SPEC, DFKind.UWED, PARAMS),
+    "make_evaluator cloud": lambda v: make_evaluator(v, DFKind.SED, PARAMS),
+    "evaluate cloud": lambda v: evaluate(Q[0], v, DFKind.UED),
+    "build_pyramid cloud": lambda v: build_pyramid(v, SPEC, DFKind.UED, PARAMS, 2),
+    "chamfer p1": lambda v: chamfer(v, CLOUD),
+    "chamfer p2": lambda v: chamfer(CLOUD, v),
+    "chamfer_bruteforce p1": lambda v: chamfer_bruteforce(v, CLOUD),
+    "chamfer_bruteforce p2": lambda v: chamfer_bruteforce(CLOUD, v),
+    "estimate_normals cloud": lambda v: estimate_normals(v),
+    "orient_normals cloud": lambda v: orient_normals(v),
+    "write_ply cloud": lambda v: _write_ply(True, v),
+    "roundtrip cloud": lambda v: roundtrip(v, SPEC, DFKind.UED, False, PARAMS),
+    "roundtrip cloud, normal kind": lambda v: roundtrip(v, SPEC, DFKind.IMLS, False, PARAMS),
+    "sigma_sweep cloud": lambda v: sigma_sweep(v, SPEC, [DFKind.UWED], [0.1]),
+    "spatial.support cloud": lambda v: spatial.support(v, normals=True),
+}
+SLOTS.update(CLOUD_SLOTS)
+
 with np.errstate(over="ignore"):
     ODD = [math.nan, math.inf, -math.inf, 0, -1, 2**70, 1e-320, 1e300, True, np.bool_(True),
            np.float16(1000), np.float16(6400), np.array(1.0), np.array([1.0]), np.ones(3),
@@ -171,3 +200,22 @@ def _with_examples(test):
 @given(value=odd_values())
 def test_result_or_udfgrid_error(slot, value):
     _no_warning_and_result_or_refusal(slot, value)
+
+
+# Objects of the wrong type for a cloud slot, beside ODD's numbers, arrays and text.
+NOT_CLOUDS = [1.5, "x", None, [[0.0, 0.0, 0.0]], np.ones((4, 3)), {}, SPEC, PARAMS, DFKind.UED,
+              SparseDFGrid(SPEC, DFKind.UED, False, [[0, 0, 0]], [1.0]), INDEX]
+
+
+@pytest.mark.parametrize("value", NOT_CLOUDS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("slot", list(CLOUD_SLOTS))
+def test_a_cloud_slot_takes_only_a_cloud(slot, value):
+    with pytest.raises(ContractError, match=r"must be a PointCloud, got "):
+        CLOUD_SLOTS[slot](value)
+
+
+@pytest.mark.parametrize("slot", list(CLOUD_SLOTS))
+def test_a_cloud_slot_takes_a_cloud(slot):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a too-coarse level may be empty
+        CLOUD_SLOTS[slot](CLOUD)

@@ -249,6 +249,34 @@ class TestPointCloud:
                     arr += 1.0
 
 
+class TestEquality:
+    """``==`` and ``hash`` never reach an array: both raised at one time."""
+
+    def test_grid_specs_compare_by_value(self):
+        spec = GridSpec(origin=(1.0, 2.0, 3.0), voxel_size=0.05, dims=(4, 5, 6))
+        same = GridSpec(origin=np.array([1.0, 2.0, 3.0]), voxel_size=0.05, dims=(4, 5, 6))
+        assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+        assert spec == dataclasses.replace(spec, dims=(4, 5, 6))
+        for other in (GridSpec((1.0, 2.0, 3.5), 0.05, (4, 5, 6)),
+                      GridSpec((1.0, 2.0, 3.0), 0.1, (4, 5, 6)),
+                      GridSpec((1.0, 2.0, 3.0), 0.05, (4, 5, 7)),
+                      (1.0, 2.0, 3.0), "spec", None):
+            assert spec != other and not spec == other
+
+    def test_grid_spec_origin_compares_by_bits(self):
+        zero = GridSpec((0.0, 0.0, 0.0), 0.05, (2, 2, 2))
+        assert zero != GridSpec((-0.0, 0.0, 0.0), 0.05, (2, 2, 2))
+
+    def test_clouds_and_grids_compare_by_identity(self):
+        cloud = PointCloud(np.zeros((2, 3)), np.tile([0.0, 0.0, 1.0], (2, 1)))
+        spec = GridSpec((0.0, 0.0, 0.0), 0.05, (2, 2, 2))
+        grid = SparseDFGrid(spec, DFKind.UED, False, [[0, 0, 0]], [1.0])
+        for a, b in ((cloud, PointCloud(cloud.positions, cloud.normals)),
+                     (grid, SparseDFGrid(spec, DFKind.UED, False, [[0, 0, 0]], [1.0]))):
+            assert a == a and a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 class TestGridSpec:
     def test_basic(self):
         spec = GridSpec(origin=(1.0, 2.0, 3.0), voxel_size=0.05, dims=(4, 5, 6))

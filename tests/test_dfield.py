@@ -419,6 +419,12 @@ def _same_bits(a: SparseDFGrid, b: SparseDFGrid) -> bool:
     return (a.indices.tobytes(), a.values.tobytes()) == (b.indices.tobytes(), b.values.tobytes())
 
 
+def _entry(cloud: PointCloud, spec: GridSpec, kind: DFKind, params: DFParams):
+    """The records ``cloud`` keeps for ``kind`` under (spec, support index, params), or None."""
+    index = spatial.support(cloud, kind.requires_normals)[2]
+    return spatial.entry(cloud, (spec, index, params))
+
+
 class TestNeighbourhoodEntry:
     """Weighted kinds on one cloud share its candidate scan and capped balls."""
 
@@ -439,7 +445,7 @@ class TestNeighbourhoodEntry:
             fresh = PointCloud(cloud.positions, cloud.normals, cloud.sensor_origins)
             assert _same_bits(compute_grid(cloud, at, kind, params),
                               compute_grid(fresh, at, kind, params)), (variant, kind)
-        assert (getattr(cloud, dfield._ENTRY, None) is None) == (variant == "no_room")
+        assert (_entry(cloud, at, kind, params) is None) == (variant == "no_room")
 
     def test_three_kinds_make_one_ball_query_series(self, monkeypatch):
         cloud = _noisy_desk_with_normals()
@@ -458,6 +464,21 @@ class TestNeighbourhoodEntry:
         for kind in (DFKind.UWED, DFKind.IMLS, DFKind.SWED):
             compute_grid(cloud, spec, kind, params)
         assert one_kind and calls == one_kind
+
+    def test_one_entry_per_cloud(self):
+        """A call under another key replaces the entry; an equal spec built anew is the same key."""
+        cloud = _noisy_desk_with_normals()
+        spec = grid_spec_for(cloud, self.VOXEL)
+        wide, narrow = DFParams(sigma=2.0 * self.VOXEL), DFParams(sigma=self.VOXEL)
+        compute_grid(cloud, spec, DFKind.UWED, wide)
+        again = GridSpec(spec.origin.copy(), spec.voxel_size, spec.dims)
+        assert again == spec and hash(again) == hash(spec)
+        assert _entry(cloud, again, DFKind.IMLS, wide) is not None
+        compute_grid(cloud, spec, DFKind.UED, wide)  # a nearest kind stores nothing
+        assert _entry(cloud, spec, DFKind.UWED, wide) is not None
+        compute_grid(cloud, spec, DFKind.UWED, narrow)
+        assert _entry(cloud, spec, DFKind.UWED, wide) is None
+        assert _entry(cloud, spec, DFKind.UWED, narrow) is not None
 
     def test_a_hit_builds_no_index_and_makes_no_query(self, monkeypatch):
         cloud = _noisy_desk_with_normals()
@@ -493,7 +514,7 @@ class TestNeighbourhoodEntry:
 
         monkeypatch.setattr(spatial, "capped_ball_batch", spy)
         got = compute_grid(cloud, spec, DFKind.UWED, params)
-        records = getattr(cloud, dfield._ENTRY)[1]
+        records = _entry(cloud, spec, DFKind.UWED, params)
         assert max(calls) <= rows and len(calls) == len(records)
         assert [len(nodes) for nodes, _ in records] == calls
         assert _same_bits(got, want)
@@ -647,11 +668,27 @@ class TestKeptIndex:
         assert len(built) == 1
         assert all(_same_bits(g, w) for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("nan_every", [None, 97])
+    def test_normal_kinds_share_one_support(self, nan_every, monkeypatch):
+        """Evaluators of normal kinds read the same arrays; a cloud whose every
+        normal is valid lends its own, and UED reads the whole cloud."""
+        desk = _noisy_desk_with_normals(nan_every)
+        cloud = PointCloud(desk.positions, desk.normals)
+        params = DFParams.for_voxel_size(self.VOXEL)
+        built = spy_builds(monkeypatch)
+        sed, imls = (make_evaluator(cloud, kind, params) for kind in (DFKind.SED, DFKind.IMLS))
+        assert sed.positions is imls.positions and sed.normals is imls.normals
+        assert sed.index is imls.index
+        assert (sed.positions is cloud.positions) == (nan_every is None)
+        assert make_evaluator(cloud, DFKind.UED, params).positions is cloud.positions
+        assert len(built) == (1 if nan_every is None else 2)
+
     def test_entry_ids_take_the_smallest_unsigned_dtype(self):
         cloud = _noisy_desk_with_normals()
         spec = grid_spec_for(cloud, self.VOXEL)
-        compute_grid(cloud, spec, DFKind.UWED, DFParams(sigma=2.0 * self.VOXEL))
-        dtypes = {near[0].dtype for _, near in getattr(cloud, dfield._ENTRY)[1]}
+        params = DFParams(sigma=2.0 * self.VOXEL)
+        compute_grid(cloud, spec, DFKind.UWED, params)
+        dtypes = {near[0].dtype for _, near in _entry(cloud, spec, DFKind.UWED, params)}
         assert dtypes == {np.dtype(np.uint16)}
 
 
@@ -885,7 +922,7 @@ class TestValueOracle:
             grids = [compute_grid(cloud, spec, kind, params) for _ in range(2)]
         if kind.weighted and (
                 not kind.requires_normals or not np.isnan(cloud.normals).all()):
-            assert getattr(cloud, dfield._ENTRY, None) is not None
+            assert _entry(cloud, spec, kind, params) is not None
         for grid in grids:  # a weighted kind's first call stores the entry, its second reads it
             stored = np.isin(linearize(spec.dims, idx), grid.codes())
             assert not (stored != expected)[~unsure].any()

@@ -92,3 +92,24 @@ def test_the_argument_contract_lives_in_core():
         if rule.search(line)
     ]
     assert found == []
+
+
+def test_only_the_owner_keeps_state_on_a_cloud():
+    """Only ``spatial`` keeps what is derived from a cloud on it (``spatial.support``).
+
+    Elsewhere nothing writes an attribute onto an object other than the one
+    being built (``object.__setattr__(self, ...)``), reaches into an object's
+    ``vars`` or ``__dict__``, or reads a private attribute by name.
+    """
+    rule = re.compile(
+        r"__setattr__\(\s*(?!self\b)"  # a write onto another object
+        r"|\bsetattr\(|\bvars\(|__dict__"
+        r"|getattr\([^,]+,\s*[\"']?_"  # a private attribute read by name
+    )
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(SOURCES.glob("*.py")) if path.name != "spatial.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if rule.search(line)
+    ]
+    assert found == []

@@ -1,6 +1,7 @@
 """Tests for Chamfer distance and the roundtrip / sigma-sweep reports."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from udfgrid import (
     sigma_sweep,
     simulate_scans,
 )
-from udfgrid import normals
+from udfgrid import normals, spatial
 
 
 class TestChamfer:
@@ -220,6 +221,27 @@ class TestSigmaSweep:
         reports = sigma_sweep(cloud, grid_spec_for(cloud), [DFKind.IMLS, DFKind.SWED],
                               sigmas=[0.05, 0.1])
         assert len(reports) == 4 and len(calls) == 1
+
+    def test_one_ball_query_series_per_sigma(self, monkeypatch):
+        """All kinds run at one sigma before the next, so consecutive weighted
+        kinds replay the neighbourhood entry; reports still come kind by kind."""
+        cloud = plane_cloud(seed=3, density=500.0, side=0.5)
+        spec, sigmas = grid_spec_for(cloud), [0.05, 0.1]
+        kinds = [DFKind.UWED, DFKind.IMLS, DFKind.SWED]
+        want = [roundtrip(PointCloud(cloud.positions, cloud.normals), spec, kind, False,
+                          DFParams(sigma=sigma)).cd for kind in kinds for sigma in sigmas]
+        radii = []
+        query = spatial.capped_ball_batch
+
+        def spy(index, queries, r, cap):
+            radii.append(r)
+            return query(index, queries, r, cap)
+
+        monkeypatch.setattr(spatial, "capped_ball_batch", spy)
+        reports = sigma_sweep(cloud, spec, kinds, sigmas)
+        assert [(r.kind, r.sigma) for r in reports] == [(k, s) for k in kinds for s in sigmas]
+        assert [r.cd for r in reports] == want
+        assert [r for r, _ in itertools.groupby(radii)] == [3.0 * sigma for sigma in sigmas]
 
     def test_custom_sigmas(self):
         cloud = plane_cloud(seed=3, density=500.0, side=0.5)

@@ -13,6 +13,7 @@ from helpers import brute_knn, brute_nearest, brute_neighbours, brute_radius, sp
 from udfgrid import (
     ContractError,
     EmptyCloudError,
+    MissingDataError,
     PointCloud,
     SpatialIndex,
     build_index,
@@ -70,28 +71,62 @@ class TestIndexConstruction:
         assert len(build_index(pos)) == 10
 
 
-class TestCloudIndex:
-    def _cloud(self):
+class TestSupport:
+    """``spatial.support`` makes each of a cloud's supports once and keeps it."""
+
+    def _cloud(self, nan_every=3):
         rng = np.random.default_rng(7)
         nrm = np.tile([0.0, 0.0, 1.0], (40, 1))
-        nrm[::3] = np.nan
+        if nan_every:
+            nrm[::nan_every] = np.nan
         return PointCloud(rng.random((40, 3)), normals=nrm)
 
     def test_kept_once_built(self, monkeypatch):
         cloud, built = self._cloud(), spy_builds(monkeypatch)
-        whole, support = spatial.cloud_index(cloud), spatial.cloud_index(cloud, support=True)
-        assert spatial.cloud_index(cloud) is whole
-        assert spatial.cloud_index(cloud, support=True, keep=False) is support
+        whole, valid = spatial.support(cloud), spatial.support(cloud, normals=True)
+        assert spatial.support(cloud) is whole
+        assert spatial.support(cloud, normals=True) is valid
         assert len(built) == 2 and built[0] is cloud.positions
-        np.testing.assert_array_equal(support.positions, cloud.positions[np.arange(40) % 3 != 0])
+        assert whole[0] is cloud.positions and whole[1] is cloud.normals
+        keep = np.arange(40) % 3 != 0
+        np.testing.assert_array_equal(valid[0], cloud.positions[keep])
+        np.testing.assert_array_equal(valid[1], cloud.normals[keep])
+        assert len(valid[2]) == keep.sum() and spatial.kept_index(cloud) is whole[2]
 
-    def test_throw_away_index_is_not_kept(self, monkeypatch):
+    def test_one_support_when_every_normal_is_valid(self, monkeypatch):
+        cloud, built = self._cloud(nan_every=None), spy_builds(monkeypatch)
+        assert spatial.support(cloud, normals=True) is spatial.support(cloud)
+        assert len(built) == 1
+
+    def test_empty_support_builds_nothing(self, monkeypatch):
+        cloud, built = self._cloud(nan_every=1), spy_builds(monkeypatch)
+        positions, normals, index = spatial.support(cloud, normals=True)
+        assert positions.shape == normals.shape == (0, 3) and index is None
+        assert built == [] and spatial.kept_index(cloud) is None
+
+    def test_an_index_held_is_handed_on(self, monkeypatch):
+        cloud = self._cloud()
+        index = build_index(cloud.positions)
+        built = spy_builds(monkeypatch)
+        assert spatial.support(cloud, index=index)[2] is index
+        assert built == []
+
+    def test_chamfer_keeps_none(self, monkeypatch):
+        """An unkept cloud gets a throw-away index per score; a kept one serves every score."""
         cloud, built = self._cloud(), spy_builds(monkeypatch)
-        first = spatial.cloud_index(cloud, keep=False)
-        assert spatial.cloud_index(cloud, keep=False) is not first
-        assert len(built) == 2
-        assert spatial.cloud_index(cloud) is spatial.cloud_index(cloud, keep=False)
-        assert len(built) == 3
+        other = PointCloud(cloud.positions[:5] + 0.01)
+        first = chamfer(other, cloud)
+        assert chamfer(other, cloud) == first and len(built) == 4
+        assert spatial.kept_index(cloud) is None and spatial.kept_index(other) is None
+        whole = spatial.support(cloud)
+        assert chamfer(other, cloud) == first and len(built) == 6
+        assert spatial.kept_index(cloud) is whole[2] and spatial.kept_index(other) is None
+
+    def test_refusals(self):
+        with pytest.raises(ContractError, match="cloud must be a PointCloud, got ndarray"):
+            spatial.support(np.zeros((4, 3)))
+        with pytest.raises(MissingDataError):
+            spatial.support(PointCloud(np.zeros((4, 3))), normals=True)
 
 
 class TestNearest:
