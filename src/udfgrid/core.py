@@ -3,7 +3,8 @@
 Distance-field values live on lattice NODES: the sample position of voxel
 (i, j, k) is ``origin + (i, j, k) * voxel_size``.  Stored values are in voxel
 units (metric distance divided by voxel size) and are truncated at 3.0: a
-voxel index absent from a grid means "empty space / undefined".
+voxel index absent from a grid means "empty space / undefined".  A grid keeps
+each voxel as its int64 ``linearize`` code and float64 value, 16 B.
 """
 
 from __future__ import annotations
@@ -362,13 +363,20 @@ def linearize(dims: tuple[int, int, int], ijk: np.ndarray) -> np.ndarray:
     return (ijk[..., 0] * ny + ijk[..., 1]) * nz + ijk[..., 2]
 
 
-@dataclass(frozen=True, eq=False)
+def delinearize(dims: tuple[int, int, int], codes: np.ndarray) -> np.ndarray:
+    """(N, 3) int64 indices of codes below the node count: ``linearize`` undone."""
+    return np.stack(np.unravel_index(codes, dims), axis=1)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SparseDFGrid:
     """Sparse map from voxel index to truncated DF value in voxel units.
 
-    ``indices`` is an (N, 3) int array sorted lexicographically with no
-    duplicates; ``values`` is the matching (N,) float64 array.  Value
-    ranges by kind (enforced at construction):
+    A grid owns two read-only arrays, 16 B per voxel: ``codes()``, the strictly
+    increasing int64 ``linearize`` codes of its voxel indices, and the matching
+    float64 ``values``; ``indices`` is rebuilt from the codes on every read.  The
+    constructor sorts its (N, 3) indices, and copies ``values`` only when the
+    array it would keep is the caller's.  Value ranges by kind (enforced at construction):
 
     ==============  ===========  ===========
     kind            non-flipped  flipped
@@ -384,45 +392,67 @@ class SparseDFGrid:
     spec: GridSpec
     kind: DFKind
     flipped: bool
-    indices: np.ndarray
     values: np.ndarray
+    _codes: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "flipped", as_flag(self.flipped, "flipped"))
-        idx = _as_indices(self.indices)
-        val = _as_real(self.values, "grid values").astype(np.float64, copy=False).reshape(-1)
+    def __init__(self, spec: GridSpec, kind: DFKind, flipped: bool, indices, values):
+        flipped = as_flag(flipped, "flipped")
+        spec, kind = as_instance(spec, GridSpec, "spec"), as_instance(kind, DFKind, "kind")
+        idx = _as_indices(indices)
+        val = _as_real(values, "grid values").astype(np.float64, copy=False).reshape(-1)
         if len(idx) != len(val):
             raise ContractError("indices and values must have equal length")
-        if (idx < 0).any() or (idx >= np.asarray(self.spec.dims)).any():
+        if (idx < 0).any() or (idx >= np.asarray(spec.dims)).any():
             raise ContractError("voxel indices outside grid dims")
-        codes = linearize(self.spec.dims, idx)
-        if not (np.diff(codes) > 0).all():
+        val = val.copy() if np.may_share_memory(val, values) else val
+        self._keep(spec, kind, flipped, linearize(spec.dims, idx), val)
+
+    @classmethod
+    def _from_codes(cls, spec, kind, flipped: bool, codes, values) -> "SparseDFGrid":
+        """The grid of int64 ``codes`` below the node count and float64 ``values``, which
+        the library has just built and hands over without a copy."""
+        grid = object.__new__(cls)
+        grid._keep(spec, kind, flipped, codes, values)
+        return grid
+
+    def _keep(self, spec, kind, flipped, codes, values) -> None:
+        """Sort by code, refuse duplicates and values outside the kind's range, and
+        keep both arrays, read-only.  Temporaries take 2 B per voxel."""
+        if not (codes[1:] > codes[:-1]).all():
             order = np.argsort(codes, kind="stable")
-            codes = codes[order]
-            if (np.diff(codes) == 0).any():
+            codes, values = codes[order], values[order]
+            if not (codes[1:] > codes[:-1]).all():
                 raise ContractError("duplicate voxel indices")
-            idx, val = idx[order], val[order]
-        t = TRUNCATION_VOXELS  # NaN and inf fail every range test below
-        if self.kind.signed:
-            ok = (np.abs(val) <= t) if self.flipped else ((val > -t) & (val < t))
+        t = TRUNCATION_VOXELS  # NaN propagates into lo and hi, and fails every test
+        lo, hi = (values.min(), values.max()) if len(values) else (1.0, 1.0)
+        if kind.signed:
+            ok = (-t <= lo and hi <= t) if flipped else (-t < lo and hi < t)
         else:
-            ok = ((val > 0) & (val <= t)) if self.flipped else ((val >= 0) & (val < t))
-        if self.flipped:
-            ok &= t - np.abs(val) < t
-        if not ok.all():
+            ok = (0 < lo and hi <= t) if flipped else (0 <= lo and hi < t)
+        if ok and flipped:  # 3 - |v| rounds to 3 exactly when |v| <= 2**-52
+            tiny = values >= -(2.0**-52)
+            tiny &= values <= 2.0**-52
+            ok = not tiny.any()
+        if not ok:
             raise ContractError(
-                f"values outside the valid range for {self.kind.value}"
-                f" (flipped={self.flipped})"
+                f"values outside the valid range for {kind.value} (flipped={flipped})"
             )
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
+        codes.flags.writeable = values.flags.writeable = False
+        for name, value in zip(("spec", "kind", "flipped", "values", "_codes"),
+                               (spec, kind, flipped, values, codes)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def indices(self) -> np.ndarray:
+        """(N, 3) int64 voxel indices in code order, rebuilt on every read (O(N))."""
+        return delinearize(self.spec.dims, self._codes)
+
     def codes(self) -> np.ndarray:
-        """Sorted linear codes of the stored indices."""
-        return linearize(self.spec.dims, self.indices)
+        """The stored sorted linear codes of the voxel indices (read-only)."""
+        return self._codes
 
     def value_at(self, ijk) -> float | None:
         """Stored value at one index, or None if the voxel is empty."""
@@ -435,13 +465,16 @@ class SparseDFGrid:
         """Vectorized lookup: (values, found) for (N, 3) query indices.
 
         Entries not stored (or outside dims) report found=False with
-        value NaN.  A sentinel code above every stored one ends the search; a
-        row outside dims may wrap in ``linearize``, and ``inside`` masks it.
+        value NaN.  A row outside dims may wrap in ``linearize``, and is masked.
         """
         ijk = _as_indices(ijk)
         inside = ((ijk >= 0) & (ijk < np.asarray(self.spec.dims))).all(axis=1)
-        codes = np.append(self.codes(), np.iinfo(np.int64).max)
-        q = linearize(self.spec.dims, ijk)
+        values = self._lookup(linearize(self.spec.dims, ijk), inside)
+        return values, ~np.isnan(values)  # no stored value is NaN
+
+    def _lookup(self, q: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """Stored values at codes ``q`` where ``inside``, else NaN; a sentinel
+        code above every stored one ends the search."""
+        codes = np.append(self._codes, np.iinfo(np.int64).max)
         pos = np.searchsorted(codes, q)
-        found = inside & (codes[pos] == q)
-        return np.where(found, np.append(self.values, np.nan)[pos], np.nan), found
+        return np.where(inside & (codes[pos] == q), np.append(self.values, np.nan)[pos], np.nan)

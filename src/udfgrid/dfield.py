@@ -120,7 +120,7 @@ class _Evaluator:
         self.params = as_instance(params, DFParams, "params")
         if len(as_instance(cloud, PointCloud, "cloud")) == 0:
             raise EmptyCloudError("cannot evaluate a distance field over an empty cloud")
-        self.kind = kind
+        self.kind = as_instance(kind, DFKind, "kind")
         self.positions, self.normals, self.index = spatial.support(cloud, kind.requires_normals)
         self.width = min(params.max_neighbors + 1, len(self.positions)) if kind.weighted else 2
 
@@ -252,12 +252,14 @@ def _candidates(index: spatial.SpatialIndex, spec: GridSpec, reach: float, rows:
     nb = -(-np.asarray(spec.dims) // _BLOCK)
     # Clipped to nb in float space, as float(nb - 1) may round up past nb - 1.
     own = np.clip(np.floor((index.positions - spec.origin) / (_BLOCK * v)), 0, nb)
-    codes = np.unique(linearize(nb, np.minimum(own.astype(np.int64), nb - 1)))
+    codes = np.sort(linearize(nb, np.minimum(own.astype(np.int64), nb - 1)))
     step = 1
     for n in nb[::-1].tolist():  # z, y, then x: the code steps 1, nz and ny * nz
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # unique: sorted, no repeats
         at = codes // step % n
-        codes = np.unique(np.concatenate([codes[at > 0] - step, codes, codes[at < n - 1] + step]))
+        codes = np.sort(np.concatenate([codes[at > 0] - step, codes, codes[at < n - 1] + step]))
         step *= n
+    codes = codes[np.diff(codes, prepend=-1) != 0]
     half = 0.5 * (_BLOCK - 1)
     h = half * v * np.sqrt(3.0)
     offsets = np.stack(np.unravel_index(np.arange(_BLOCK**3), (_BLOCK,) * 3), axis=1)
@@ -335,30 +337,31 @@ def compute_grid(
     weighted kind keeps or replays the neighbourhood entry, as the module
     docstring states.
     """
-    kept_idx = [np.empty((0, 3), dtype=np.int64)]
-    kept_val = [np.empty(0)]
+    as_instance(spec, GridSpec, "spec")
+    kept_codes, kept_val = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for nodes_idx, vals in _node_values(cloud, spec, _Evaluator(cloud, kind, params)):
         vals = quantize_values(vals / spec.voxel_size)
         keep = np.abs(vals) < TRUNCATION_VOXELS  # False for NaN (undefined) and inf
-        kept_idx.append(nodes_idx[keep])
+        kept_codes.append(linearize(spec.dims, nodes_idx[keep]))
         kept_val.append(vals[keep])
-    indices, values = np.concatenate(kept_idx), np.concatenate(kept_val)
+    codes, values = np.concatenate(kept_codes), np.concatenate(kept_val)
     if not len(values):
         warnings.warn("no candidate voxels inside the grid; returning an empty grid")
-    return SparseDFGrid(spec=spec, kind=kind, flipped=False, indices=indices, values=values)
+    return SparseDFGrid._from_codes(spec, kind, False, codes, values)
 
 
 def flip(grid: SparseDFGrid) -> SparseDFGrid:
     """Value transform v -> 3 - v (unsigned) / sign(v) * (3 - |v|) (signed).
 
     sign(0) counts as +1, so a surface voxel (v = 0) flips to the maximal
-    response 3.  Occupancy is unchanged and the flipped flag toggles.
+    response 3.  Occupancy is unchanged, so the flipped grid shares the
+    (read-only) codes array, and the flipped flag toggles.
     Flipping twice restores every value ``quantize_values`` gives; others
     may not come back (a UED 1e-20 returns as 0.0, a signed -0.0 as +0.0).
     """
-    v = grid.values
-    flipped_vals = np.where(v >= 0, TRUNCATION_VOXELS - v, -(TRUNCATION_VOXELS + v))
-    return dataclasses.replace(grid, flipped=not grid.flipped, values=flipped_vals)
+    v = as_instance(grid, SparseDFGrid, "grid").values
+    v = np.where(v >= 0, TRUNCATION_VOXELS - v, -(TRUNCATION_VOXELS + v))
+    return SparseDFGrid._from_codes(grid.spec, grid.kind, not grid.flipped, grid.codes(), v)
 
 
 def build_pyramid(

@@ -7,9 +7,10 @@ grids: one point per candidate voxel (all six axis neighbors stored and
 
 A stored node finds its axis neighbours by code shift: the neighbour's
 lexicographic code is the node's plus or minus the axis stride, tested
-against the node's own axis index so that no shift wraps into the next
-lattice line, and looked up with one ``searchsorted`` over the grid's
-sorted codes.  A neighbour that is not stored reads NaN.
+against the node's own axis index, ``code // stride % dims[axis]``, so that
+no shift wraps into the next lattice line, and looked up with one
+``searchsorted`` over the grid's sorted codes.  A neighbour that is not
+stored reads NaN.  Only voxels that emit a point get (i, j, k) indices.
 
 Flipped grids are un-flipped internally first; the geometric rules below
 are all stated in non-flipped voxel units.  Output order is deterministic:
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dfield
-from .core import PointCloud, SparseDFGrid, voxel_position
+from .core import PointCloud, SparseDFGrid, as_instance, delinearize, voxel_position
 from .errors import WrongKindError
 
 _GRAD_EPS = 1e-9
@@ -31,25 +32,20 @@ _GRAD_EPS = 1e-9
 def _neighbour_values(grid: SparseDFGrid, rows, steps) -> list[np.ndarray]:
     """Stored values of the neighbours of stored nodes ``rows``, one array per (axis, step).
 
-    ``rows`` selects stored nodes (a mask or index into ``grid.indices``);
+    ``rows`` selects stored nodes (a mask or index into ``grid.codes()``);
     each (axis, step) pair, step being +1 or -1, names the neighbour at
-    ``step`` along ``axis``.  Its code is the node's sorted code plus step
-    times the axis stride, so one bounds test on the node's own axis index
-    and one ``searchsorted`` over the codes, computed once, find it.  A
-    neighbour outside dims or not stored reads NaN, as in ``values_at``.
+    ``step`` along ``axis``: the node's code plus step times the axis stride,
+    inside dims when the node's own axis index plus step is.  A neighbour
+    outside dims or not stored reads NaN, as in ``values_at``.
     """
     _, ny, nz = dims = grid.spec.dims
     strides = (ny * nz, nz, 1)
-    codes = np.append(grid.codes(), np.iinfo(np.int64).max)
-    values = np.append(grid.values, np.nan)
-    own, idx = codes[:-1][rows], grid.indices[rows]
+    own = grid.codes()[rows]
     out = []
     for axis, step in steps:
         # A shift across the end of a lattice line (or of int64) is wrong, and masked.
-        target = own + step * strides[axis]
-        pos, moved = np.searchsorted(codes, target), idx[:, axis] + step
-        inside = (0 <= moved) & (moved < dims[axis])
-        out.append(np.where(inside & (codes[pos] == target), values[pos], np.nan))
+        moved = own // strides[axis] % dims[axis] + step
+        out.append(grid._lookup(own + step * strides[axis], (0 <= moved) & (moved < dims[axis])))
     return out
 
 
@@ -61,18 +57,18 @@ def extract_sdf(grid: SparseDFGrid) -> PointCloud:
     pos_a + t * (pos_b - pos_a) with t = v_a / (v_a - v_b).  Each edge is
     visited once.
     """
-    if not grid.kind.signed:
+    if not as_instance(grid, SparseDFGrid, "grid").kind.signed:
         raise WrongKindError(f"extract_sdf needs a signed grid, got {grid.kind.value}")
     if grid.flipped:
         grid = dfield.flip(grid)
-    idx, va = grid.indices, grid.values
+    codes, va = grid.codes(), grid.values
     points = []
     for axis, vb in enumerate(_neighbour_values(grid, slice(None), [(0, 1), (1, 1), (2, 1)])):
         # A missing neighbour reads NaN, which compares False either way.
         cross = np.where(va >= 0, vb < 0, vb >= 0)
         a, b = va[cross], vb[cross]
         t = a / (a - b)
-        p = voxel_position(grid.spec, idx[cross]).astype(np.float64)
+        p = voxel_position(grid.spec, delinearize(grid.spec.dims, codes[cross]))
         p[:, axis] += t * grid.spec.voxel_size
         points.append(p)
     return PointCloud(np.concatenate(points))
@@ -86,17 +82,17 @@ def udf_candidates(grid: SparseDFGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     finite-difference gradient directions, and the voxel-unit udf values.
     A missing axis neighbor reads NaN, so its voxel is never kept.
     """
-    if grid.kind.signed:
+    if as_instance(grid, SparseDFGrid, "grid").kind.signed:
         raise WrongKindError(f"unsigned extraction needs an unsigned grid, got {grid.kind.value}")
     if grid.flipped:
         grid = dfield.flip(grid)
     band = (grid.values > 1.0) & (grid.values < 3.0)
-    idx, v = grid.indices[band], grid.values[band]
+    codes, v = grid.codes()[band], grid.values[band]
     shifted = _neighbour_values(grid, band, [(axis, step) for axis in range(3) for step in (1, -1)])
     grad = np.stack([up - down for up, down in zip(shifted[::2], shifted[1::2])], axis=1)
     norms = np.linalg.norm(grad, axis=1)
     keep = norms >= _GRAD_EPS
-    return idx[keep], grad[keep] / norms[keep][:, None], v[keep]
+    return delinearize(grid.spec.dims, codes[keep]), grad[keep] / norms[keep][:, None], v[keep]
 
 
 def extract_udf(grid: SparseDFGrid) -> PointCloud:
@@ -107,6 +103,6 @@ def extract_udf(grid: SparseDFGrid) -> PointCloud:
     the voxel node is voxel_size * udf by construction.
     """
     idx, directions, udf = udf_candidates(grid)
-    pos = voxel_position(grid.spec, idx).astype(np.float64)
+    pos = voxel_position(grid.spec, idx)
     points = pos - grid.spec.voxel_size * udf[:, None] * directions
     return PointCloud(points)

@@ -7,9 +7,11 @@ of the offending data.
 
 A PLY read streams from the open file: the header line by line, a binary
 body as one block of count x row-size bytes, an ASCII body in blocks of
-``_ASCII_ROWS`` rows.  So a read holds its arrays plus one block, never the
-whole file, and the first fault in file order is the one reported.  A
-binary write holds one table, and hands the file its buffer, not a copy.
+``_ASCII_ROWS`` rows; a UDFG body in blocks of ``spatial._ENTRY_BUDGET``
+records, read into and written from the grid's codes and values.  So a read
+holds its arrays plus one block, never the whole file, and the first fault
+in file order is the one reported.  A binary PLY write holds one table, and
+hands the file its buffer, not a copy; a UDFG write holds one block.
 
 UDFG layout (all little-endian)::
 
@@ -32,10 +34,12 @@ from __future__ import annotations
 import os
 import re
 import struct
+from io import BytesIO
 
 import numpy as np
 
-from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point, linearize
+from . import spatial
+from .core import MAX_NODES, DFKind, GridSpec, PointCloud, SparseDFGrid, as_point
 from .core import _as_path, as_flag, as_instance
 from .errors import ContractError, ParseError
 
@@ -301,89 +305,99 @@ def write_grid(grid: SparseDFGrid, path) -> None:
     Values are stored as float32.  A value that leaves the kind's range
     in float32 (3 - 1e-9 rounds to 3; a flipped 2**-52 * (1 + 2**-30)
     rounds to 2**-52, which un-flips to 3) raises ContractError before any
-    byte is written, since ``read_grid`` would reject the file.
+    byte is written, since ``read_grid`` would reject the file.  Both the check
+    and the write take ``spatial._ENTRY_BUDGET`` records at a time.
     """
-    spec = grid.spec
-    v32 = grid.values.astype(np.float32)
-    try:
-        SparseDFGrid(spec, grid.kind, grid.flipped, grid.indices, v32.astype(np.float64))
-    except ContractError as exc:
-        raise ContractError(f"{path}: float32 values would not read back: {exc}") from None
-    header = _HEADER_STRUCT.pack(
-        _MAGIC,
-        1,
-        grid.kind.code,
-        int(grid.flipped),
-        *(int(d) for d in spec.dims),
-        *(float(o) for o in spec.origin),
-        float(spec.voxel_size),
-        len(grid),
-    )
-    records = np.empty(len(grid), dtype=_RECORD_DTYPE)
-    for col, name in enumerate("ijk"):
-        records[name] = grid.indices[:, col]
-    records["v"] = v32
+    spec, step = as_instance(grid, SparseDFGrid, "grid").spec, spatial._ENTRY_BUDGET
+    blocks = [slice(lo, lo + step) for lo in range(0, len(grid), step)]
+    codes, values = grid.codes(), grid.values
+    for b in blocks:
+        try:
+            SparseDFGrid._from_codes(spec, grid.kind, grid.flipped, codes[b],
+                                     values[b].astype(np.float32).astype(np.float64))
+        except ContractError as exc:
+            raise ContractError(f"{path}: float32 values would not read back: {exc}") from None
+    header = _HEADER_STRUCT.pack(_MAGIC, 1, grid.kind.code, grid.flipped, *spec.dims,
+                                 *spec.origin, spec.voxel_size, len(grid))
+    _, ny, nz = spec.dims
+    records = np.empty(min(len(grid), step), dtype=_RECORD_DTYPE)
     with open(_as_path(path), "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        for b in blocks:
+            block = records[: len(codes[b])]
+            for name, stride, n in zip("ijk", (ny * nz, nz, 1), spec.dims):
+                block[name] = codes[b] // stride % n
+            block["v"] = values[b]
+            fh.write(block.data)
 
 
 def read_grid(path) -> SparseDFGrid:
-    """Read a UDFG file; validates magic, version, sortedness, and ranges."""
+    """Read a UDFG file; validates magic, version, sortedness, and ranges.
+
+    After the size is checked against the count, records are read into the
+    grid's codes and values ``spatial._ENTRY_BUDGET`` at a time.
+    """
     with open(_as_path(path), "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER_STRUCT.size:
-        raise ParseError(f"{path}: header truncated", offset=len(data))
-    magic, version, kind_code, flipped, dx, dy, dz, ox, oy, oz, voxel_size, count = (
-        _HEADER_STRUCT.unpack_from(data, 0)
-    )
-    if magic != _MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}", offset=0)
-    if version != 1:
-        raise ParseError(f"{path}: unsupported format version {version}", offset=4)
+        fh = fh if fh.seekable() else BytesIO(fh.read())  # a pipe: read it, then in blocks
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        data = fh.read(_HEADER_STRUCT.size)
+        if len(data) < _HEADER_STRUCT.size:
+            raise ParseError(f"{path}: header truncated", offset=len(data))
+        magic, version, kind_code, flipped, dx, dy, dz, ox, oy, oz, voxel_size, count = (
+            _HEADER_STRUCT.unpack_from(data, 0)
+        )
+        if magic != _MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}", offset=0)
+        if version != 1:
+            raise ParseError(f"{path}: unsupported format version {version}", offset=4)
+        try:
+            kind = DFKind.from_code(kind_code)
+        except Exception:
+            raise ParseError(f"{path}: unknown kind code {kind_code}", offset=8) from None
+        if flipped not in (0, 1):
+            raise ParseError(f"{path}: flipped flag must be 0 or 1, got {flipped}", offset=9)
+        if min(dx, dy, dz) < 1:
+            raise ParseError(f"{path}: dims must be >= 1, got {(dx, dy, dz)}", offset=10)
+        if dx * dy * dz > MAX_NODES:
+            raise ParseError(f"{path}: dims {(dx, dy, dz)} exceed {MAX_NODES} nodes", offset=10)
+        offset = 22  # the origin; once it passes, the voxel size or the far corner
+        try:
+            origin = as_point((ox, oy, oz), "origin")
+            offset = 46
+            spec = GridSpec(origin=origin, voxel_size=voxel_size, dims=(dx, dy, dz))
+        except ContractError as exc:
+            raise ParseError(f"{path}: {exc}", offset=offset) from None
+        body, need = _HEADER_STRUCT.size, count * _RECORD_DTYPE.itemsize
+        if size - body < need:
+            raise ParseError(
+                f"{path}: record data truncated ({size - body} of {need} bytes)", offset=size
+            )
+        if size - body > need:
+            raise ParseError(f"{path}: trailing bytes after records", offset=body + need)
+        codes, values, outside = np.empty(count, dtype=np.int64), np.empty(count), False
+        step = spatial._ENTRY_BUDGET
+        records = np.empty(min(count, step), dtype=_RECORD_DTYPE)
+        for lo in range(0, count, step):
+            block = records[: min(step, count - lo)]
+            if fh.readinto(block.view(np.uint8)) < block.nbytes:
+                raise ParseError(f"{path}: record data truncated while reading", offset=size)
+            ij = block["i"].astype(np.int64) * dy + block["j"]  # linearize, as int64
+            codes[lo : lo + len(block)] = ij * dz + block["k"]
+            with np.errstate(invalid="ignore"):  # a signalling NaN reads as NaN, refused below
+                values[lo : lo + len(block)] = block["v"]
+            outside = outside or any(block[a].max() >= n for a, n in zip("ijk", spec.dims))
+            steps = np.diff(codes[max(lo - 1, 0) : lo + len(block)])
+            if (steps <= 0).any():
+                bad = int(np.argmax(steps <= 0)) + max(lo, 1)
+                word = "duplicate" if codes[bad] == codes[bad - 1] else "unsorted"
+                raise ParseError(
+                    f"{path}: {word} record at index {bad}",
+                    offset=body + bad * _RECORD_DTYPE.itemsize,
+                )
     try:
-        kind = DFKind.from_code(kind_code)
-    except Exception:
-        raise ParseError(f"{path}: unknown kind code {kind_code}", offset=8) from None
-    if flipped not in (0, 1):
-        raise ParseError(f"{path}: flipped flag must be 0 or 1, got {flipped}", offset=9)
-    if min(dx, dy, dz) < 1:
-        raise ParseError(f"{path}: dims must be >= 1, got {(dx, dy, dz)}", offset=10)
-    if dx * dy * dz > MAX_NODES:
-        raise ParseError(f"{path}: dims {(dx, dy, dz)} exceed {MAX_NODES} nodes", offset=10)
-    offset = 22  # the origin; once it passes, the voxel size or the far corner
-    try:
-        origin = as_point((ox, oy, oz), "origin")
-        offset = 46
-        spec = GridSpec(origin=origin, voxel_size=voxel_size, dims=(dx, dy, dz))
+        if outside:
+            raise ContractError("voxel indices outside grid dims")
+        return SparseDFGrid._from_codes(spec, kind, bool(flipped), codes, values)
     except ContractError as exc:
-        raise ParseError(f"{path}: {exc}", offset=offset) from None
-    body = _HEADER_STRUCT.size
-    need = count * _RECORD_DTYPE.itemsize
-    if len(data) - body < need:
-        raise ParseError(
-            f"{path}: record data truncated ({len(data) - body} of {need} bytes)",
-            offset=len(data),
-        )
-    if len(data) - body > need:
-        raise ParseError(f"{path}: trailing bytes after records", offset=body + need)
-    records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=body)
-    indices = np.stack([records[c].astype(np.int64) for c in "ijk"], axis=1)
-    steps = np.diff(linearize(spec.dims, indices))
-    if (steps <= 0).any():
-        bad = int(np.argmax(steps <= 0)) + 1
-        word = "duplicate" if steps[bad - 1] == 0 else "unsorted"
-        raise ParseError(
-            f"{path}: {word} record at index {bad}",
-            offset=body + bad * _RECORD_DTYPE.itemsize,
-        )
-    try:
-        return SparseDFGrid(
-            spec=spec,
-            kind=kind,
-            flipped=bool(flipped),
-            indices=indices,
-            values=records["v"].astype(np.float64),
-        )
-    except Exception as exc:
         raise ParseError(f"{path}: invalid grid data: {exc}") from exc

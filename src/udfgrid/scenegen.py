@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spatial
-from .core import PointCloud, _as_number, _as_path, as_count, as_length, as_point, as_rows
+from .core import PointCloud, _as_number, _as_path, as_count, as_instance, as_length, as_point
+from .core import as_rows
 from .errors import ContractError, MissingDataError, ParseError
 
 
@@ -272,7 +273,7 @@ def simulate_scans(cloud: PointCloud, scan: ScanSpec, seed) -> PointCloud:
     seed = as_count(seed, "seed", least=0)
     sensors = scan.sensor_origins
     step = spatial.chunk_rows(len(sensors))
-    nearest = np.empty(len(cloud), dtype=np.int64)
+    nearest = np.empty(len(as_instance(cloud, PointCloud, "cloud")), dtype=np.int64)
     for lo in range(0, len(cloud), step):
         diff = cloud.positions[lo : lo + step, None, :] - sensors[None, :, :]
         nearest[lo : lo + step] = np.argmin(np.einsum("nsi,nsi->ns", diff, diff), axis=1)
@@ -292,7 +293,7 @@ def apply_dropout(cloud: PointCloud, fraction: float, seed) -> PointCloud:
     groups despite float rounding.  A fraction that would remove every group
     raises ContractError naming the fraction and the group count.
     """
-    if cloud.sensor_origins is None:
+    if as_instance(cloud, PointCloud, "cloud").sensor_origins is None:
         raise MissingDataError("dropout groups points by sensor origin; none present")
     fraction, seed = _as_fraction(fraction, "dropout fraction"), as_count(seed, "seed", least=0)
     groups, inverse = np.unique(cloud.sensor_origins, axis=0, return_inverse=True)
@@ -329,7 +330,7 @@ def augment(cloud: PointCloud, seed, voxel_scale: float, jitter_sigma: float | N
     scale = rng.uniform(0.8, 1.2)
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    centroid = cloud.positions.mean(axis=0)
+    centroid = as_instance(cloud, PointCloud, "cloud").positions.mean(axis=0)
 
     def transform(points: np.ndarray) -> np.ndarray:
         return centroid + scale * (points - centroid) @ rot.T

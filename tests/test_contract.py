@@ -9,7 +9,8 @@ and never a value read as another (True as 1, an array as its element).
 Nor may it close stdin, stdout or stderr, as a path passed on to ``open()``
 as a file descriptor once did.  A cloud slot refuses anything but a
 ``PointCloud`` with ContractError: other objects once ended in
-AttributeError, or in a refusal about the number of points.
+AttributeError, or in a refusal about the number of points.  So does every
+grid, spec and kind slot, each refusing anything but its own type.
 """
 
 import math
@@ -45,6 +46,9 @@ from udfgrid import (
     compute_grid,
     estimate_normals,
     evaluate,
+    extract_sdf,
+    extract_udf,
+    flip,
     gaussian_weight,
     make_evaluator,
     orient_normals,
@@ -54,6 +58,8 @@ from udfgrid import (
     sigma_sweep,
     simulate_scans,
     spatial,
+    udf_candidates,
+    write_grid,
     write_ply,
 )
 
@@ -95,6 +101,11 @@ def _threads(v):
 def _write_ply(v, cloud=CLOUD):
     with tempfile.TemporaryDirectory() as tmp:
         write_ply(cloud, Path(tmp) / "c.ply", binary=v)
+
+
+def _write_grid(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_grid(grid, Path(tmp) / "g.udfg")
 
 
 # Slot name -> a call taking the odd value.
@@ -155,8 +166,23 @@ CLOUD_SLOTS = {
     "roundtrip cloud, normal kind": lambda v: roundtrip(v, SPEC, DFKind.IMLS, False, PARAMS),
     "sigma_sweep cloud": lambda v: sigma_sweep(v, SPEC, [DFKind.UWED], [0.1]),
     "spatial.support cloud": lambda v: spatial.support(v, normals=True),
+    "simulate_scans cloud": lambda v: simulate_scans(v, ScanSpec(SENSORS), 0),
+    "apply_dropout cloud": lambda v: apply_dropout(v, 0.5, 0),
+    "augment cloud": lambda v: augment(v, 0, VOXEL),
 }
 SLOTS.update(CLOUD_SLOTS)
+
+# Slot name -> (the type it takes, a call taking the value there).
+OBJECT_SLOTS = {
+    "extract_sdf grid": (SparseDFGrid, extract_sdf),
+    "extract_udf grid": (SparseDFGrid, extract_udf),
+    "udf_candidates grid": (SparseDFGrid, udf_candidates),
+    "flip grid": (SparseDFGrid, flip),
+    "write_grid grid": (SparseDFGrid, _write_grid),
+    "compute_grid spec": (GridSpec, lambda v: compute_grid(CLOUD, v, DFKind.UED, PARAMS)),
+    "compute_grid kind": (DFKind, lambda v: compute_grid(CLOUD, SPEC, v, PARAMS)),
+}
+SLOTS.update({slot: call for slot, (_, call) in OBJECT_SLOTS.items()})
 
 with np.errstate(over="ignore"):
     ODD = [math.nan, math.inf, -math.inf, 0, -1, 2**70, 1e-320, 1e300, True, np.bool_(True),
@@ -212,6 +238,17 @@ NOT_CLOUDS = [1.5, "x", None, [[0.0, 0.0, 0.0]], np.ones((4, 3)), {}, SPEC, PARA
 def test_a_cloud_slot_takes_only_a_cloud(slot, value):
     with pytest.raises(ContractError, match=r"must be a PointCloud, got "):
         CLOUD_SLOTS[slot](value)
+
+
+@pytest.mark.parametrize("slot, value", [
+    pytest.param(slot, value, id=f"{slot}-{type(value).__name__}")
+    for slot, (cls, _) in OBJECT_SLOTS.items()
+    for value in NOT_CLOUDS + [CLOUD] if not isinstance(value, cls)
+])
+def test_an_object_slot_takes_only_its_type(slot, value):
+    cls, call = OBJECT_SLOTS[slot]
+    with pytest.raises(ContractError, match=rf"must be a {cls.__name__}, got "):
+        call(value)
 
 
 @pytest.mark.parametrize("slot", list(CLOUD_SLOTS))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from udfgrid import (
@@ -553,6 +553,30 @@ class TestSparseDFGrid:
         with pytest.raises(ContractError, match=r"value_at takes one \(i, j, k\) index"):
             grid.value_at([[0, 0, 0], [1, 1, 1]])
 
+    def test_owns_its_arrays(self):
+        """Writing into the arrays a grid was built from leaves the grid as it was:
+        the grid once kept them, so these writes moved it outside its value range
+        and its dims."""
+        idx, v = np.array([[0, 0, 0], [1, 2, 3]]), np.array([0.5, 1.5])
+        grid = SparseDFGrid(self.spec, DFKind.UED, False, idx, v)
+        v[0] = 99.0
+        idx[1] = [9, 9, 9]
+        np.testing.assert_array_equal(grid.values, [0.5, 1.5])
+        np.testing.assert_array_equal(grid.indices, [[0, 0, 0], [1, 2, 3]])
+
+    def test_arrays_are_read_only(self, tmp_path):
+        grid = SparseDFGrid(self.spec, DFKind.UED, False, [[0, 0, 0], [1, 2, 3]], [0.5, 1.5])
+        write_grid(grid, tmp_path / "g.udfg")
+        for g in (grid, flip(grid), read_grid(tmp_path / "g.udfg")):
+            for arr in (g.values, g.codes()):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[1] = -7.0
+
+    def test_flip_shares_the_codes(self):
+        """The library hands over the arrays it builds: a flipped grid keeps the same codes."""
+        grid = SparseDFGrid(self.spec, DFKind.UED, False, [[0, 0, 0], [1, 2, 3]], [0.5, 1.5])
+        assert flip(grid).codes() is grid.codes()
+
     def test_values_at_batch(self):
         grid = SparseDFGrid(self.spec, DFKind.UED, False,
                             [[0, 0, 0], [2, 3, 4]], [0.25, 1.5])
@@ -563,6 +587,60 @@ class TestSparseDFGrid:
         np.testing.assert_array_equal(found, [True, False, True, False, False, False])
         assert vals[0] == 0.25 and vals[2] == 1.5
         assert np.isnan(vals[[1, 3, 4, 5]]).all()
+
+
+@st.composite
+def _voxel_sets(draw):
+    """(dims, (N, 3) indices): sorted, shuffled, holding a duplicate, or holding
+    an index outside dims, with dims up to 2**21 per axis."""
+    dims = tuple(draw(st.integers(1, 2**21)) for _ in range(3))
+    assume(dims[0] * dims[1] * dims[2] <= core.MAX_NODES)
+    rows = draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in dims)), max_size=24))
+    idx = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    layout = draw(st.sampled_from(["sorted", "shuffled", "duplicate", "outside"]))
+    if layout == "sorted":
+        return dims, idx[np.lexsort(idx.T[::-1])]
+    if len(idx) and layout == "duplicate":
+        idx = np.concatenate([idx, idx[draw(st.integers(0, len(idx) - 1))][None]])
+    if len(idx) and layout == "outside":
+        row, axis = draw(st.integers(0, len(idx) - 1)), draw(st.integers(0, 2))
+        idx[row, axis] = draw(st.sampled_from([-1, dims[axis], 2**40]))
+    return dims, idx[draw(st.permutations(range(len(idx))))]
+
+
+class TestGridLayout:
+    """A grid keeps sorted int64 codes and rebuilds its indices from them; the
+    reference lexsorts the (N, 3) rows instead."""
+
+    @settings(max_examples=300)
+    @given(case=_voxel_sets())
+    def test_matches_lexsorted_rows(self, case):
+        dims, idx = case
+        spec = GridSpec((0.0, 0.0, 0.0), 1.0, dims)
+        values = np.linspace(0.0, 2.9, len(idx))  # one value per row, to follow the rows
+        order = np.lexsort(idx.T[::-1])
+        rows = idx[order]
+        if not ((idx >= 0) & (idx < dims)).all():
+            refusal = "voxel indices outside grid dims"
+        elif (rows[1:] == rows[:-1]).all(axis=1).any():
+            refusal = "duplicate voxel indices"
+        else:
+            refusal = None
+        if refusal:
+            with pytest.raises(ContractError, match=refusal):
+                SparseDFGrid(spec, DFKind.UED, False, idx, values)
+            return
+        grid = SparseDFGrid(spec, DFKind.UED, False, idx, values)
+        assert grid.indices.dtype == np.int64 and grid.indices.tobytes() == rows.tobytes()
+        assert grid.values.tobytes() == values[order].tobytes()
+        assert (np.diff(grid.codes()) > 0).all()
+        oracle = {tuple(r): v for r, v in zip(idx.tolist(), values.tolist())}
+        probes = np.concatenate([idx, idx + 1, idx - 1, [[0, 0, 0], [d - 1 for d in dims]]])
+        want = [oracle.get(tuple(p)) for p in probes.tolist()]
+        got, found = grid.values_at(probes)
+        assert found.tolist() == [w is not None for w in want]
+        assert got[found].tolist() == [w for w in want if w is not None]
+        assert np.isnan(got[~found]).all()
 
 
 # -- the argument contract: rows, points, counts and lengths ------------------

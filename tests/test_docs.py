@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import udfgrid
-from udfgrid import dfield, io, load_scene_config, spatial
+from udfgrid import DFKind, GridSpec, SparseDFGrid, dfield, io, load_scene_config, spatial
 from udfgrid.core import MAX_COORD, MIN_LENGTH
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -69,6 +69,17 @@ def test_readme_states_the_memory_bounds():
     block = re.search(r"blocks of (\d+) rows\s+\(`io\._ASCII_ROWS`\)", text)
     assert block, "README conventions state no PLY block size"
     assert int(block.group(1)) == io._ASCII_ROWS
+    # A grid's bytes per voxel, as its arrays' item sizes: the codes and values it
+    # keeps, and the indices it rebuilds on each read.
+    grid = SparseDFGrid(GridSpec((0, 0, 0), 1.0, (2, 2, 2)), DFKind.UED, False, [[1, 0, 1]], [0.5])
+    kept = re.search(r"A grid holds (\d+) B per voxel", text)
+    rebuilt = re.search(r"int64 copy \((\d+) B per voxel\)", text)
+    assert kept and rebuilt, "README conventions state no grid size per voxel"
+    assert int(kept.group(1)) == grid.codes().itemsize + grid.values.itemsize
+    assert int(rebuilt.group(1)) == grid.indices.itemsize * grid.indices.shape[1]
+    udfg = re.search(r"blocks of the working\s+budget, 2\^(\d+) records", text)
+    assert udfg, "README conventions state no UDFG block size"
+    assert 2 ** int(udfg.group(1)) == spatial._ENTRY_BUDGET
 
 
 def test_the_argument_contract_lives_in_core():
